@@ -2,32 +2,4 @@
 potential formulation, with tree-cotree stabilization of the curl system
 against low-frequency breakdown."""
 
-from .assembly import (MaterialField, MatrixBundle, NoSource, assemble_bundle,
-                       assemble_charge_vector, assemble_curl_curl,
-                       assemble_current_vector, assemble_grad_coupling,
-                       assemble_grad_grad, assemble_mass,
-                       assemble_weak_divergence)
-from .gauge import (GaugeGraph, TreeCotreePartition, UnsupportedTopologyError,
-                    build_gauge_graph, dump_tree, reorder_system, spanning_tree)
-from .mesh import (AIR, CONDUCTOR, FACE_LABELS, BoundaryTags, Box, Mesh,
-                   RegionTags, UncoveredRegionError, boundary_entities,
-                   build_box_mesh, tag_regions)
-from .physics import (METHODS, BuiltScenario, DerivedFields, ManufacturedCase,
-                      ManufacturedSource, Solution, derived_fields,
-                      gauge_residual, hcurl_error, manufactured_sources,
-                      run_two_step)
-from .scenario import (ConfigError, Scenario, academic_scenario, load_scenario,
-                       mms_scenario, parse_scenario)
-from .solve import (ConditionEstimate, SingularMatrixError, SolveReport,
-                    condition_estimate, sparse_lu_solve)
-from .spaces import (DirichletSpec, EdgeSpace, ScalarSpace, build_edge_space,
-                     build_scalar_space, edge_interpolate, eval_edge_basis,
-                     eval_scalar_basis, gradient_incidence)
-from .system import (FrequencyPoint, ScalingFactors, StaticSingularityError,
-                     build_curl_matrix, build_eqs_static_limit,
-                     build_eqs_system, build_lagrange_system, build_rhs,
-                     build_scaled_divergence, build_stabilized_system,
-                     kappa_divergence, scaling_factors)
-from .vtk_io import export_vtk, read_vtk_points, write_vtk
-
 __version__ = "0.1.0"

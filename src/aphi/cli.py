@@ -11,18 +11,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .gauge import UnsupportedTopologyError
 from .mesh import UncoveredRegionError
-from .physics import METHODS, hcurl_error, run_two_step
+from .physics import METHODS, curl_system, hcurl_error, run_two_step
 from .scenario import ConfigError, Scenario, load_scenario
 from .solve import SingularMatrixError, condition_estimate
-from .system import (StaticSingularityError, build_curl_matrix,
-                     build_lagrange_system, build_scaled_divergence,
-                     build_stabilized_system, scaling_factors)
+from .system import StaticSingularityError
 from .vtk_io import export_vtk
 
 EXIT_OK = 0
@@ -31,6 +28,7 @@ EXIT_SINGULAR = 3
 EXIT_IO = 4
 
 SWEEP_QUANTITIES = ("condition", "delta_D", "solve_residual")
+SOLVE_QUANTITIES = {"delta_D", "solve_residual"}
 SWEEP_HEADER = "f_hz,method,cond_estimate,cond_method,delta_D,rel_residual,n_dofs,wall_ms"
 CONVERGE_HEADER = "s_h,method,hcurl_error,rate"
 
@@ -61,68 +59,56 @@ def parse_frequencies(spec: str) -> list[float]:
 
 def method_system(built, omega: float):
     """The per-method system matrices of one frequency point."""
-    W = build_curl_matrix(built.bundle, omega)
-    factors = scaling_factors(omega, built.material)
-    D = build_scaled_divergence(built.bundle, omega, factors, built.gauge)
-    systems = {"original": W}
-    S_tc, _ = build_stabilized_system(W, D, np.zeros(W.shape[0], dtype=complex),
-                                      built.partition)
-    systems["tree-cotree"] = S_tc
-    S_lm, _ = build_lagrange_system(W, D, np.zeros(W.shape[0], dtype=complex))
-    systems["lagrange"] = S_lm
-    return systems
+    return {m: curl_system(built, omega, m)[0] for m in METHODS}
 
 
 def _sweep_row(built, f: float, method: str, quantities: set[str],
                timing: bool) -> tuple[str, bool]:
+    """One CSV row from one solve; the condition estimate reuses its LU.
+
+    A singular solve counts as singular only when a solve quantity is
+    asked for; its condition estimate is then made on the system alone.
+    """
     t0 = time.perf_counter()
-    omega = 2.0 * np.pi * f
+    want_cond = "condition" in quantities
+    sol = est = None
+    if quantities:
+        try:
+            sol = run_two_step(built, f, method, condition=want_cond)
+            est = sol.condition
+        except (SingularMatrixError, StaticSingularityError):
+            if want_cond:
+                est = condition_estimate(curl_system(built, 2.0 * np.pi * f, method)[0])
     cond_cell = cond_method_cell = delta_cell = resid_cell = ""
-    singular = False
-    if "condition" in quantities:
-        est = condition_estimate(method_system(built, omega)[method])
+    if est is not None:
         cond_cell = _num(est.value)
         cond_method_cell = est.method
+    if "delta_D" in quantities:
+        delta_cell = "singular" if sol is None else _num(sol.delta_D)
+    if "solve_residual" in quantities:
+        resid_cell = "singular" if sol is None else _num(sol.curl_report.rel_residual)
     n_dofs = {"original": built.edge.n_free,
               "tree-cotree": built.edge.n_free,
               "lagrange": built.edge.n_free + built.partition.tree.size}[method]
-    if quantities & {"delta_D", "solve_residual"}:
-        try:
-            sol = run_two_step(built, f, method)
-            if "delta_D" in quantities:
-                delta_cell = _num(sol.delta_D)
-            if "solve_residual" in quantities:
-                resid_cell = _num(sol.curl_report.rel_residual)
-        except (SingularMatrixError, StaticSingularityError):
-            singular = True
-            if "delta_D" in quantities:
-                delta_cell = "singular"
-            if "solve_residual" in quantities:
-                resid_cell = "singular"
     wall_ms = int(round(1000 * (time.perf_counter() - t0))) if timing else 0
     row = f"{_num(f)},{method},{cond_cell},{cond_method_cell}," \
           f"{delta_cell},{resid_cell},{n_dofs},{wall_ms}"
-    return row, singular
+    return row, sol is None and bool(quantities & SOLVE_QUANTITIES)
 
 
 def run_sweep(scenario: Scenario, freqs: list[float], methods: list[str],
-              quantities: set[str], timing: bool = False, jobs: int = 1) -> tuple[list[str], set[str]]:
+              quantities: set[str], timing: bool = False) -> tuple[list[str], set[str]]:
     """One CSV row per (frequency, method); singular solves are recorded,
     never raised.  Returns (rows, methods that hit a singular solve)."""
     built = scenario.build()
-    tasks = [(f, m) for f in freqs for m in methods]
-    singular_methods: set[str] = set()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda t: _sweep_row(built, t[0], t[1], quantities, timing), tasks))
-    else:
-        results = [_sweep_row(built, f, m, quantities, timing) for f, m in tasks]
     rows = []
-    for (f, m), (row, singular) in zip(tasks, results):
-        rows.append(row)
-        if singular:
-            singular_methods.add(m)
+    singular_methods: set[str] = set()
+    for f in freqs:
+        for m in methods:
+            row, singular = _sweep_row(built, f, m, quantities, timing)
+            rows.append(row)
+            if singular:
+                singular_methods.add(m)
     return rows, singular_methods
 
 
@@ -209,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override mesh subdivisions, e.g. 3,3,3")
     sweep.add_argument("--timing", action="store_true",
                        help="fill wall_ms (breaks byte reproducibility)")
-    sweep.add_argument("--jobs", type=int, default=1)
 
     conv = sub.add_parser("converge", help="mesh-refinement study to CSV")
     conv.add_argument("--config", required=True)
@@ -273,7 +258,7 @@ def _dispatch(args) -> int:
             raise ConfigError(0, f"unknown sweep quantities {sorted(unknown)}")
         freqs = parse_frequencies(args.freqs)
         rows, singular = run_sweep(scenario, freqs, methods, quantities,
-                                   timing=args.timing, jobs=args.jobs)
+                                   timing=args.timing)
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(f"# aphi sweep v1 columns: {SWEEP_HEADER}\n")
             fh.write(SWEEP_HEADER + "\n")

@@ -10,8 +10,8 @@ curl-curl matrix on the free edges.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,13 +60,11 @@ def build_gauge_graph(mesh: Mesh, edge_space: EdgeSpace,
     edge_ids = edge_space.free
     va = vertex_of_node[mesh.edges[edge_ids, 0]]
     vb = vertex_of_node[mesh.edges[edge_ids, 1]]
-    graph = GaugeGraph(n_vertices=n_vertices, root=root, gauge_nodes=gauge_nodes,
-                       vertex_of_node=vertex_of_node,
-                       edge_free_pos=np.arange(edge_ids.shape[0]),
-                       edge_ids=edge_ids,
-                       edge_vertices=np.stack([va, vb], axis=1))
-    _check_connected(graph)
-    return graph
+    return GaugeGraph(n_vertices=n_vertices, root=root, gauge_nodes=gauge_nodes,
+                      vertex_of_node=vertex_of_node,
+                      edge_free_pos=np.arange(edge_ids.shape[0]),
+                      edge_ids=edge_ids,
+                      edge_vertices=np.stack([va, vb], axis=1))
 
 
 def _adjacency(graph: GaugeGraph) -> list[list[tuple[int, int]]]:
@@ -88,25 +86,16 @@ def _bfs(graph: GaugeGraph) -> tuple[np.ndarray, np.ndarray]:
     start = graph.root if graph.root is not None else 0
     visited = np.zeros(graph.n_vertices, dtype=bool)
     visited[start] = True
-    queue = [start]
+    queue = deque([start])
     tree = []
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for pos, other in adj[v]:
             if not visited[other]:
                 visited[other] = True
                 tree.append(pos)
                 queue.append(other)
     return visited, np.array(sorted(tree), dtype=np.int64)
-
-
-def _check_connected(graph: GaugeGraph) -> None:
-    visited, _ = _bfs(graph)
-    if not visited.all():
-        missing = int(np.flatnonzero(~visited)[0])
-        raise UnsupportedTopologyError(
-            f"gauge graph is disconnected (vertex {missing} unreachable); "
-            "only simply-connected box scenarios are supported")
 
 
 @dataclass(frozen=True)
@@ -138,16 +127,19 @@ class TreeCotreePartition:
         p = self.perm
         return A.tocsr()[p][:, p].tocsr()
 
-    def permute_columns(self, A: sp.spmatrix) -> sp.csr_matrix:
-        return A.tocsr()[:, self.perm].tocsr()
-
 
 def spanning_tree(graph: GaugeGraph) -> TreeCotreePartition:
     """BFS spanning tree from the root (or vertex 0), neighbors visited in
-    ascending edge index; deterministic for identical inputs."""
+    ascending edge index; deterministic for identical inputs.
+
+    Raises UnsupportedTopologyError if the gauge graph is disconnected.
+    """
     visited, tree_pos = _bfs(graph)
-    if graph.n_vertices and not visited.all():
-        raise UnsupportedTopologyError("gauge graph is disconnected")
+    if not visited.all():
+        missing = int(np.flatnonzero(~visited)[0])
+        raise UnsupportedTopologyError(
+            f"gauge graph is disconnected (vertex {missing} unreachable); "
+            "only simply-connected box scenarios are supported")
     n_free = graph.edge_ids.shape[0]
     if tree_pos.shape[0] != max(graph.n_vertices - 1, 0):
         raise AssertionError("spanning tree size mismatch")  # pragma: no cover
@@ -156,27 +148,3 @@ def spanning_tree(graph: GaugeGraph) -> TreeCotreePartition:
     return TreeCotreePartition(n_free=n_free, tree=tree_pos,
                                cotree=np.flatnonzero(~mask),
                                tree_edge_ids=graph.edge_ids[tree_pos])
-
-
-def reorder_system(obj, partition: TreeCotreePartition):
-    """Permute a vector or a square n_free system into [R | T] block order."""
-    if sp.issparse(obj):
-        if obj.shape == (partition.n_free, partition.n_free):
-            return partition.permute_matrix(obj)
-        if obj.shape[1] == partition.n_free:
-            return partition.permute_columns(obj)
-        raise ValueError(f"cannot reorder shape {obj.shape}")
-    arr = np.asarray(obj)
-    if arr.ndim == 1 and arr.shape[0] == partition.n_free:
-        return partition.permute_vector(arr)
-    if arr.ndim == 2 and arr.shape == (partition.n_free, partition.n_free):
-        p = partition.perm
-        return arr[np.ix_(p, p)]
-    raise ValueError(f"cannot reorder shape {arr.shape}")
-
-
-def dump_tree(partition: TreeCotreePartition, mesh: Mesh, stream: IO[str]) -> None:
-    """Write tree edges as 'nodeA nodeB edgeId' lines (debug aid)."""
-    for eid in partition.tree_edge_ids:
-        a, b = mesh.edges[eid]
-        stream.write(f"{a} {b} {eid}\n")

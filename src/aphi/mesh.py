@@ -251,16 +251,20 @@ class RegionTags:
     def air_cells(self) -> np.ndarray:
         return ~self.conductor_cells
 
-    def cell_region(self, cell: int) -> str:
-        return CONDUCTOR if self.conductor_cells[cell] else AIR
-
 
 def match_cells(mesh: Mesh, boxes: Sequence[Box]) -> np.ndarray:
-    """Index of the last box containing each cell centroid, -1 if none."""
+    """Index of the last box containing each cell centroid.
+
+    Raises UncoveredRegionError if some centroid lies in no box.
+    """
     centroids = mesh.cell_centroids()
     match = np.full(mesh.n_cells, -1, dtype=np.int64)
     for idx, box in enumerate(boxes):
         match[box.contains(centroids)] = idx
+    if np.any(match < 0):
+        cell = int(np.argmax(match < 0))
+        raise UncoveredRegionError(
+            f"cell {cell} (centroid {centroids[cell]}) matched no region")
     return match
 
 
@@ -285,11 +289,6 @@ def tag_regions(mesh: Mesh, predicates: Sequence[tuple[Box, str]]) -> RegionTags
         if label not in (CONDUCTOR, AIR):
             raise ValueError(f"unknown region label {label!r}")
     match = match_cells(mesh, [box for box, _ in predicates])
-    if np.any(match < 0):
-        cell = int(np.argmax(match < 0))
-        centroid = mesh.cell_centroids()[cell]
-        raise UncoveredRegionError(
-            f"cell {cell} with centroid {centroid} matched no region predicate")
     labels = np.array([label for _, label in predicates])
     conductor_cells = labels[match] == CONDUCTOR
     return derive_entity_tags(mesh, conductor_cells)
@@ -299,7 +298,6 @@ def tag_regions(mesh: Mesh, predicates: Sequence[tuple[Box, str]]) -> RegionTags
 class BoundarySet:
     nodes: np.ndarray  # node ids
     edges: np.ndarray  # edge ids
-    faces: np.ndarray  # (m, 4) node quads
 
 
 @dataclass(frozen=True)
@@ -321,7 +319,7 @@ class BoundaryTags:
 
 
 def boundary_entities(mesh: Mesh) -> BoundaryTags:
-    """Collect nodes, edges and faces of the six box faces."""
+    """Collect the nodes and edges of the six box faces."""
     nx, ny, nz = mesh.subdivisions
     grid = mesh.node_grid_index(np.arange(mesh.n_nodes))
     edge_mid = grid[mesh.edges[:, 0]] + grid[mesh.edges[:, 1]]  # doubled midpoint
@@ -335,27 +333,7 @@ def boundary_entities(mesh: Mesh) -> BoundaryTags:
         axis, value = limits[label]
         nodes = np.flatnonzero(grid[:, axis] * 2 == value)
         edges = np.flatnonzero(edge_mid[:, axis] == value)
-        faces = _face_quads(mesh, axis, value // 2)
-        sets[label] = BoundarySet(nodes=nodes, edges=edges, faces=faces)
+        sets[label] = BoundarySet(nodes=nodes, edges=edges)
         node_mask[nodes] = True
         edge_mask[edges] = True
     return BoundaryTags(sets=sets, node_mask=node_mask, edge_mask=edge_mask)
-
-
-def _face_quads(mesh: Mesh, axis: int, index: int) -> np.ndarray:
-    """Node quads of the boundary faces lying on grid plane axis=index."""
-    n = list(mesh.subdivisions)
-    other = [ax for ax in range(3) if ax != axis]
-    ua, ub = other
-    quads = []
-    for b in range(n[ub]):
-        for a in range(n[ua]):
-            corners = []
-            for db, da in ((0, 0), (0, 1), (1, 1), (1, 0)):
-                ijk = [0, 0, 0]
-                ijk[axis] = index
-                ijk[ua] = a + da
-                ijk[ub] = b + db
-                corners.append(_node_ids(*ijk, mesh.subdivisions))
-            quads.append(corners)
-    return np.array(quads, dtype=np.int64).reshape(-1, 4)

@@ -9,15 +9,18 @@ case provides closed-form sources for convergence studies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.constants import epsilon_0, mu_0
 
 from .assembly import (MatrixBundle, MaterialField, assemble_charge_vector,
                        assemble_current_vector)
 from .gauge import GaugeGraph, TreeCotreePartition
 from .mesh import BoundaryTags, Mesh
-from .solve import SolveReport, sparse_lu_solve
+from .solve import (ConditionEstimate, Factorization, SolveReport,
+                    condition_estimate, sparse_lu_solve)
 from .spaces import (EdgeSpace, ScalarSpace, physical_edge_basis,
                      physical_scalar_basis, tensor_quadrature)
 from .system import (FrequencyPoint, build_curl_matrix, build_eqs_static_limit,
@@ -98,12 +101,6 @@ class ManufacturedCase:
         return 24.0 * half_pi_cubed
 
 
-def manufactured_sources(case: ManufacturedCase, points: np.ndarray,
-                         omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise source current density and charge density of the case."""
-    return case.J_s(points, omega), case.rho_s(points, omega)
-
-
 @dataclass(frozen=True)
 class ManufacturedSource:
     """SourceModel adapter; the scalar RHS i*omega*q_s is assembled from the
@@ -149,6 +146,7 @@ class Solution:
     delta_D: float              # unscaled kappa-weighted gauge residual
     curl_report: SolveReport
     eqs_reports: tuple[SolveReport, ...] = field(default=())
+    condition: ConditionEstimate | None = None  # of the curl system, if asked
 
 
 def solve_eqs_step(built: BuiltScenario, omega: float) -> tuple[np.ndarray, tuple[SolveReport, ...]]:
@@ -172,46 +170,60 @@ def solve_eqs_step(built: BuiltScenario, omega: float) -> tuple[np.ndarray, tupl
     return built.scalar.full_vector(rep.x), (rep,)
 
 
+def curl_system(built: BuiltScenario, omega: float, method: str,
+                j: np.ndarray | None = None
+                ) -> tuple[sp.csr_matrix, np.ndarray, Callable]:
+    """The curl system A x = b of one method at one frequency.
+
+    j is the curl right-hand side on the free edges (zero if omitted).
+    Returns (A, b, split), where split maps a solution x to the free-edge
+    values and the multipliers (None unless the method is lagrange).
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    W = build_curl_matrix(built.bundle, omega)
+    if j is None:
+        j = np.zeros(W.shape[0], dtype=complex)
+    if method == "original":
+        return W, j, lambda x: (x, None)
+    factors = scaling_factors(omega, built.material)
+    D = build_scaled_divergence(built.bundle, omega, factors, built.gauge)
+    if method == "tree-cotree":
+        S, b = build_stabilized_system(W, D, j, built.partition)
+        return S, b, lambda x: (built.partition.restore_vector(x), None)
+    S, b = build_lagrange_system(W, D, j)
+    n = W.shape[0]
+    return S, b, lambda x: (x[:n], x[n:])
+
+
 def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
-                 method: str) -> Solution:
+                 method: str, condition: bool = False) -> Solution:
     """Solve both steps for one frequency with the selected curl variant.
+
+    With condition=True the 2-norm condition estimate of the curl system
+    is computed on the LU that solved it and stored on the Solution.
 
     Propagates SingularMatrixError (expected for the original variant at
     low frequency) and StaticSingularityError (floating conductor at 0 Hz).
     """
     if not isinstance(frequency, FrequencyPoint):
         frequency = FrequencyPoint(float(frequency))
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     omega = frequency.omega
     bundle = built.bundle
 
     u_full, eqs_reports = solve_eqs_step(built, omega)
 
-    W = build_curl_matrix(bundle, omega)
-    j = build_rhs(bundle, omega, u_full)
-    lam = None
-    if method == "original":
-        rep = sparse_lu_solve(W, j)
-        a_free = rep.x
-    else:
-        factors = scaling_factors(omega, built.material)
-        D = build_scaled_divergence(bundle, omega, factors, built.gauge)
-        if method == "tree-cotree":
-            S, b = build_stabilized_system(W, D, j, built.partition)
-            rep = sparse_lu_solve(S, b)
-            a_free = built.partition.restore_vector(rep.x)
-        else:
-            S, b = build_lagrange_system(W, D, j)
-            rep = sparse_lu_solve(S, b)
-            a_free = rep.x[:W.shape[0]]
-            lam = rep.x[W.shape[0]:]
+    A, b, split = curl_system(built, omega, method, build_rhs(bundle, omega, u_full))
+    fac = Factorization(A)
+    rep = fac.checked_solve(b)
+    est = condition_estimate(A, fac=fac) if condition else None
+    a_free, lam = split(rep.x)
 
     a_full = built.edge.full_vector(a_free)
     delta = gauge_residual(bundle, omega, a_full, built.gauge)
     return Solution(u=u_full, a=a_full, lam=lam, frequency=frequency,
                     method=method, delta_D=delta, curl_report=rep,
-                    eqs_reports=eqs_reports)
+                    eqs_reports=eqs_reports, condition=est)
 
 
 def gauge_residual(bundle: MatrixBundle, omega: float, a_full: np.ndarray,

@@ -25,8 +25,8 @@ from scipy.constants import epsilon_0, mu_0
 
 from .assembly import MaterialField, NoSource, assemble_bundle
 from .gauge import build_gauge_graph, spanning_tree
-from .mesh import (FACE_LABELS, Box, UncoveredRegionError, boundary_entities,
-                   build_box_mesh, derive_entity_tags, match_cells)
+from .mesh import (FACE_LABELS, Box, boundary_entities, build_box_mesh,
+                   derive_entity_tags, match_cells)
 from .physics import (METHODS, BuiltScenario, ManufacturedCase,
                       ManufacturedSource)
 from .spaces import DirichletSpec, build_edge_space, build_scalar_space
@@ -63,11 +63,6 @@ class Scenario:
     def build(self) -> BuiltScenario:
         mesh = build_box_mesh(self.extents, self.subdivisions)
         match = match_cells(mesh, [r.box for r in self.regions])
-        if np.any(match < 0):
-            cell = int(np.argmax(match < 0))
-            raise UncoveredRegionError(
-                f"cell {cell} (centroid {mesh.cell_centroids()[cell]}) matched "
-                "no region line")
         eps = np.array([r.eps_r for r in self.regions])[match] * epsilon_0
         sigma = np.array([r.sigma for r in self.regions])[match]
         nu = 1.0 / (np.array([r.mu_r for r in self.regions])[match] * mu_0)

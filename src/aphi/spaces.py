@@ -215,12 +215,6 @@ def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_edges, mesh.n_nodes))
 
 
-def restrict_incidence(P: sp.spmatrix, edge_space: EdgeSpace,
-                       scalar_space: ScalarSpace) -> sp.csr_matrix:
-    """P restricted to free edge rows and free node columns."""
-    return P.tocsr()[edge_space.free][:, scalar_space.free]
-
-
 def edge_interpolate(mesh: Mesh, field, n_gauss: int = 5) -> np.ndarray:
     """Edge circulations of a vector field: int_e F . t dl per edge.
 

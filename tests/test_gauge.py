@@ -1,13 +1,11 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from aphi.assembly import MaterialField, assemble_curl_curl
-from aphi.gauge import (UnsupportedTopologyError, build_gauge_graph, dump_tree,
-                        reorder_system, spanning_tree)
+from aphi.gauge import (UnsupportedTopologyError, build_gauge_graph,
+                        spanning_tree)
 from aphi.mesh import (AIR, FACE_LABELS, Box, boundary_entities,
                        build_box_mesh, tag_regions)
 from aphi.spaces import DirichletSpec, build_edge_space, build_scalar_space
@@ -141,19 +139,12 @@ def test_reorder_symmetric_blocks():
     mat = MaterialField.uniform(mesh, tag_regions(mesh, [(whole, AIR)]),
                                 sigma=0.0, eps=1.0, nu=1.0)
     W = assemble_curl_curl(edge, mat)[edge.free][:, edge.free]
-    Wp = reorder_system(W, part).toarray()
+    Wp = part.permute_matrix(W).toarray()
     assert np.allclose(Wp, Wp.T)
     nR = part.cotree.size
     # the reordered leading block is the cotree-cotree block
     ref = W.toarray()[np.ix_(part.cotree, part.cotree)]
     assert np.allclose(Wp[:nR, :nR], ref)
-
-
-def test_reorder_system_shapes():
-    mesh, scal, edge = _setup((2, 2, 2))
-    part = spanning_tree(build_gauge_graph(mesh, edge, scal))
-    with pytest.raises(ValueError):
-        reorder_system(np.zeros(part.n_free + 1), part)
 
 
 def test_full_rank_curl_cotree_block_at_zero_frequency(academic_built):
@@ -195,15 +186,3 @@ def test_disconnected_graph_raises():
                        edge_vertices=np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(UnsupportedTopologyError):
         spanning_tree(graph)
-
-
-def test_dump_tree_format():
-    mesh, scal, edge = _setup((2, 2, 2))
-    part = spanning_tree(build_gauge_graph(mesh, edge, scal))
-    buf = io.StringIO()
-    dump_tree(part, mesh, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == part.tree.size
-    for line in lines:
-        a, b, eid = (int(t) for t in line.split())
-        assert tuple(mesh.edges[eid]) == (a, b)

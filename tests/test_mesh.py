@@ -145,7 +145,6 @@ def test_boundary_single_cell():
     for label in ("xmin", "xmax", "ymin", "ymax", "zmin", "zmax"):
         assert bt[label].nodes.shape[0] == 4
         assert bt[label].edges.shape[0] == 4
-        assert bt[label].faces.shape == (1, 4)
 
 
 def test_boundary_node_counts(unit_cube_222):

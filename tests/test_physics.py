@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from aphi.physics import (ManufacturedCase, derived_fields, gauge_residual,
-                          hcurl_error, manufactured_sources, run_two_step)
+from aphi.physics import (ManufacturedCase, curl_system, derived_fields,
+                          gauge_residual, hcurl_error, run_two_step)
 from aphi.scenario import academic_scenario, mms_scenario
-from aphi.solve import SingularMatrixError
+from aphi.solve import SingularMatrixError, condition_estimate
 from aphi.spaces import edge_interpolate
 from oracles import (fd_curl_curl, fd_divergence, fd_gradient,
                      volume_quadrature)
@@ -80,12 +80,6 @@ def test_rho_s_undefined_at_static_with_conduction(case):
         conducting.rho_s(pts, 0.0)
     # sigma = 0 stays defined at omega = 0
     assert np.isfinite(case.rho_s(pts, 0.0)).all()
-
-
-def test_manufactured_sources_wrapper(case, rng):
-    pts = _random_points(rng, 4)
-    J, rho = manufactured_sources(case, pts, 2 * np.pi * 10.0)
-    assert J.shape == (4, 3) and rho.shape == (4,)
 
 
 def test_hcurl_norm_analytic_vs_quadrature_oracle(case):
@@ -272,3 +266,35 @@ def test_mms_convergence_rates_stabilized():
 def test_unknown_method_rejected(academic_built):
     with pytest.raises(ValueError):
         run_two_step(academic_built, 1.0, "cg")
+
+
+def test_curl_system_sizes_and_split(academic_built):
+    built = academic_built
+    n_free, n_tree = built.edge.n_free, built.partition.tree.size
+    omega = 2 * np.pi * 10.0
+    sizes = {"original": n_free, "tree-cotree": n_free, "lagrange": n_free + n_tree}
+    for method, n in sizes.items():
+        A, b, split = curl_system(built, omega, method)
+        assert A.shape == (n, n) and b.shape == (n,)
+    _, _, split = curl_system(built, omega, "tree-cotree")
+    x = np.arange(n_free, dtype=float)
+    a_free, lam = split(x)
+    # split undoes the [R | T] column order of the stabilized system
+    assert np.array_equal(a_free[built.partition.perm], x) and lam is None
+    _, _, split = curl_system(built, omega, "lagrange")
+    a_free, lam = split(np.arange(n_free + n_tree))
+    assert a_free.size == n_free and lam.size == n_tree
+
+
+@pytest.mark.parametrize("method", ["tree-cotree", "lagrange"])
+def test_condition_from_solve_matches_standalone(method):
+    # above the dense limit the estimate runs inverse iteration, here on
+    # the solve's LU; it must equal a fresh estimate on the same system
+    built = mms_scenario(0.0, (10, 10, 10)).build()
+    omega = 2 * np.pi * 10.0
+    est = run_two_step(built, 10.0, method, condition=True).condition
+    ref = condition_estimate(curl_system(built, omega, method)[0])
+    assert ref.method == "power-iteration"
+    assert (est.value, est.method, est.iterations) == \
+        (ref.value, ref.method, ref.iterations)
+
