@@ -31,9 +31,7 @@ class GaugeGraph:
     n_vertices: int
     root: int | None               # vertex index of the virtual root
     gauge_nodes: np.ndarray        # mesh node ids owning a vertex, ascending
-    vertex_of_node: np.ndarray     # node id -> vertex index (root if collapsed)
-    edge_free_pos: np.ndarray      # positions into the free-edge numbering
-    edge_ids: np.ndarray           # global edge ids, same order
+    edge_ids: np.ndarray           # global ids of the free edges; index = free position
     edge_vertices: np.ndarray      # (m, 2) vertex endpoints
 
 
@@ -61,8 +59,6 @@ def build_gauge_graph(mesh: Mesh, edge_space: EdgeSpace,
     va = vertex_of_node[mesh.edges[edge_ids, 0]]
     vb = vertex_of_node[mesh.edges[edge_ids, 1]]
     return GaugeGraph(n_vertices=n_vertices, root=root, gauge_nodes=gauge_nodes,
-                      vertex_of_node=vertex_of_node,
-                      edge_free_pos=np.arange(edge_ids.shape[0]),
                       edge_ids=edge_ids,
                       edge_vertices=np.stack([va, vb], axis=1))
 
@@ -109,7 +105,6 @@ class TreeCotreePartition:
     n_free: int
     tree: np.ndarray     # free positions, ascending
     cotree: np.ndarray   # free positions, ascending
-    tree_edge_ids: np.ndarray  # global edge ids of the tree edges
 
     @property
     def perm(self) -> np.ndarray:
@@ -146,5 +141,4 @@ def spanning_tree(graph: GaugeGraph) -> TreeCotreePartition:
     mask = np.zeros(n_free, dtype=bool)
     mask[tree_pos] = True
     return TreeCotreePartition(n_free=n_free, tree=tree_pos,
-                               cotree=np.flatnonzero(~mask),
-                               tree_edge_ids=graph.edge_ids[tree_pos])
+                               cotree=np.flatnonzero(~mask))

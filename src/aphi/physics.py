@@ -259,7 +259,7 @@ def hcurl_error(built: BuiltScenario, a_full: np.ndarray,
 
 
 class DerivedFields:
-    """Pointwise evaluators for the physical fields of a solution.
+    """Evaluators for the physical fields of a solution at a batch of points.
 
     Electroquasistatic parts come from the scalar potential, the
     full-Maxwell corrections from i*omega times the vector potential; the
@@ -274,17 +274,11 @@ class DerivedFields:
         self.solution = solution
         self.omega = solution.frequency.omega
 
-    def _locate(self, points):
-        return self.built.mesh.locate_points(points)
-
     def grad_phi(self, points: np.ndarray) -> np.ndarray:
         mesh = self.built.mesh
-        cells, ref = self._locate(points)
-        out = np.zeros((ref.shape[0], 3), dtype=complex)
-        for i, (c, r) in enumerate(zip(cells, ref)):
-            _, grads = physical_scalar_basis(mesh.spacing, r[None, :])
-            out[i] = self.solution.u[mesh.cells[c]] @ grads[0]
-        return out
+        cells, ref = mesh.locate_points(points)
+        _, grads = physical_scalar_basis(mesh.spacing, ref)
+        return np.einsum("ql,qld->qd", self.solution.u[mesh.cells[cells]], grads)
 
     def vector_potential(self, points: np.ndarray) -> np.ndarray:
         return self._edge_field(points, which="value")
@@ -294,17 +288,13 @@ class DerivedFields:
 
     def _edge_field(self, points, which: str) -> np.ndarray:
         mesh = self.built.mesh
-        cells, ref = self._locate(points)
-        out = np.zeros((ref.shape[0], 3), dtype=complex)
-        for i, (c, r) in enumerate(zip(cells, ref)):
-            W, C = physical_edge_basis(mesh.spacing, r[None, :])
-            basis = W[0] if which == "value" else C[0]
-            coeff = self.solution.a[mesh.cell_edges[c]] * mesh.cell_edge_signs[c]
-            out[i] = coeff @ basis
-        return out
+        cells, ref = mesh.locate_points(points)
+        W, C = physical_edge_basis(mesh.spacing, ref)
+        coeff = _cell_edge_coefficients(mesh, self.solution.a)[cells]
+        return np.einsum("ql,qld->qd", coeff, W if which == "value" else C)
 
     def _cell_material(self, points, name: str) -> np.ndarray:
-        cells, _ = self._locate(points)
+        cells, _ = self.built.mesh.locate_points(points)
         return getattr(self.built.material, name)[cells]
 
     def E(self, points: np.ndarray) -> np.ndarray:
@@ -334,7 +324,3 @@ class DerivedFields:
 
     def J_total(self, points: np.ndarray) -> np.ndarray:
         return self.J_e(points) + self.J_m(points) + self.J_source(points)
-
-
-def derived_fields(built: BuiltScenario, solution: Solution) -> DerivedFields:
-    return DerivedFields(built, solution)

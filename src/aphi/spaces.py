@@ -127,7 +127,6 @@ class ScalarSpace:
     free: np.ndarray          # node ids, ascending
     constrained: np.ndarray   # node ids, ascending
     values: np.ndarray        # complex, one per constrained node
-    free_index: np.ndarray    # node id -> free position or -1
 
     @property
     def n_free(self) -> int:
@@ -154,7 +153,6 @@ class EdgeSpace:
     mesh: Mesh
     free: np.ndarray
     constrained: np.ndarray
-    free_index: np.ndarray
 
     @property
     def n_free(self) -> int:
@@ -170,12 +168,6 @@ class EdgeSpace:
         return out
 
 
-def _free_index(count: int, free: np.ndarray) -> np.ndarray:
-    idx = np.full(count, -1, dtype=np.int64)
-    idx[free] = np.arange(free.shape[0])
-    return idx
-
-
 def build_scalar_space(mesh: Mesh, tags: BoundaryTags, spec: DirichletSpec) -> ScalarSpace:
     """Free/constrained node partition with prescribed values per label."""
     value = {}
@@ -187,8 +179,7 @@ def build_scalar_space(mesh: Mesh, tags: BoundaryTags, spec: DirichletSpec) -> S
     mask = np.ones(mesh.n_nodes, dtype=bool)
     mask[constrained] = False
     free = np.flatnonzero(mask)
-    return ScalarSpace(mesh=mesh, free=free, constrained=constrained, values=vals,
-                       free_index=_free_index(mesh.n_nodes, free))
+    return ScalarSpace(mesh=mesh, free=free, constrained=constrained, values=vals)
 
 
 def build_edge_space(mesh: Mesh, tags: BoundaryTags, spec: DirichletSpec) -> EdgeSpace:
@@ -198,8 +189,7 @@ def build_edge_space(mesh: Mesh, tags: BoundaryTags, spec: DirichletSpec) -> Edg
         mask[tags[label].edges] = False
     free = np.flatnonzero(mask)
     constrained = np.flatnonzero(~mask)
-    return EdgeSpace(mesh=mesh, free=free, constrained=constrained,
-                     free_index=_free_index(mesh.n_edges, free))
+    return EdgeSpace(mesh=mesh, free=free, constrained=constrained)
 
 
 def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:

@@ -11,7 +11,7 @@ from typing import Mapping
 import numpy as np
 
 from .mesh import Mesh, build_box_mesh
-from .physics import BuiltScenario, Solution, derived_fields
+from .physics import BuiltScenario, DerivedFields, Solution
 
 VTK_HEXAHEDRON = 12
 
@@ -66,7 +66,7 @@ def export_vtk(path, built: BuiltScenario, solution: Solution,
     else:
         sample = build_box_mesh(built.mesh.extents,
                                 [density * n for n in built.mesh.subdivisions])
-    flds = derived_fields(built, solution)
+    flds = DerivedFields(built, solution)
     pts = sample.nodes
     point_data: dict[str, np.ndarray] = {}
     for name, attr in _FIELD_EVALUATORS:

@@ -125,3 +125,70 @@ def volume_quadrature(f, lo, hi, n=4):
                 p = mid + half * np.array([a, b, c])
                 total = total + wa * wb * wc * f(p)
     return total * half.prod()
+
+
+def cell_centre_fields(mesh, u, a, omega):
+    """grad phi, A, B and E of lowest-order elements at every cell centre.
+
+    Built from the degrees of freedom alone: at the centre of a box cell the
+    trilinear gradient is the mean of the four parallel nodal differences
+    over h, the edge-element value is the mean of the four parallel
+    circulations over h, and each curl component is the mean of the two
+    opposite face circulations over the face area.  Cells are visited with
+    i fastest, then j, then k.  Returns (centres, {name: (n_cells, 3)}).
+    """
+    nx, ny, nz = mesh.subdivisions
+    lo = np.array([e[0] for e in mesh.extents], dtype=float)
+    h = (np.array([e[1] for e in mesh.extents], dtype=float) - lo) / [nx, ny, nz]
+
+    def nid(i, j, k):
+        return i + (nx + 1) * (j + (ny + 1) * k)
+
+    signed_edge = {}
+    for e, (p, q) in enumerate(mesh.edges):
+        signed_edge[(int(p), int(q))] = (e, 1.0)
+        signed_edge[(int(q), int(p))] = (e, -1.0)
+
+    def circulation(p, q):
+        e, s = signed_edge[(p, q)]
+        return s * a[e]
+
+    centres, grads, vecs, curls = [], [], [], []
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                def node(off):
+                    return nid(i + off[0], j + off[1], k + off[2])
+
+                assert np.allclose(mesh.nodes[node((0, 0, 0))], lo + h * [i, j, k])
+                g = np.zeros(3, dtype=complex)
+                v = np.zeros(3, dtype=complex)
+                b = np.zeros(3, dtype=complex)
+                for ax in range(3):
+                    t1, t2 = (ax + 1) % 3, (ax + 2) % 3
+                    for s1 in (0, 1):
+                        for s2 in (0, 1):
+                            start = [0, 0, 0]
+                            start[t1], start[t2] = s1, s2
+                            end = list(start)
+                            end[ax] = 1
+                            p, q = node(start), node(end)
+                            g[ax] += (u[q] - u[p]) / (4 * h[ax])
+                            v[ax] += circulation(p, q) / (4 * h[ax])
+                    for side in (0, 1):
+                        ring = []
+                        for c1, c2 in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                            off = [0, 0, 0]
+                            off[ax], off[t1], off[t2] = side, c1, c2
+                            ring.append(node(off))
+                        loop = sum(circulation(ring[m], ring[(m + 1) % 4])
+                                   for m in range(4))
+                        b[ax] += loop / (2 * h[t1] * h[t2])
+                centres.append(lo + h * [i + 0.5, j + 0.5, k + 0.5])
+                grads.append(g)
+                vecs.append(v)
+                curls.append(b)
+    grads, vecs = np.array(grads), np.array(vecs)
+    fields = {"grad_phi": grads, "A": vecs, "B": np.array(curls),
+              "E": -grads - 1j * omega * vecs}
+    return np.array(centres), fields

@@ -180,8 +180,6 @@ def test_disconnected_graph_raises():
     from aphi.gauge import GaugeGraph
     graph = GaugeGraph(n_vertices=2, root=None,
                        gauge_nodes=np.array([0, 1]),
-                       vertex_of_node=np.array([0, 1]),
-                       edge_free_pos=np.array([], dtype=np.int64),
                        edge_ids=np.array([], dtype=np.int64),
                        edge_vertices=np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(UnsupportedTopologyError):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from aphi.physics import (ManufacturedCase, curl_system, derived_fields,
+from aphi.physics import (DerivedFields, ManufacturedCase, curl_system,
                           gauge_residual, hcurl_error, run_two_step)
 from aphi.scenario import academic_scenario, mms_scenario
 from aphi.solve import SingularMatrixError, condition_estimate
 from aphi.spaces import edge_interpolate
-from oracles import (fd_curl_curl, fd_divergence, fd_gradient,
-                     volume_quadrature)
+from oracles import (cell_centre_fields, fd_curl_curl, fd_divergence,
+                     fd_gradient, volume_quadrature)
 
 # exact H(curl) norm of the prescribed vector potential: sqrt(3 pi^3)
 HCURL_NORM_A_ANA = 9.644627006368583
@@ -204,7 +204,7 @@ def test_original_deviation_tracks_its_conditioning():
 
 def test_derived_fields_static_corrections_vanish(academic_built):
     sol = run_two_step(academic_built, 0.0, "tree-cotree")
-    flds = derived_fields(academic_built, sol)
+    flds = DerivedFields(academic_built, sol)
     pts = academic_built.mesh.cell_centroids()[:5]
     assert np.all(flds.D_m(pts) == 0)
     assert np.all(flds.J_m(pts) == 0)
@@ -212,7 +212,7 @@ def test_derived_fields_static_corrections_vanish(academic_built):
 
 def test_derived_fields_conduction_vanishes_in_air(mms_built_sigma0):
     sol = run_two_step(mms_built_sigma0, 10.0, "tree-cotree")
-    flds = derived_fields(mms_built_sigma0, sol)
+    flds = DerivedFields(mms_built_sigma0, sol)
     pts = mms_built_sigma0.mesh.cell_centroids()[:5]
     assert np.all(flds.J_e(pts) == 0)
     assert np.all(flds.J_m(pts) == 0)
@@ -220,7 +220,7 @@ def test_derived_fields_conduction_vanishes_in_air(mms_built_sigma0):
 
 def test_derived_fields_decompositions_sum(academic_built):
     sol = run_two_step(academic_built, 50.0, "tree-cotree")
-    flds = derived_fields(academic_built, sol)
+    flds = DerivedFields(academic_built, sol)
     pts = academic_built.mesh.cell_centroids()[:6]
     assert np.allclose(flds.D_total(pts), flds.D_e(pts) + flds.D_m(pts))
     assert np.allclose(flds.J_total(pts),
@@ -232,9 +232,38 @@ def test_derived_fields_decompositions_sum(academic_built):
 
 def test_derived_fields_outside_domain_raises(academic_built):
     sol = run_two_step(academic_built, 0.0, "tree-cotree")
-    flds = derived_fields(academic_built, sol)
+    flds = DerivedFields(academic_built, sol)
     with pytest.raises(ValueError):
         flds.B(np.array([[1.0, 0.0, 0.0]]))
+
+
+def test_derived_fields_match_cell_centre_oracle(academic_built):
+    # all centroids in one shuffled batch against the loop-based oracle
+    sol = run_two_step(academic_built, 100.0, "tree-cotree")
+    centres, want = cell_centre_fields(academic_built.mesh, sol.u, sol.a,
+                                       sol.frequency.omega)
+    order = np.random.default_rng(5).permutation(centres.shape[0])
+    flds = DerivedFields(academic_built, sol)
+    evaluators = {"grad_phi": flds.grad_phi, "A": flds.vector_potential,
+                  "B": flds.B, "E": flds.E}
+    for name, evaluate in evaluators.items():
+        ref = want[name][order]
+        scale = np.abs(ref).max()
+        assert scale > 0, name
+        assert np.abs(evaluate(centres[order]) - ref).max() <= 1e-12 * scale, name
+
+
+def test_derived_fields_single_points_equal_batch_rows(academic_built):
+    sol = run_two_step(academic_built, 100.0, "tree-cotree")
+    flds = DerivedFields(academic_built, sol)
+    lo, hi = np.array(academic_built.mesh.extents).T
+    pts = lo + (hi - lo) * np.random.default_rng(6).uniform(size=(12, 3))
+    for name in ("grad_phi", "vector_potential", "B", "E", "D_e", "D_m",
+                 "J_e", "J_m", "J_source", "D_total", "J_total"):
+        evaluate = getattr(flds, name)
+        batch = evaluate(pts)
+        for i in (0, 5, 11):
+            assert np.array_equal(evaluate(pts[i]), batch[i:i + 1]), name
 
 
 def test_derived_B_converges_to_analytic_curl(case, rng):
@@ -245,7 +274,7 @@ def test_derived_B_converges_to_analytic_curl(case, rng):
     for s in (2, 4):
         built = mms_scenario(0.0, (s, s, s)).build()
         sol = run_two_step(built, 10.0, "tree-cotree")
-        flds = derived_fields(built, sol)
+        flds = DerivedFields(built, sol)
         diff = flds.B(pts) - case.curl_A(pts)
         errs.append(np.sqrt(np.mean(np.abs(diff) ** 2)))
     assert errs[1] < 0.65 * errs[0]
