@@ -165,9 +165,8 @@ def run_check(built) -> list[tuple[str, bool]]:
     kernel = int(np.sum(s <= tol))
     results.append((f"tree count {built.partition.tree.size} = curl kernel {kernel}",
                     kernel == built.partition.tree.size))
-    RR = built.partition.permute_matrix(bundle.C_nu[fw][:, fw].tocsr())
-    nR = built.partition.cotree.size
-    sRR = np.linalg.svd(RR.toarray()[:nR, :nR], compute_uv=False)
+    cotree = built.partition.cotree
+    sRR = np.linalg.svd(C_free[cotree][:, cotree], compute_uv=False)
     full = bool(sRR.size == 0 or sRR[-1] > 1e-10 * max(sRR[0], 1.0))
     results.append(("cotree block of the static curl matrix has full rank", full))
     return results

@@ -6,15 +6,16 @@ nodes collapse into a single virtual root.  A breadth-first spanning tree
 of this graph marks the edge DOFs whose rows in the curl system become
 redundant in the static limit: the tree count equals both the number of
 gauge (divergence-constraint) rows and the kernel dimension of the
-curl-curl matrix on the free edges.
+curl-curl matrix on the free edges.  Each tree edge is paired with the
+vertex it reaches, whose divergence row takes the place of its curl row.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from .mesh import Mesh
 from .spaces import EdgeSpace, ScalarSpace
@@ -63,64 +64,19 @@ def build_gauge_graph(mesh: Mesh, edge_space: EdgeSpace,
                       edge_vertices=np.stack([va, vb], axis=1))
 
 
-def _adjacency(graph: GaugeGraph) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(graph.n_vertices)]
-    for pos in range(graph.edge_ids.shape[0]):
-        va, vb = graph.edge_vertices[pos]
-        if va == vb:
-            continue  # both endpoints collapsed; never a tree candidate
-        adj[va].append((pos, vb))
-        adj[vb].append((pos, va))
-    return adj  # free positions ascend, so each list is edge-id sorted
-
-
-def _bfs(graph: GaugeGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first search; returns (visited mask, tree edge positions)."""
-    if graph.n_vertices == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
-    adj = _adjacency(graph)
-    start = graph.root if graph.root is not None else 0
-    visited = np.zeros(graph.n_vertices, dtype=bool)
-    visited[start] = True
-    queue = deque([start])
-    tree = []
-    while queue:
-        v = queue.popleft()
-        for pos, other in adj[v]:
-            if not visited[other]:
-                visited[other] = True
-                tree.append(pos)
-                queue.append(other)
-    return visited, np.array(sorted(tree), dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class TreeCotreePartition:
     """Split of the free edge DOFs into tree (T) and cotree (R) sets.
 
-    Positions index the free-edge numbering.  perm lists free positions in
-    [R | T] block order; restore_vector undoes a permuted solution.
+    Positions index the free-edge numbering.  tree_vertex[i] is the gauge
+    vertex that tree edge tree[i] reaches from its BFS parent; the
+    stabilized system puts that vertex's divergence row in row tree[i].
     """
 
     n_free: int
-    tree: np.ndarray     # free positions, ascending
-    cotree: np.ndarray   # free positions, ascending
-
-    @property
-    def perm(self) -> np.ndarray:
-        return np.concatenate([self.cotree, self.tree])
-
-    def permute_vector(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v)[self.perm]
-
-    def restore_vector(self, v_perm: np.ndarray) -> np.ndarray:
-        out = np.empty_like(np.asarray(v_perm))
-        out[self.perm] = v_perm
-        return out
-
-    def permute_matrix(self, A: sp.spmatrix) -> sp.csr_matrix:
-        p = self.perm
-        return A.tocsr()[p][:, p].tocsr()
+    tree: np.ndarray         # free positions, ascending
+    cotree: np.ndarray       # free positions, ascending
+    tree_vertex: np.ndarray  # gauge vertex reached by each tree edge
 
 
 def spanning_tree(graph: GaugeGraph) -> TreeCotreePartition:
@@ -129,16 +85,32 @@ def spanning_tree(graph: GaugeGraph) -> TreeCotreePartition:
 
     Raises UnsupportedTopologyError if the gauge graph is disconnected.
     """
-    visited, tree_pos = _bfs(graph)
-    if not visited.all():
-        missing = int(np.flatnonzero(~visited)[0])
+    n = graph.n_vertices
+    n_free = graph.edge_ids.shape[0]
+    # both endpoints collapsed: a self-loop, never a tree edge
+    pos = np.flatnonzero(graph.edge_vertices[:, 0] != graph.edge_vertices[:, 1])
+    a, b = graph.edge_vertices[pos].T
+    # Row v lists v's neighbours in ascending free position, repeated edges
+    # to the root included; directed=True walks exactly this stored order.
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    order = np.lexsort((np.concatenate([pos, pos]), src))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    adj = sp.csr_matrix((np.ones(order.size), dst[order], indptr), shape=(n, n))
+    start = graph.root if graph.root is not None else 0
+    reached, pred = breadth_first_order(adj, start, directed=True,
+                                        return_predecessors=True)
+    if reached.size != n:
+        missing = int(np.setdiff1d(np.arange(n), reached)[0])
         raise UnsupportedTopologyError(
             f"gauge graph is disconnected (vertex {missing} unreachable); "
             "only simply-connected box scenarios are supported")
-    n_free = graph.edge_ids.shape[0]
-    if tree_pos.shape[0] != max(graph.n_vertices - 1, 0):
-        raise AssertionError("spanning tree size mismatch")  # pragma: no cover
-    mask = np.zeros(n_free, dtype=bool)
-    mask[tree_pos] = True
-    return TreeCotreePartition(n_free=n_free, tree=tree_pos,
-                               cotree=np.flatnonzero(~mask))
+    # An edge belongs to the tree if it joins a vertex to its BFS parent;
+    # of parallel edges the lowest position, the one the BFS met first.
+    child = np.where(pred[b] == a, b, np.where(pred[a] == b, a, -1))
+    joins = child >= 0
+    tree_vertex, first = np.unique(child[joins], return_index=True)
+    tree_pos = pos[joins][first]
+    by_pos = np.argsort(tree_pos)
+    return TreeCotreePartition(n_free=n_free, tree=tree_pos[by_pos],
+                               cotree=np.setdiff1d(np.arange(n_free), tree_pos),
+                               tree_vertex=tree_vertex[by_pos])

@@ -190,7 +190,7 @@ def curl_system(built: BuiltScenario, omega: float, method: str,
     D = build_scaled_divergence(built.bundle, omega, factors, built.gauge)
     if method == "tree-cotree":
         S, b = build_stabilized_system(W, D, j, built.partition)
-        return S, b, lambda x: (built.partition.restore_vector(x), None)
+        return S, b, lambda x: (x, None)
     S, b = build_lagrange_system(W, D, j)
     n = W.shape[0]
     return S, b, lambda x: (x[:n], x[n:])

@@ -127,39 +127,31 @@ def condition_estimate(A: sp.spmatrix, dense_limit: int = _DENSE_SVD_LIMIT,
                                  iterations=0, singular=False)
 
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    smax = 0.0
-    iters = 0
-    for iters in range(1, _POWER_MAX_ITERS + 1):
-        w = A.conj().T @ (A @ v)
-        nw = np.linalg.norm(w)
-        new = np.sqrt(nw)
-        v = w / nw
-        if abs(new - smax) <= _POWER_RTOL * max(new, 1e-300):
-            smax = new
-            break
-        smax = new
-
+    smax, iters = _power_norm(lambda v: A.conj().T @ (A @ v), rng, n)
     if fac is None:
         try:
             fac = Factorization(A)
         except SingularMatrixError:
             return ConditionEstimate(value=np.inf, method="power-iteration",
                                      iterations=iters, singular=True)
+    inv_norm, inv_iters = _power_norm(lambda v: fac.solve_adjoint(fac.solve(v)), rng, n)
+    smin = 1.0 / inv_norm
+    return ConditionEstimate(value=float(smax / smin), method="power-iteration",
+                             iterations=iters + inv_iters, singular=False)
+
+
+def _power_norm(apply, rng: np.random.Generator, n: int) -> tuple[float, int]:
+    """2-norm of the operator B from power iteration on apply = B^H B,
+    started from a random complex vector; returns (norm, iterations)."""
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    inv_norm = 0.0
+    est = 0.0
     for it in range(1, _POWER_MAX_ITERS + 1):
-        w = fac.solve_adjoint(fac.solve(v))
+        w = apply(v)
         nw = np.linalg.norm(w)
         new = np.sqrt(nw)
         v = w / nw
-        iters += 1
-        if abs(new - inv_norm) <= _POWER_RTOL * max(new, 1e-300):
-            inv_norm = new
-            break
-        inv_norm = new
-    smin = 1.0 / inv_norm
-    return ConditionEstimate(value=float(smax / smin), method="power-iteration",
-                             iterations=iters, singular=False)
+        if abs(new - est) <= _POWER_RTOL * max(new, 1e-300):
+            return new, it
+        est = new
+    return est, _POWER_MAX_ITERS

@@ -193,18 +193,18 @@ def build_lagrange_system(W: sp.spmatrix, D: sp.spmatrix,
 def build_stabilized_system(W: sp.spmatrix, D: sp.spmatrix, rhs: np.ndarray,
                             partition: TreeCotreePartition
                             ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Square system in [R | T] order: cotree rows of W on top, the
-    divergence constraint replacing the (statically redundant) tree rows.
-
-    The returned unknown is in [R | T] order; undo it with
-    partition.restore_vector.
+    """Square system in free-edge order: cotree rows of W, and in each
+    (statically redundant) tree row the divergence row of the gauge vertex
+    that tree edge reaches.  The unknown is the free-edge vector itself.
     """
     if D.shape[0] != partition.tree.shape[0]:
         raise AssertionError(
             f"divergence rows {D.shape[0]} != tree count {partition.tree.shape[0]}; "
             "gauge construction invariant violated")
-    rows = sp.vstack([W.tocsr()[partition.cotree], D.tocsr()])
-    S = rows.tocsr()[:, partition.perm].tocsr()
-    b = np.concatenate([np.asarray(rhs)[partition.cotree],
-                        np.zeros(D.shape[0], dtype=complex)])
+    n = W.shape[0]
+    rows = np.arange(n)
+    rows[partition.tree] = n + partition.tree_vertex
+    S = sp.vstack([W, D]).tocsr()[rows]
+    b = np.array(rhs, dtype=complex)
+    b[partition.tree] = 0.0
     return S, b

@@ -14,6 +14,7 @@ from .mesh import Mesh, build_box_mesh
 from .physics import BuiltScenario, DerivedFields, Solution
 
 VTK_HEXAHEDRON = 12
+_XYZ = "%.17g %.17g %.17g\n"
 
 _FIELD_EVALUATORS = (
     ("B", "B"), ("E", "E"), ("D", "D_total"), ("J", "J_total"),
@@ -21,8 +22,9 @@ _FIELD_EVALUATORS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _rows(row_fmt: str, arr: np.ndarray) -> str:
+    """One %-format over the flattened array, row_fmt repeated per row."""
+    return (row_fmt * arr.shape[0]) % tuple(np.ravel(arr).tolist())
 
 
 def write_vtk(path, mesh: Mesh, point_data: Mapping[str, np.ndarray] | None = None,
@@ -39,20 +41,16 @@ def write_vtk(path, mesh: Mesh, point_data: Mapping[str, np.ndarray] | None = No
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_nodes} double\n")
-        for p in mesh.nodes:
-            fh.write(f"{_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
+        fh.write(_rows(_XYZ, mesh.nodes))
         fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * 9}\n")
-        for cell in mesh.cells:
-            fh.write("8 " + " ".join(str(int(n)) for n in cell) + "\n")
+        fh.write(_rows("8" + " %d" * 8 + "\n", mesh.cells))
         fh.write(f"CELL_TYPES {mesh.n_cells}\n")
-        for _ in range(mesh.n_cells):
-            fh.write(f"{VTK_HEXAHEDRON}\n")
+        fh.write(f"{VTK_HEXAHEDRON}\n" * mesh.n_cells)
         if point_data:
             fh.write(f"POINT_DATA {mesh.n_nodes}\n")
             for name, arr in point_data.items():
                 fh.write(f"VECTORS {name} double\n")
-                for v in arr:
-                    fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
+                fh.write(_rows(_XYZ, arr))
 
 
 def export_vtk(path, built: BuiltScenario, solution: Solution,

@@ -3,6 +3,8 @@
 Everything here is deliberately naive (loops, dense algebra, finite
 differences) and never calls the code paths it is used to check.
 """
+from collections import deque
+
 import numpy as np
 
 
@@ -24,6 +26,33 @@ def brute_force_edges(subdivisions):
                 if k < nz:
                     edges.add((nid(i, j, k), nid(i, j, k + 1)))
     return sorted(edges)
+
+
+def bfs_tree(graph):
+    """Queue-based BFS of a gauge graph from its root (or vertex 0), with
+    neighbours in ascending free-edge position.  Returns the tree edge
+    positions, ascending, and the vertex each of them reaches."""
+    adj = [[] for _ in range(graph.n_vertices)]
+    for pos in range(graph.edge_ids.shape[0]):
+        va, vb = (int(v) for v in graph.edge_vertices[pos])
+        if va == vb:
+            continue
+        adj[va].append((pos, vb))
+        adj[vb].append((pos, va))
+    start = graph.root if graph.root is not None else 0
+    visited = [False] * graph.n_vertices
+    visited[start] = True
+    queue = deque([start])
+    reached = {}
+    while queue:
+        v = queue.popleft()
+        for pos, other in adj[v]:
+            if not visited[other]:
+                visited[other] = True
+                reached[pos] = other
+                queue.append(other)
+    tree = sorted(reached)
+    return np.array(tree, dtype=np.int64), np.array([reached[p] for p in tree], dtype=np.int64)
 
 
 def brute_force_faces(cells):

@@ -9,7 +9,7 @@ from aphi.gauge import (UnsupportedTopologyError, build_gauge_graph,
 from aphi.mesh import (AIR, FACE_LABELS, Box, boundary_entities,
                        build_box_mesh, tag_regions)
 from aphi.spaces import DirichletSpec, build_edge_space, build_scalar_space
-from oracles import dense_rank
+from oracles import bfs_tree, dense_rank
 
 UNIT = ((0, 1), (0, 1), (0, 1))
 
@@ -91,7 +91,28 @@ def test_tree_determinism():
     t1 = spanning_tree(build_gauge_graph(mesh, edge, scal))
     t2 = spanning_tree(build_gauge_graph(mesh, edge, scal))
     assert np.array_equal(t1.tree, t2.tree)
-    assert np.array_equal(t1.perm, t2.perm)
+    assert np.array_equal(t1.tree_vertex, t2.tree_vertex)
+
+
+@given(st.tuples(*[st.integers(1, 4)] * 3),
+       st.lists(st.sampled_from(FACE_LABELS), unique=True),
+       st.lists(st.sampled_from(FACE_LABELS), unique=True))
+def test_spanning_tree_matches_bfs_oracle(subdivisions, scalar_faces, edge_faces):
+    mesh = build_box_mesh(UNIT, subdivisions)
+    bt = boundary_entities(mesh)
+    scal = build_scalar_space(
+        mesh, bt, DirichletSpec(scalar=tuple((l, 0.0) for l in scalar_faces)))
+    edge = build_edge_space(mesh, bt, DirichletSpec(edge=tuple(edge_faces)))
+    graph = build_gauge_graph(mesh, edge, scal)
+    part = spanning_tree(graph)
+    tree, reached = bfs_tree(graph)
+    assert np.array_equal(part.tree, tree)
+    assert np.array_equal(part.tree_vertex, reached)
+    ends = graph.edge_vertices[part.tree]
+    assert np.all((ends[:, 0] == part.tree_vertex) | (ends[:, 1] == part.tree_vertex))
+    start = graph.root if graph.root is not None else 0
+    assert np.array_equal(np.sort(part.tree_vertex),
+                          np.delete(np.arange(graph.n_vertices), start))
 
 
 @pytest.mark.parametrize("subdivisions,constrain", [
@@ -123,40 +144,14 @@ def test_cotree_block_nonsingular():
         assert dense_rank(RR) == part.cotree.size
 
 
-@given(st.integers(0, 2 ** 31 - 1))
-def test_permutation_roundtrip(seed):
-    mesh, scal, edge = _setup((2, 2, 2))
-    part = spanning_tree(build_gauge_graph(mesh, edge, scal))
-    v = np.random.default_rng(seed).standard_normal(part.n_free) \
-        + 1j * np.random.default_rng(seed + 1).standard_normal(part.n_free)
-    assert np.array_equal(part.restore_vector(part.permute_vector(v)), v)
-
-
-def test_reorder_symmetric_blocks():
-    mesh, scal, edge = _setup((2, 2, 2))
-    part = spanning_tree(build_gauge_graph(mesh, edge, scal))
-    whole = Box(lo=(0, 0, 0), hi=(1, 1, 1))
-    mat = MaterialField.uniform(mesh, tag_regions(mesh, [(whole, AIR)]),
-                                sigma=0.0, eps=1.0, nu=1.0)
-    W = assemble_curl_curl(edge, mat)[edge.free][:, edge.free]
-    Wp = part.permute_matrix(W).toarray()
-    assert np.allclose(Wp, Wp.T)
-    nR = part.cotree.size
-    # the reordered leading block is the cotree-cotree block
-    ref = W.toarray()[np.ix_(part.cotree, part.cotree)]
-    assert np.allclose(Wp[:nR, :nR], ref)
-
-
 def test_full_rank_curl_cotree_block_at_zero_frequency(academic_built):
-    # reordered static curl system: cotree block full rank while the whole
-    # matrix is rank deficient
+    # static curl system: cotree block full rank while the whole matrix is
+    # rank deficient
     from aphi.system import build_curl_matrix
     built = academic_built
     W0 = build_curl_matrix(built.bundle, 0.0)
     part = built.partition
-    nR = part.cotree.size
-    Wp = part.permute_matrix(W0).toarray()
-    assert dense_rank(Wp[:nR, :nR]) == nR
+    assert dense_rank(W0[part.cotree][:, part.cotree]) == part.cotree.size
     assert dense_rank(W0) == part.n_free - part.tree.size
 
 

@@ -265,6 +265,36 @@ def test_stabilized_solution_satisfies_constraint_everywhere(academic_built):
         assert np.linalg.norm(D @ a_free) <= bound
 
 
+@pytest.fixture(scope="module")
+def academic_built_444():
+    # 4^3 rather than 3^3: at 3^3 the tree edges, sorted by position, reach
+    # the gauge vertices in vertex order, so pairing and gauge order coincide
+    return academic_scenario((4, 4, 4)).build()
+
+
+@pytest.mark.parametrize("f", [0.0, 1e3])
+def test_stabilized_rows_pair_tree_edges_with_divergence_rows(academic_built_444, f):
+    # free-edge order: cotree rows are W's, tree row p is the divergence row
+    # of the vertex tree edge p reaches, so no diagonal entry is left empty
+    built = academic_built_444
+    part = built.partition
+    omega = 2 * np.pi * f
+    W = build_curl_matrix(built.bundle, omega)
+    D = build_scaled_divergence(built.bundle, omega,
+                                scaling_factors(omega, built.material), built.gauge)
+    j = np.random.default_rng(3).standard_normal(W.shape[0]) + 0j
+    S, b = build_stabilized_system(W, D, j, part)
+    assert S.shape == W.shape
+    assert (S[part.cotree] != W[part.cotree]).nnz == 0
+    assert (S[part.tree] != D[part.tree_vertex]).nnz == 0
+    assert np.array_equal(b[part.cotree], j[part.cotree])
+    assert not b[part.tree].any()
+    coo = S.tocoo()
+    stored = np.zeros(S.shape[0], dtype=bool)
+    stored[coo.row[coo.row == coo.col]] = True
+    assert stored.all()
+
+
 def test_stabilized_row_count_guard(academic_built):
     built = academic_built
     W = build_curl_matrix(built.bundle, 0.0)
@@ -302,7 +332,7 @@ def test_scaling_invariance_of_stabilized_solution(academic_built, rng):
         D = build_scaled_divergence(built.bundle, omega, factors, built.gauge)
         S, b = build_stabilized_system(W, D, j, built.partition)
         rep = sparse_lu_solve(S, b)
-        solutions.append(built.partition.restore_vector(rep.x))
+        solutions.append(rep.x)
     ref = np.linalg.norm(solutions[0])
     for other in solutions[1:]:
         assert np.linalg.norm(other - solutions[0]) <= 1e-9 * ref

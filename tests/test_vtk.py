@@ -29,6 +29,34 @@ def test_point_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back, mesh.nodes)
 
 
+def _loop_written_vtk(mesh, point_data, title):
+    # one f-string per row, the reference layout of the legacy ASCII file
+    out = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+           f"POINTS {mesh.n_nodes} double"]
+    out += [" ".join(f"{x:.17g}" for x in p) for p in mesh.nodes]
+    out.append(f"CELLS {mesh.n_cells} {mesh.n_cells * 9}")
+    out += ["8 " + " ".join(str(int(n)) for n in cell) for cell in mesh.cells]
+    out.append(f"CELL_TYPES {mesh.n_cells}")
+    out += ["12"] * mesh.n_cells
+    out.append(f"POINT_DATA {mesh.n_nodes}")
+    for name, arr in point_data.items():
+        out.append(f"VECTORS {name} double")
+        out += [" ".join(f"{x:.17g}" for x in v) for v in arr]
+    return "\n".join(out) + "\n"
+
+
+def test_write_matches_per_row_formatting(tmp_path):
+    mesh = build_box_mesh(((-1e-3, 0.22), (0, 1 / 3), (0, np.pi)), (2, 2, 1))
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal((mesh.n_nodes, 3)) * 10.0 ** rng.integers(-30, 31, (mesh.n_nodes, 3))
+    vals[0] = (-0.0, 0.0, 5e-324)
+    vals[1] = (1e300, -1e-300, 1.0)
+    point_data = {"B_re": vals, "B_im": -vals[::-1]}
+    path = tmp_path / "f.vtk"
+    write_vtk(path, mesh, point_data, title="t")
+    assert path.read_text() == _loop_written_vtk(mesh, point_data, "t")
+
+
 def test_field_export_lengths_and_names(tmp_path, academic_built):
     sol = run_two_step(academic_built, 100.0, "tree-cotree")
     path = tmp_path / "sol.vtk"
