@@ -213,10 +213,14 @@ class SourceModel(Protocol):
     """Volume sources of a scenario, assembled per frequency."""
 
     def eqs_rhs(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        """i*omega*q_s over all nodes; must stay finite as omega -> 0."""
+        """i*omega*q_s over all nodes, the right-hand side of the conductor
+        rows of the scalar system at every omega; must stay finite as
+        omega -> 0."""
 
     def charge_vector(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        """q_s over all nodes; may raise where the charge density is undefined."""
+        """q_s over all nodes, the right-hand side of the air rows of the
+        scalar system at every omega; may raise where the charge density is
+        undefined (it is not called for a scenario without air rows)."""
 
     def current_vector(self, edge: EdgeSpace, omega: float) -> np.ndarray:
         """j_s over all edges."""

@@ -1,14 +1,14 @@
 """Two-step solve orchestration, derived fields, and verification cases.
 
-Step one computes the scalar potential (complex-conductivity Poisson
-problem, or its analytic static-limit blocks at omega = 0); step two the
-vector potential from the curl system, with the original, tree-cotree
-stabilized, or Lagrange-multiplier variant.  The manufactured trigonometric
+Step one computes the scalar potential (the frequency-scaled
+complex-conductivity Poisson problem, one system down to omega = 0); step
+two the vector potential from the curl system, with the original,
+tree-cotree stabilized, or Lagrange-multiplier variant.  The manufactured trigonometric
 case provides closed-form sources for convergence studies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -145,29 +145,18 @@ class Solution:
     method: str
     delta_D: float              # unscaled kappa-weighted gauge residual
     curl_report: SolveReport
-    eqs_reports: tuple[SolveReport, ...] = field(default=())
+    eqs_report: SolveReport
     condition: ConditionEstimate | None = None  # of the curl system, if asked
 
 
-def solve_eqs_step(built: BuiltScenario, omega: float) -> tuple[np.ndarray, tuple[SolveReport, ...]]:
-    """Scalar-potential step; at omega = 0 the analytic block limit is used."""
-    bundle = built.bundle
+def solve_eqs_step(built: BuiltScenario, omega: float) -> tuple[np.ndarray, SolveReport]:
+    """Scalar-potential step: one sparse LU solve at every frequency."""
     if omega == 0.0:
-        static = build_eqs_static_limit(bundle)
-        u_full = built.scalar.lift_vector()
-        reports = []
-        if static.conductor_free.size:
-            rep = sparse_lu_solve(static.K_cc, static.rhs_c)
-            u_full[static.conductor_free] = rep.x
-            reports.append(rep)
-        if static.air_free.size:
-            rep = sparse_lu_solve(static.K_aa, static.air_rhs(u_full))
-            u_full[static.air_free] = rep.x
-            reports.append(rep)
-        return u_full, tuple(reports)
-    K, rhs = build_eqs_system(bundle, omega)
+        K, rhs = build_eqs_static_limit(built.bundle)  # floating-conductor check
+    else:
+        K, rhs = build_eqs_system(built.bundle, omega)
     rep = sparse_lu_solve(K, rhs)
-    return built.scalar.full_vector(rep.x), (rep,)
+    return built.scalar.full_vector(rep.x), rep
 
 
 def curl_system(built: BuiltScenario, omega: float, method: str,
@@ -211,7 +200,7 @@ def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
     omega = frequency.omega
     bundle = built.bundle
 
-    u_full, eqs_reports = solve_eqs_step(built, omega)
+    u_full, eqs_report = solve_eqs_step(built, omega)
 
     A, b, split = curl_system(built, omega, method, build_rhs(bundle, omega, u_full))
     fac = Factorization(A)
@@ -223,7 +212,7 @@ def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
     delta = gauge_residual(bundle, omega, a_full, built.gauge)
     return Solution(u=u_full, a=a_full, lam=lam, frequency=frequency,
                     method=method, delta_D=delta, curl_report=rep,
-                    eqs_reports=eqs_reports, condition=est)
+                    eqs_report=eqs_report, condition=est)
 
 
 def gauge_residual(bundle: MatrixBundle, omega: float, a_full: np.ndarray,

@@ -113,7 +113,8 @@ def condition_estimate(A: sp.spmatrix, dense_limit: int = _DENSE_SVD_LIMIT,
     iteration for sigma_max and inverse iteration through an LU for sigma_min.
 
     fac, a Factorization of this same A, is reused for the inverse
-    iteration instead of factoring A again."""
+    iteration instead of factoring A again.  Without one, A is factored
+    first, so a singular A costs no iterations."""
     A = sp.csr_matrix(A, dtype=complex)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -126,14 +127,14 @@ def condition_estimate(A: sp.spmatrix, dense_limit: int = _DENSE_SVD_LIMIT,
         return ConditionEstimate(value=float(s[0] / s[-1]), method="dense-svd",
                                  iterations=0, singular=False)
 
-    rng = np.random.default_rng(0)
-    smax, iters = _power_norm(lambda v: A.conj().T @ (A @ v), rng, n)
     if fac is None:
         try:
             fac = Factorization(A)
         except SingularMatrixError:
             return ConditionEstimate(value=np.inf, method="power-iteration",
-                                     iterations=iters, singular=True)
+                                     iterations=0, singular=True)
+    rng = np.random.default_rng(0)
+    smax, iters = _power_norm(lambda v: A.conj().T @ (A @ v), rng, n)
     inv_norm, inv_iters = _power_norm(lambda v: fac.solve_adjoint(fac.solve(v)), rng, n)
     smin = 1.0 / inv_norm
     return ConditionEstimate(value=float(smax / smin), method="power-iteration",

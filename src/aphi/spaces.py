@@ -142,11 +142,6 @@ class ScalarSpace:
         out[self.constrained] = self.values
         return out
 
-    def lift_vector(self) -> np.ndarray:
-        out = np.zeros(self.mesh.n_nodes, dtype=complex)
-        out[self.constrained] = self.values
-        return out
-
 
 @dataclass(frozen=True)
 class EdgeSpace:

@@ -1,9 +1,12 @@
 """Per-frequency linear systems of the two-step formulation.
 
-Step one is the scalar-potential (electroquasistatic) system; step two the
-curl system for the vector potential, either in its original form, with a
-Lagrange multiplier enforcing the scaled divergence constraint, or with
-the tree rows replaced by that constraint (the square stabilized system).
+Step one is the scalar-potential (electroquasistatic) system, frequency
+scaled so that it keeps its static limit; step two the curl system for the
+vector potential, either in its original form, with a Lagrange multiplier
+enforcing the scaled divergence constraint, or with the tree rows replaced
+by that constraint (the square stabilized system).  Both the scalar system
+and the constraint take conductor-node rows from the complex conductivity
+and air-node rows from the permittivity alone.
 """
 from __future__ import annotations
 
@@ -48,73 +51,57 @@ class FrequencyPoint:
 class ScalingFactors:
     beta: float
     gamma: float
-    sigma_art: float = DEFAULT_SIGMA_ART
 
     def __post_init__(self):
         if self.beta <= 0 or self.gamma <= 0:
             raise ValueError("scaling factors must be positive")
 
 
-def scaling_factors(omega: float, material, sigma_art: float = DEFAULT_SIGMA_ART) -> ScalingFactors:
-    """beta = 1 + omega, gamma = (1 + omega)(max sigma + sigma_art)/max eps."""
+def scaling_factors(omega: float, material) -> ScalingFactors:
+    """beta = 1 + omega, gamma = (1 + omega)(max sigma + DEFAULT_SIGMA_ART)/max eps."""
     beta = 1.0 + omega
-    gamma = (1.0 + omega) * (material.max_sigma + sigma_art) / material.max_eps
-    return ScalingFactors(beta=beta, gamma=gamma, sigma_art=sigma_art)
+    gamma = (1.0 + omega) * (material.max_sigma + DEFAULT_SIGMA_ART) / material.max_eps
+    return ScalingFactors(beta=beta, gamma=gamma)
+
+
+def _region_rows(cond: np.ndarray, kappa_op: sp.spmatrix,
+                 eps_op: sp.spmatrix) -> sp.csr_matrix:
+    """Rows of kappa_op where cond holds (conductor nodes), of eps_op elsewhere."""
+    c = cond.astype(float)
+    return (sp.diags(c) @ kappa_op + sp.diags(1.0 - c) @ eps_op).tocsr()
 
 
 def build_eqs_system(bundle: MatrixBundle, omega: float) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Scalar-potential system on free nodes with Dirichlet lift in the RHS."""
+    """Frequency-scaled scalar-potential system on free nodes.
+
+    Conductor-node rows are K_kappa u = i*omega*q_s; air-node rows, where
+    K_kappa = i*omega*K_eps, are divided by i*omega to K_eps u = q_s.  The
+    matrix therefore stays regular as omega -> 0 (given no floating
+    conductor), where it is the block lower-triangular static limit:
+    stationary current flow in the conductors, electrostatics in air.  The
+    Dirichlet lift goes to the right-hand side.
+    """
     scal = bundle.scalar
-    K = bundle.K_kappa(omega)
-    rhs = bundle.source.eqs_rhs(scal, omega)[scal.free]
+    cond = bundle.material.tags.conductor_nodes
+    K = _region_rows(cond, bundle.K_kappa(omega), bundle.K_eps)
+    # each source is evaluated only where its rows exist: the charge
+    # density of a conductor may be undefined at omega = 0
+    in_cond = cond[scal.free]
+    rhs = np.zeros(scal.n_free, dtype=complex)
+    if in_cond.any():
+        rhs[in_cond] = bundle.source.eqs_rhs(scal, omega)[scal.free[in_cond]]
+    if not in_cond.all():
+        rhs[~in_cond] = bundle.source.charge_vector(scal, omega)[scal.free[~in_cond]]
     if scal.constrained.size:
         rhs = rhs - K[scal.free][:, scal.constrained] @ scal.values
     return K[scal.free][:, scal.free].tocsr(), rhs
 
 
-@dataclass(frozen=True)
-class StaticEqsSystem:
-    """Block lower-triangular omega -> 0 limit of the scalar system.
-
-    Conductor rows carry the stationary current-flow problem; air rows the
-    electrostatic problem driven by the conductor solution.
-    """
-
-    bundle: MatrixBundle
-    conductor_free: np.ndarray   # node ids
-    air_free: np.ndarray         # node ids
-    K_cc: sp.csr_matrix
-    rhs_c: np.ndarray
-    K_aa: sp.csr_matrix
-
-    def air_rhs(self, u_full: np.ndarray) -> np.ndarray:
-        scal = self.bundle.scalar
-        q = self.bundle.source.charge_vector(scal, 0.0)
-        others = np.concatenate([self.conductor_free, scal.constrained])
-        rhs = q[self.air_free]
-        if others.size:
-            rhs = rhs - self.bundle.K_eps[self.air_free][:, others] @ u_full[others]
-        return rhs
-
-
-def build_eqs_static_limit(bundle: MatrixBundle) -> StaticEqsSystem:
-    """Assemble the static block system; raises StaticSingularityError for
+def build_eqs_static_limit(bundle: MatrixBundle) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The scalar system at omega = 0; raises StaticSingularityError for
     floating conductor components (no Dirichlet node)."""
-    scal = bundle.scalar
-    tags = bundle.material.tags
     _check_conductor_components(bundle)
-    free_mask = np.zeros(bundle.mesh.n_nodes, dtype=bool)
-    free_mask[scal.free] = True
-    conductor_free = np.flatnonzero(free_mask & tags.conductor_nodes)
-    air_free = np.flatnonzero(free_mask & ~tags.conductor_nodes)
-
-    K_cc = bundle.K_sigma[conductor_free][:, conductor_free].tocsr()
-    rhs_c = bundle.source.eqs_rhs(scal, 0.0)[conductor_free]
-    if scal.constrained.size:
-        rhs_c = rhs_c - bundle.K_sigma[conductor_free][:, scal.constrained] @ scal.values
-    K_aa = bundle.K_eps[air_free][:, air_free].tocsr()
-    return StaticEqsSystem(bundle=bundle, conductor_free=conductor_free,
-                           air_free=air_free, K_cc=K_cc, rhs_c=rhs_c, K_aa=K_aa)
+    return build_eqs_system(bundle, 0.0)
 
 
 def _check_conductor_components(bundle: MatrixBundle) -> None:
@@ -164,10 +151,9 @@ def build_scaled_divergence(bundle: MatrixBundle, omega: float,
     while for omega > 0 each row is a positive multiple of the implicit
     divergence constraint already satisfied by the unstabilized solution.
     """
-    tags = bundle.material.tags
-    cond = tags.conductor_nodes.astype(float)
-    core = sp.diags(cond) @ bundle.D_kappa(omega) + sp.diags(1.0 - cond) @ bundle.D_eps
-    row_scale = np.where(tags.conductor_nodes, factors.beta, factors.gamma)
+    cond = bundle.material.tags.conductor_nodes
+    core = _region_rows(cond, bundle.D_kappa(omega), bundle.D_eps)
+    row_scale = np.where(cond, factors.beta, factors.gamma)
     D = sp.diags(row_scale) @ core
     return D.tocsr()[gauge.gauge_nodes][:, bundle.edge.free].tocsr()
 

@@ -128,6 +128,37 @@ def test_solve_singular_exit(tmp_path):
     assert code == 3
 
 
+FLOATING_CONDUCTOR = """\
+# sigma = 1 cube in the middle, electrodes on the x faces it never touches
+domain        0 1  0 1  0 1
+subdivisions  3 3 3
+region 0 1  0 1  0 1              eps_r=1 sigma=0
+region 0.3 0.7  0.3 0.7  0.3 0.7  eps_r=1 sigma=1
+phi xmin 0
+phi xmax 1
+a_zero all
+source none
+methods tree-cotree
+"""
+
+
+def test_solve_floating_conductor_exit(tmp_path, capsys):
+    cfg = tmp_path / "floating.cfg"
+    cfg.write_text(FLOATING_CONDUCTOR)
+    code = main(["solve", "--config", str(cfg), "--freq", "0",
+                 "--method", "tree-cotree"])
+    assert code == 3
+    assert "floating conductor" in capsys.readouterr().err
+
+
+def test_sweep_floating_conductor_required_exit(tmp_path):
+    cfg = tmp_path / "floating.cfg"
+    cfg.write_text(FLOATING_CONDUCTOR)
+    code = main(["sweep", "--config", str(cfg), "--freqs", "0",
+                 "--require", "tree-cotree", "--out", str(tmp_path / "f.csv")])
+    assert code == 3
+
+
 def test_check_command(capsys):
     code = main(["check", "--config", ACADEMIC])
     assert code == 0

@@ -106,6 +106,15 @@ def test_condition_singular_flagged():
     assert est.singular and np.isinf(est.value)
 
 
+def test_condition_singular_above_dense_limit_costs_no_iterations(rng):
+    # factoring comes first, so a singular matrix runs no power iteration
+    A = _random_sparse(200, rng).tolil()
+    A[5, :] = 0.0
+    est = condition_estimate(A.tocsr(), dense_limit=100)
+    assert est.singular and np.isinf(est.value)
+    assert est.method == "power-iteration" and est.iterations == 0
+
+
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_condition_scale_invariant(alpha):
     A = sp.csr_matrix(np.array([[3.0, 1.0], [0.0, 2.0]], dtype=complex))

@@ -64,13 +64,55 @@ def test_eqs_kappa_vanishes_nonconducting_static(mms_built_sigma0):
 
 
 def test_eqs_rhs_is_lift_only_for_dirichlet_drive(academic_built):
-    # no volume charge: the free-row RHS comes from the prescribed values
+    # no volume charge: the free-row RHS comes from the prescribed values,
+    # lifted through K_kappa on conductor rows and K_eps on air rows
     bundle = academic_built.bundle
     omega = 2 * np.pi * 50.0
     K, rhs = build_eqs_system(bundle, omega)
     scal = bundle.scalar
-    lift = -bundle.K_kappa(omega)[scal.free][:, scal.constrained] @ scal.values
-    assert np.allclose(rhs, lift)
+    in_cond = bundle.material.tags.conductor_nodes[scal.free]
+    assert in_cond.any() and not in_cond.all()
+    for op, rows in ((bundle.K_kappa(omega), in_cond), (bundle.K_eps, ~in_cond)):
+        lift = -op[scal.free[rows]][:, scal.constrained] @ scal.values
+        assert np.abs(lift).max() > 0
+        np.testing.assert_allclose(rhs[rows], lift, rtol=1e-12, atol=0)
+
+
+def test_eqs_system_rows_continuous_at_zero_frequency(academic_built):
+    # the air rows are divided by i*omega, so every row of the scalar
+    # system tends to the same row of the static system
+    bundle = academic_built.bundle
+    K1, _ = build_eqs_system(bundle, 2 * np.pi * 1e-6)
+    K0, _ = build_eqs_static_limit(bundle)
+    row_max = np.asarray(abs(K0).max(axis=1).todense()).ravel()
+    row_diff = np.asarray(abs(K1 - K0).max(axis=1).todense()).ravel()
+    assert np.all(row_max > 0)
+    assert np.all(row_diff <= 1e-12 * row_max)
+
+
+def test_eqs_step_is_one_solve_at_zero_frequency(academic_built):
+    u, rep = solve_eqs_step(academic_built, 0.0)
+    scal = academic_built.scalar
+    assert rep.x.shape == (scal.n_free,)
+    assert np.array_equal(u[scal.free], rep.x)
+    assert rep.rel_residual <= 1e-12
+
+
+def test_eqs_sources_evaluated_only_on_their_rows():
+    # a uniform conductor has no air rows, and its charge density is
+    # undefined at 0 Hz: only i*omega*q_s is assembled
+    built = mms_scenario(6e7, (3, 3, 3)).build()
+    scal = built.scalar
+    with pytest.raises(ValueError):
+        built.bundle.source.charge_vector(scal, 0.0)
+    _, rhs = build_eqs_static_limit(built.bundle)
+    assert np.array_equal(rhs, built.bundle.source.eqs_rhs(scal, 0.0)[scal.free])
+    # all air: the rows carry q_s itself at every frequency
+    built = mms_scenario(0.0, (3, 3, 3)).build()
+    scal = built.scalar
+    for omega in (0.0, 2 * np.pi * 10.0):
+        _, rhs = build_eqs_system(built.bundle, omega)
+        assert np.array_equal(rhs, built.bundle.source.charge_vector(scal, omega)[scal.free])
 
 
 def test_static_limit_matches_small_frequency(academic_built):
@@ -83,10 +125,10 @@ def test_static_limit_all_air_is_electrostatics():
     # (4,4,4) academic mesh has no cell centroid inside the bars: all air
     built = academic_scenario((4, 4, 4)).build()
     assert not built.material.tags.conductor_cells.any()
-    static = build_eqs_static_limit(built.bundle)
-    assert static.conductor_free.size == 0
-    u, _ = solve_eqs_step(built, 0.0)
     scal = built.scalar
+    K0, _ = build_eqs_static_limit(built.bundle)
+    assert abs(K0 - built.bundle.K_eps[scal.free][:, scal.free]).max() == 0.0
+    u, _ = solve_eqs_step(built, 0.0)
     resid = built.bundle.K_eps[scal.free] @ u
     assert np.linalg.norm(resid) < 1e-12 * abs(built.bundle.K_eps).max()
 
