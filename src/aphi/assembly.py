@@ -4,6 +4,13 @@ All cells of a box mesh share one geometry, so the unit-weight element
 matrices are computed once per mesh and scattered with per-cell material
 weights.  Assembly order is fixed (cell-major), and duplicate entries are
 summed in canonical CSR order, so repeated runs produce identical arrays.
+
+Source moments use the same shared geometry: the basis, weighted by the
+Jacobian and the quadrature weights, is formed once, and the cells are
+walked in fixed blocks.  Each block makes one source call on its
+quadrature points, laid out coordinate-major so that every coordinate
+column is contiguous, and one matrix product with the weighted basis, so
+the temporaries stay bounded by the block and not by the mesh.
 """
 from __future__ import annotations
 
@@ -24,6 +31,9 @@ _QUAD_ORDER = 2  # exact for all bilinear forms on affine box cells
 # between the current moments and the charge moments holds at assembly
 # accuracy rather than at quadrature-error level.
 _SOURCE_QUAD_ORDER = 10
+# Cells per source call: bounds the point and value temporaries (1000
+# points per cell at order 10) while keeping each matrix product large.
+_SOURCE_CHUNK_CELLS = 256
 
 
 class MaterialError(ValueError):
@@ -173,36 +183,45 @@ def assemble_weak_divergence(scalar: ScalarSpace, edge: EdgeSpace,
     return (-assemble_grad_coupling(scalar, edge, mat, weight)).T.tocsr()
 
 
-def _cell_quadrature_points(mesh: Mesh, order: int) -> tuple[np.ndarray, np.ndarray, float]:
-    pts, wts = tensor_quadrature(order)
-    origins = mesh.cell_origins()
+def _source_moments(mesh: Mesh, source: Callable, basis: np.ndarray) -> np.ndarray:
+    """Per-cell moments int source . phi_l over every cell, (n_cells, nloc).
+
+    basis is the local basis at the source quadrature points, (q, c, nloc)
+    with c = 1 for a scalar and c = 3 for a vector source.  Cells go in
+    blocks of _SOURCE_CHUNK_CELLS: one source call per block on its points,
+    coordinate-major, then one matrix product with the weighted basis.
+    """
+    pts, wts = tensor_quadrature(_SOURCE_QUAD_ORDER)
     h = mesh.spacing
-    phys = origins[:, None, :] + (pts[None, :, :] + 1.0) * (0.5 * h)[None, None, :]
-    det = h.prod() / 8.0
-    return phys, wts, det
+    nloc = basis.shape[2]
+    Bq = (h.prod() / 8.0 * wts[:, None, None] * basis).reshape(-1, nloc)
+    # C-ordered (3, n) operands, so each block's sum is coordinate-major
+    offsets = np.ascontiguousarray(((pts + 1.0) * (0.5 * h)).T)
+    origins = np.ascontiguousarray(mesh.cell_origins().T)
+    moments = []
+    for start in range(0, mesh.n_cells, _SOURCE_CHUNK_CELLS):
+        block = origins[:, start:start + _SOURCE_CHUNK_CELLS]
+        points = (block[:, :, None] + offsets[:, None, :]).reshape(3, -1).T
+        vals = np.asarray(source(points)).reshape(block.shape[1], -1)
+        moments.append(vals @ Bq)
+    return np.concatenate(moments)
 
 
-def assemble_charge_vector(scalar: ScalarSpace, rho: Callable,
-                           quad_order: int = _SOURCE_QUAD_ORDER) -> np.ndarray:
+def assemble_charge_vector(scalar: ScalarSpace, rho: Callable) -> np.ndarray:
     """Load vector q[i] = int rho N_i over all nodes."""
     mesh = scalar.mesh
-    phys, wts, det = _cell_quadrature_points(mesh, quad_order)
-    N, _ = physical_scalar_basis(mesh.spacing, tensor_quadrature(quad_order)[0])
-    vals = np.asarray(rho(phys.reshape(-1, 3))).reshape(mesh.n_cells, -1)
-    contrib = det * np.einsum("cq,q,ql->cl", vals, wts, N)
+    N, _ = physical_scalar_basis(mesh.spacing, tensor_quadrature(_SOURCE_QUAD_ORDER)[0])
+    contrib = _source_moments(mesh, rho, N[:, None, :])
     out = np.zeros(mesh.n_nodes, dtype=contrib.dtype)
     np.add.at(out, mesh.cells, contrib)
     return out.astype(complex)
 
 
-def assemble_current_vector(edge: EdgeSpace, current: Callable,
-                            quad_order: int = _SOURCE_QUAD_ORDER) -> np.ndarray:
+def assemble_current_vector(edge: EdgeSpace, current: Callable) -> np.ndarray:
     """Load vector j[i] = int J . w_i over all edges."""
     mesh = edge.mesh
-    phys, wts, det = _cell_quadrature_points(mesh, quad_order)
-    W, _ = physical_edge_basis(mesh.spacing, tensor_quadrature(quad_order)[0])
-    vals = np.asarray(current(phys.reshape(-1, 3))).reshape(mesh.n_cells, -1, 3)
-    contrib = det * np.einsum("cqd,q,qld->cl", vals, wts, W)
+    W, _ = physical_edge_basis(mesh.spacing, tensor_quadrature(_SOURCE_QUAD_ORDER)[0])
+    contrib = _source_moments(mesh, current, W.transpose(0, 2, 1))
     contrib = contrib * mesh.cell_edge_signs
     out = np.zeros(mesh.n_edges, dtype=contrib.dtype)
     np.add.at(out, mesh.cell_edges, contrib)

@@ -18,8 +18,9 @@ from .gauge import UnsupportedTopologyError
 from .mesh import UncoveredRegionError
 from .physics import METHODS, curl_system, hcurl_error, run_two_step
 from .scenario import ConfigError, Scenario, load_scenario
-from .solve import SingularMatrixError, condition_estimate
-from .system import StaticSingularityError
+from .solve import (DENSE_SVD_LIMIT, ConditionEstimate, SingularMatrixError,
+                    condition_estimate)
+from .system import FrequencyPoint, StaticSingularityError
 from .vtk_io import export_vtk
 
 EXIT_OK = 0
@@ -67,18 +68,30 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
     """One CSV row from one solve; the condition estimate reuses its LU.
 
     A singular solve counts as singular only when a solve quantity is
-    asked for; its condition estimate is then made on the system alone.
+    asked for.  When step one succeeded, the curl LU failed its pivot
+    test; above the dense limit that is the estimator's own singularity
+    test, so the estimate is written as infinite without a second
+    factorization.  Otherwise it is made on the system alone.
     """
     t0 = time.perf_counter()
     want_cond = "condition" in quantities
+    n_dofs = {"original": built.edge.n_free,
+              "tree-cotree": built.edge.n_free,
+              "lagrange": built.edge.n_free + built.partition.tree.size}[method]
+    omega = FrequencyPoint(f).omega
     sol = est = None
     if quantities:
+        eqs_solved = False
         try:
+            built.excitation(omega)
+            eqs_solved = True
             sol = run_two_step(built, f, method, condition=want_cond)
             est = sol.condition
         except (SingularMatrixError, StaticSingularityError):
-            if want_cond:
-                est = condition_estimate(curl_system(built, 2.0 * np.pi * f, method)[0])
+            if want_cond and eqs_solved and n_dofs > DENSE_SVD_LIMIT:
+                est = ConditionEstimate(np.inf, "power-iteration", 0, singular=True)
+            elif want_cond:
+                est = condition_estimate(curl_system(built, omega, method)[0])
     cond_cell = cond_method_cell = delta_cell = resid_cell = ""
     if est is not None:
         cond_cell = _num(est.value)
@@ -87,9 +100,6 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
         delta_cell = "singular" if sol is None else _num(sol.delta_D)
     if "solve_residual" in quantities:
         resid_cell = "singular" if sol is None else _num(sol.curl_report.rel_residual)
-    n_dofs = {"original": built.edge.n_free,
-              "tree-cotree": built.edge.n_free,
-              "lagrange": built.edge.n_free + built.partition.tree.size}[method]
     wall_ms = int(round(1000 * (time.perf_counter() - t0))) if timing else 0
     row = f"{_num(f)},{method},{cond_cell},{cond_method_cell}," \
           f"{delta_cell},{resid_cell},{n_dofs},{wall_ms}"

@@ -8,7 +8,7 @@ case provides closed-form sources for convergence studies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -83,9 +83,15 @@ class ManufacturedCase:
         return cxyz - 2.0 * cxyz + cxyz
 
     def J_s(self, points: np.ndarray, omega: float) -> np.ndarray:
+        """(3 nu + i omega kappa) A + kappa grad phi, with the six sines and
+        cosines shared by both terms (same products as A and grad_phi)."""
+        x, y, z = np.atleast_2d(points).T
+        sx, sy, sz = np.sin(x), np.sin(y), np.sin(z)
+        cx, cy, cz = np.cos(x), np.cos(y), np.cos(z)
+        A = np.stack([sx * cy * cz, -2.0 * cx * sy * cz, cx * cy * sz], axis=1)
+        grad_phi = np.stack([-sx * cy * cz, -cx * sy * cz, -cx * cy * sz], axis=1)
         k = self.kappa(omega)
-        return (3.0 * self.nu + 1j * omega * k) * self.A(points) \
-            + k * self.grad_phi(points)
+        return (3.0 * self.nu + 1j * omega * k) * A + k * grad_phi
 
     def rho_s(self, points: np.ndarray, omega: float) -> np.ndarray:
         if self.sigma == 0.0:
@@ -134,6 +140,24 @@ class BuiltScenario:
     mms: ManufacturedCase | None = None
     methods: tuple[str, ...] = METHODS
     name: str = "scenario"
+    _last_excitation: tuple | None = field(default=None, init=False,
+                                           repr=False, compare=False)
+
+    def excitation(self, omega: float) -> tuple[np.ndarray, SolveReport, np.ndarray]:
+        """Step one and the curl right-hand side at omega, which every
+        method shares: (u_full, eqs_report, j_free), all arrays read-only.
+
+        Computed on first use and kept for the last omega only; a step that
+        raises keeps nothing, so it raises again on the next call.
+        """
+        if self._last_excitation is None or self._last_excitation[0] != omega:
+            u_full, report = solve_eqs_step(self, omega)
+            j_free = build_rhs(self.bundle, omega, u_full)
+            for arr in (u_full, report.x, j_free):
+                arr.flags.writeable = False
+            object.__setattr__(self, "_last_excitation",
+                               (omega, (u_full, report, j_free)))
+        return self._last_excitation[1]
 
 
 @dataclass(frozen=True)
@@ -189,8 +213,10 @@ def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
                  method: str, condition: bool = False) -> Solution:
     """Solve both steps for one frequency with the selected curl variant.
 
-    With condition=True the 2-norm condition estimate of the curl system
-    is computed on the LU that solved it and stored on the Solution.
+    Step one and the curl right-hand side come from built.excitation, so
+    methods solved at the same omega share them.  With condition=True the
+    2-norm condition estimate of the curl system is computed on the LU
+    that solved it and stored on the Solution.
 
     Propagates SingularMatrixError (expected for the original variant at
     low frequency) and StaticSingularityError (floating conductor at 0 Hz).
@@ -198,18 +224,16 @@ def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
     if not isinstance(frequency, FrequencyPoint):
         frequency = FrequencyPoint(float(frequency))
     omega = frequency.omega
-    bundle = built.bundle
+    u_full, eqs_report, j_free = built.excitation(omega)
 
-    u_full, eqs_report = solve_eqs_step(built, omega)
-
-    A, b, split = curl_system(built, omega, method, build_rhs(bundle, omega, u_full))
+    A, b, split = curl_system(built, omega, method, j_free)
     fac = Factorization(A)
     rep = fac.checked_solve(b)
     est = condition_estimate(A, fac=fac) if condition else None
     a_free, lam = split(rep.x)
 
     a_full = built.edge.full_vector(a_free)
-    delta = gauge_residual(bundle, omega, a_full, built.gauge)
+    delta = gauge_residual(built.bundle, omega, a_full, built.gauge)
     return Solution(u=u_full, a=a_full, lam=lam, frequency=frequency,
                     method=method, delta_D=delta, curl_report=rep,
                     eqs_report=eqs_report, condition=est)

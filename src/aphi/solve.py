@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 PIVOT_RATIO_TOL = 1e-14  # min |U_ii| <= tol * max-entry of the factored matrix
-_DENSE_SVD_LIMIT = 2000
+DENSE_SVD_LIMIT = 2000
 _POWER_MAX_ITERS = 200
 _POWER_RTOL = 1e-6
 
@@ -107,7 +107,7 @@ class ConditionEstimate:
             raise AssertionError("condition estimate below 1")  # pragma: no cover
 
 
-def condition_estimate(A: sp.spmatrix, dense_limit: int = _DENSE_SVD_LIMIT,
+def condition_estimate(A: sp.spmatrix, dense_limit: int = DENSE_SVD_LIMIT,
                        fac: Factorization | None = None) -> ConditionEstimate:
     """2-norm condition number: dense SVD up to dense_limit, else power
     iteration for sigma_max and inverse iteration through an LU for sigma_min.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aphi import assembly
 from aphi.assembly import (MaterialError, MaterialField, assemble_bundle,
                            assemble_charge_vector, assemble_curl_curl,
                            assemble_current_vector, assemble_grad_coupling,
@@ -12,7 +13,7 @@ from aphi.physics import ManufacturedCase
 from aphi.spaces import (DirichletSpec, build_edge_space, build_scalar_space,
                          edge_interpolate, eval_scalar_basis,
                          gradient_incidence)
-from oracles import dense_rank, min_eig_sym, volume_quadrature
+from oracles import dense_rank, min_eig_sym, source_moments, volume_quadrature
 
 UNIT = ((0, 1), (0, 1), (0, 1))
 
@@ -252,6 +253,41 @@ def test_current_vector_constant_field_unit_cell():
     expected = np.zeros(12)
     expected[8:] = 0.25
     assert np.allclose(j.real, expected, atol=1e-13)
+
+
+def test_source_moments_match_whole_mesh_oracle():
+    # 7^3 = 343 cells span more than one block and end in a partial one
+    mesh, _, _, _, scal, edge = _uniform_setup((7, 7, 7),
+                                               extents=((0, 1), (0, 2), (-1, 1)))
+    chunk = assembly._SOURCE_CHUNK_CELLS
+    assert chunk < mesh.n_cells and mesh.n_cells % chunk
+    seen = []
+
+    def watched(f):
+        def call(p):
+            seen.append(p.shape[0])
+            assert all(p[:, i].flags.c_contiguous for i in range(3))
+            return f(p)
+        return call
+
+    def rho(p):
+        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        return np.exp(1j * (x * y + z)) * (1.0 + x * y * z)
+
+    def current(p):
+        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        return np.stack([np.sin(x * y) + 1j * z, np.exp(x + y * z),
+                         1j * (x - y) * np.cos(z * x)], axis=1)
+
+    for got, ref in ((assemble_charge_vector(scal, watched(rho)),
+                      source_moments(mesh, rho, "scalar")),
+                     (assemble_current_vector(edge, watched(current)),
+                      source_moments(mesh, current, "edge"))):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    # 10^3 points per cell; one call per block and never more than a block
+    assert max(seen) == chunk * 10 ** 3
+    assert len(seen) == 2 * -(-mesh.n_cells // chunk)
+    assert sum(seen) == 2 * mesh.n_cells * 10 ** 3
 
 
 def test_symmetry_invariants():

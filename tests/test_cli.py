@@ -3,7 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aphi.cli import main, parse_frequencies
+from aphi import solve
+from aphi.cli import _sweep_row, main, parse_frequencies
+from aphi.physics import curl_system
+from aphi.scenario import academic_scenario
+from aphi.solve import DENSE_SVD_LIMIT, condition_estimate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ACADEMIC = str(CONFIG_DIR / "academic.cfg")
@@ -51,6 +55,30 @@ def test_sweep_reproducible_bytes(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_singular_sweep_row_above_dense_limit_factors_once(monkeypatch):
+    built = academic_scenario((11, 11, 11)).build()
+    assert built.edge.n_free > DENSE_SVD_LIMIT
+    factored = []
+
+    class Counted(solve.Factorization):
+        def __init__(self, A):
+            factored.append(A.shape[0])
+            super().__init__(A)
+
+    monkeypatch.setattr(solve, "Factorization", Counted)
+    monkeypatch.setattr("aphi.physics.Factorization", Counted)
+    row, singular = _sweep_row(built, 0.0, "original",
+                               {"condition", "delta_D", "solve_residual"}, False)
+    assert singular
+    assert row == f"0,original,inf,power-iteration,singular,singular,{built.edge.n_free},0"
+    # one EQS and one curl factorization; the estimate adds none
+    assert len(factored) == 2
+    # the estimate written is the one the system alone gives
+    est = condition_estimate(curl_system(built, 0.0, "original")[0])
+    assert (est.value, est.method, est.iterations, est.singular) == \
+        (np.inf, "power-iteration", 0, True)
 
 
 def test_sweep_required_singular_exit_code(tmp_path):

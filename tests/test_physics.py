@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from aphi.physics import (DerivedFields, ManufacturedCase, curl_system,
+from aphi import physics
+from aphi.mesh import FACE_LABELS, Box
+from aphi.physics import (METHODS, DerivedFields, ManufacturedCase, curl_system,
                           gauge_residual, hcurl_error, run_two_step)
-from aphi.scenario import academic_scenario, mms_scenario
+from aphi.scenario import RegionSpec, Scenario, academic_scenario, mms_scenario
 from aphi.solve import SingularMatrixError, condition_estimate
+from aphi.system import StaticSingularityError
 from aphi.spaces import edge_interpolate
 from oracles import (cell_centre_fields, fd_curl_curl, fd_divergence,
                      fd_gradient, volume_quadrature)
@@ -327,3 +330,72 @@ def test_condition_from_solve_matches_standalone(method):
     assert (est.value, est.method, est.iterations) == \
         (ref.value, ref.method, ref.iterations)
 
+
+def test_J_s_equals_its_two_terms_exactly(rng):
+    # the shared sines and cosines must not change a single bit
+    pts = rng.uniform(-10.0, 10.0, size=(1000, 3))
+    for case in (ManufacturedCase(), ManufacturedCase(sigma=6e7)):
+        for omega in (0.0, 2 * np.pi * 10.0, 2 * np.pi * 1e9):
+            k = case.kappa(omega)
+            ref = (3.0 * case.nu + 1j * omega * k) * case.A(pts) \
+                + k * case.grad_phi(pts)
+            assert np.array_equal(case.J_s(pts, omega), ref)
+
+
+def _count_eqs_solves(monkeypatch):
+    calls = []
+    real = physics.solve_eqs_step
+
+    def counted(built, omega):
+        calls.append(omega)
+        return real(built, omega)
+
+    monkeypatch.setattr(physics, "solve_eqs_step", counted)
+    return calls
+
+
+def test_excitation_solved_once_per_frequency(monkeypatch):
+    calls = _count_eqs_solves(monkeypatch)
+    built = academic_scenario((3, 3, 3)).build()
+    assert calls == []  # nothing is solved while building
+    sols = {m: run_two_step(built, 1e3, m) for m in METHODS}
+    assert len(calls) == 1
+    for m in METHODS:
+        fresh = run_two_step(academic_scenario((3, 3, 3)).build(), 1e3, m)
+        sol = sols[m]
+        assert np.array_equal(sol.u, fresh.u) and np.array_equal(sol.a, fresh.a)
+        assert (sol.lam is None) == (fresh.lam is None)
+        if sol.lam is not None:
+            assert np.array_equal(sol.lam, fresh.lam)
+        assert sol.delta_D == fresh.delta_D
+        assert sol.curl_report.rel_residual == fresh.curl_report.rel_residual
+    # the last frequency only is kept
+    before = len(calls)
+    run_two_step(built, 1.0, "tree-cotree")
+    run_two_step(built, 1e3, "tree-cotree")
+    assert len(calls) == before + 2
+
+
+def test_excitation_arrays_are_read_only(academic_built):
+    omega = 2 * np.pi * 1e3
+    u_full, report, j_free = academic_built.excitation(omega)
+    for arr in (u_full, report.x, j_free):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    sol = run_two_step(academic_built, 1e3, "tree-cotree")
+    assert sol.u is u_full and sol.eqs_report is report
+
+
+def test_excitation_failure_is_raised_for_every_method(monkeypatch):
+    calls = _count_eqs_solves(monkeypatch)
+    scenario = Scenario(
+        extents=((0, 1),) * 3, subdivisions=(3, 3, 3),
+        regions=(RegionSpec(box=Box(lo=(0, 0, 0), hi=(1, 1, 1)), eps_r=1.0, sigma=0.0),
+                 RegionSpec(box=Box(lo=(0.3, 0.3, 0.3), hi=(0.7, 0.7, 0.7)),
+                            eps_r=1.0, sigma=1.0)),
+        phi_bcs=(("xmin", 0.0), ("xmax", 1.0)), a_zero=FACE_LABELS)
+    built = scenario.build()
+    for m in METHODS:
+        with pytest.raises(StaticSingularityError):
+            run_two_step(built, 0.0, m)
+    assert len(calls) == len(METHODS)
