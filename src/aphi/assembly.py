@@ -103,21 +103,22 @@ def element_matrices(spacing: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _resolve_weight(mat: MaterialField, weight) -> np.ndarray:
-    if isinstance(weight, str):
-        try:
-            return getattr(mat, weight)
-        except AttributeError:
-            raise ValueError(f"unknown material weight {weight!r}") from None
-    w = np.asarray(weight)
-    if w.ndim == 0:
-        return np.full(mat.sigma.shape, w[()])
-    return w
+    if not isinstance(weight, str):
+        return np.asarray(weight)
+    try:
+        return getattr(mat, weight)
+    except AttributeError:
+        raise ValueError(f"unknown material weight {weight!r}") from None
 
 
-def _scatter(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-             shape: tuple[int, int]) -> sp.csr_matrix:
-    m = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-    m = m.tocsr()
+def _assemble_cells(w: np.ndarray, elem: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
+    """Sum w[c] * elem[i, j] into entry (rows[c, i], cols[c, j]) over all
+    cells c, cell-major, with duplicates summed in canonical CSR order."""
+    vals = w[:, None, None] * elem[None, :, :]
+    r = np.repeat(rows, cols.shape[1], axis=1)
+    c = np.tile(cols, (1, rows.shape[1]))
+    m = sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape).tocsr()
     m.sum_duplicates()
     m.sort_indices()
     return m
@@ -126,49 +127,36 @@ def _scatter(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
 def assemble_grad_grad(space: ScalarSpace, mat: MaterialField, weight) -> sp.csr_matrix:
     """Weighted stiffness matrix int w grad N_j . grad N_i over all nodes."""
     mesh = space.mesh
-    K = element_matrices(mesh.spacing)["K"]
-    w = _resolve_weight(mat, weight)
-    vals = w[:, None, None] * K[None, :, :]
-    rows = np.repeat(mesh.cells, 8, axis=1)
-    cols = np.tile(mesh.cells, (1, 8))
-    return _scatter(rows, cols, vals, (mesh.n_nodes, mesh.n_nodes))
+    return _assemble_cells(_resolve_weight(mat, weight),
+                           element_matrices(mesh.spacing)["K"],
+                           mesh.cells, mesh.cells, (mesh.n_nodes, mesh.n_nodes))
 
 
 def assemble_mass(space: EdgeSpace, mat: MaterialField, weight) -> sp.csr_matrix:
     """Weighted edge mass matrix int w w_j . w_i over all edges."""
     mesh = space.mesh
-    M = element_matrices(mesh.spacing)["M"]
-    w = _resolve_weight(mat, weight)
-    s = mesh.cell_edge_signs.astype(float)
-    vals = w[:, None, None] * M[None, :, :] * s[:, :, None] * s[:, None, :]
-    rows = np.repeat(mesh.cell_edges, 12, axis=1)
-    cols = np.tile(mesh.cell_edges, (1, 12))
-    return _scatter(rows, cols, vals, (mesh.n_edges, mesh.n_edges))
+    return _assemble_cells(_resolve_weight(mat, weight),
+                           element_matrices(mesh.spacing)["M"],
+                           mesh.cell_edges, mesh.cell_edges,
+                           (mesh.n_edges, mesh.n_edges))
 
 
 def assemble_curl_curl(space: EdgeSpace, mat: MaterialField) -> sp.csr_matrix:
     """Reluctivity-weighted curl-curl matrix over all edges."""
     mesh = space.mesh
-    C = element_matrices(mesh.spacing)["C"]
-    w = _resolve_weight(mat, "nu")
-    s = mesh.cell_edge_signs.astype(float)
-    vals = w[:, None, None] * C[None, :, :] * s[:, :, None] * s[:, None, :]
-    rows = np.repeat(mesh.cell_edges, 12, axis=1)
-    cols = np.tile(mesh.cell_edges, (1, 12))
-    return _scatter(rows, cols, vals, (mesh.n_edges, mesh.n_edges))
+    return _assemble_cells(mat.nu, element_matrices(mesh.spacing)["C"],
+                           mesh.cell_edges, mesh.cell_edges,
+                           (mesh.n_edges, mesh.n_edges))
 
 
 def assemble_grad_coupling(scalar: ScalarSpace, edge: EdgeSpace,
                            mat: MaterialField, weight) -> sp.csr_matrix:
     """Coupling G (n_edges x n_nodes) with G[i, j] = int w grad N_j . w_i."""
     mesh = scalar.mesh
-    G = element_matrices(mesh.spacing)["G"]
-    w = _resolve_weight(mat, weight)
-    s = mesh.cell_edge_signs.astype(float)
-    vals = w[:, None, None] * G[None, :, :] * s[:, :, None]
-    rows = np.repeat(mesh.cell_edges, 8, axis=1)
-    cols = np.tile(mesh.cells, (1, 12))
-    return _scatter(rows, cols, vals, (mesh.n_edges, mesh.n_nodes))
+    return _assemble_cells(_resolve_weight(mat, weight),
+                           element_matrices(mesh.spacing)["G"],
+                           mesh.cell_edges, mesh.cells,
+                           (mesh.n_edges, mesh.n_nodes))
 
 
 def assemble_weak_divergence(scalar: ScalarSpace, edge: EdgeSpace,
@@ -222,7 +210,6 @@ def assemble_current_vector(edge: EdgeSpace, current: Callable) -> np.ndarray:
     mesh = edge.mesh
     W, _ = physical_edge_basis(mesh.spacing, tensor_quadrature(_SOURCE_QUAD_ORDER)[0])
     contrib = _source_moments(mesh, current, W.transpose(0, 2, 1))
-    contrib = contrib * mesh.cell_edge_signs
     out = np.zeros(mesh.n_edges, dtype=contrib.dtype)
     np.add.at(out, mesh.cell_edges, contrib)
     return out.astype(complex)

@@ -49,8 +49,9 @@ def parse_frequencies(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("logspace spec needs start_exp,stop_exp,num")
         start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-        return [float(f) for f in np.logspace(start, stop, num)]
-    freqs = [float(t) for t in spec.split(",") if t.strip()]
+        freqs = [float(f) for f in np.logspace(start, stop, num)]
+    else:
+        freqs = [float(t) for t in spec.split(",") if t.strip()]
     if not freqs:
         raise ValueError("empty frequency list")
     if any(f < 0 for f in freqs):
@@ -124,7 +125,10 @@ def run_sweep(scenario: Scenario, freqs: list[float], methods: list[str],
 
 def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
                     methods: list[str]) -> list[str]:
-    """H(curl) errors and observed rates over mesh refinement."""
+    """H(curl) errors and observed rates over mesh refinement; the sizes
+    must differ, since a rate compares two of them."""
+    if len(set(subdivs)) != len(subdivs):
+        raise ConfigError(0, f"repeated convergence size in {subdivs}")
     rows = []
     errors: dict[str, list[tuple[int, float]]] = {m: [] for m in methods}
     for s in subdivs:

@@ -2,8 +2,10 @@
 
 Entities (nodes, edges, cells) are numbered lexicographically with x
 fastest, so rebuilding a mesh from identical inputs reproduces identical
-numbering bit for bit.  Edges are stored as oriented node pairs with the
-lower node id first.
+numbering bit for bit.  Every edge runs along its positive axis, from its
+lower to its upper node, and is stored as that node pair; node ids grow
+along every axis, so the lower node id comes first and the global
+orientation of an edge agrees with the local one in every cell.
 """
 from __future__ import annotations
 
@@ -62,10 +64,11 @@ class Box:
 class Mesh:
     """Structured hexahedral mesh with full node/edge/cell incidence.
 
-    ``edges[e] = (a, b)`` with ``a < b``; ``cell_edges`` holds the 12 global
-    edge ids per cell in the ``LOCAL_EDGE_NODES`` ordering, and
-    ``cell_edge_signs`` is +1 where the global low-to-high orientation
-    agrees with the local positive-axis orientation.
+    ``edges[e] = (a, b)`` with ``a < b`` runs along +axis from node a to
+    node b; ``cell_edges`` holds the 12 global edge ids per cell in the
+    ``LOCAL_EDGE_NODES`` ordering, which runs along +axis too, so
+    ``edges[cell_edges] == cells[:, LOCAL_EDGE_NODES]`` and the global and
+    local orientations agree without signs.
     """
 
     extents: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
@@ -74,7 +77,6 @@ class Mesh:
     cells: np.ndarray        # (n_cells, 8)
     edges: np.ndarray        # (n_edges, 2), low node first
     cell_edges: np.ndarray   # (n_cells, 12)
-    cell_edge_signs: np.ndarray  # (n_cells, 12), +-1
 
     @property
     def n_nodes(self) -> int:
@@ -133,11 +135,6 @@ class Mesh:
         return cells, np.clip(ref, -1.0, 1.0)
 
 
-def _node_ids(i, j, k, subdivisions):
-    nx, ny, _ = subdivisions
-    return i + (nx + 1) * (j + (ny + 1) * k)
-
-
 def edge_counts(subdivisions: Sequence[int]) -> tuple[int, int, int]:
     """Edge counts per axis: n_i * prod_{j != i} (n_j + 1)."""
     n = list(subdivisions)
@@ -167,72 +164,33 @@ def build_box_mesh(extents: Sequence[Sequence[float]],
     if any(hi <= lo for lo, hi in extents):
         raise ValueError(f"each extent interval must be nonempty, got {extents}")
 
-    nx, ny, nz = subdivisions
-    xs = np.linspace(*extents[0], nx + 1)
-    ys = np.linspace(*extents[1], ny + 1)
-    zs = np.linspace(*extents[2], nz + 1)
-    # x fastest, then y, then z
-    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-    nodes = np.stack([X.ravel(order="F"), Y.ravel(order="F"), Z.ravel(order="F")], axis=1)
+    n = np.array(subdivisions)
+    axes = [np.linspace(*extents[ax], n[ax] + 1) for ax in range(3)]
+    grid = np.meshgrid(*axes[::-1], indexing="ij")
+    nodes = np.stack([g.ravel() for g in grid[::-1]], axis=1)
+    # node ids on the (z, y, x) grid, so that C order runs x fastest
+    node_ids = np.arange(nodes.shape[0]).reshape(tuple(n[::-1] + 1))
+    stride = np.array([1, n[0] + 1, (n[0] + 1) * (n[1] + 1)])
+    cells = node_ids[:n[2], :n[1], :n[0]].reshape(-1, 1) + NODE_OFFSETS @ stride
 
-    ci, cj, ck = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    ci = ci.ravel(order="F")
-    cj = cj.ravel(order="F")
-    ck = ck.ravel(order="F")
-    base = _node_ids(ci, cj, ck, subdivisions)
-    node_delta = _node_ids(NODE_OFFSETS[:, 0], NODE_OFFSETS[:, 1], NODE_OFFSETS[:, 2],
-                           subdivisions)
-    cells = base[:, None] + node_delta[None, :]
-
-    # Global edge ids: all x-edges first, then y, then z, lexicographic
-    # within each family (x fastest).
-    cx, cy, cz = edge_counts(subdivisions)
-
-    def x_edge(i, j, k):
-        return i + nx * (j + (ny + 1) * k)
-
-    def y_edge(i, j, k):
-        return cx + i + (nx + 1) * (j + ny * k)
-
-    def z_edge(i, j, k):
-        return cx + cy + i + (nx + 1) * (j + (ny + 1) * k)
-
-    n_edges = cx + cy + cz
-    edges = np.empty((n_edges, 2), dtype=np.int64)
-    ei, ej, ek = np.meshgrid(np.arange(nx), np.arange(ny + 1), np.arange(nz + 1), indexing="ij")
-    ids = x_edge(ei.ravel(order="F"), ej.ravel(order="F"), ek.ravel(order="F"))
-    a = _node_ids(ei.ravel(order="F"), ej.ravel(order="F"), ek.ravel(order="F"), subdivisions)
-    edges[ids, 0] = a
-    edges[ids, 1] = a + 1
-    ei, ej, ek = np.meshgrid(np.arange(nx + 1), np.arange(ny), np.arange(nz + 1), indexing="ij")
-    ids = y_edge(ei.ravel(order="F"), ej.ravel(order="F"), ek.ravel(order="F"))
-    a = _node_ids(ei.ravel(order="F"), ej.ravel(order="F"), ek.ravel(order="F"), subdivisions)
-    edges[ids, 0] = a
-    edges[ids, 1] = a + (nx + 1)
-    ei, ej, ek = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), np.arange(nz), indexing="ij")
-    ids = z_edge(ei.ravel(order="F"), ej.ravel(order="F"), ek.ravel(order="F"))
-    a = _node_ids(ei.ravel(order="F"), ej.ravel(order="F"), ek.ravel(order="F"), subdivisions)
-    edges[ids, 0] = a
-    edges[ids, 1] = a + (nx + 1) * (ny + 1)
-
+    # Global edge ids: all x-edges first, then y, then z, each family
+    # numbered like its lower nodes (x fastest).  A local edge of a cell is
+    # the family edge at the offset of its lower local node.
+    edges = []
     cell_edges = np.empty((cells.shape[0], 12), dtype=np.int64)
-    # x-edges at transverse offsets (dy, dz) in (0,0),(1,0),(0,1),(1,1) order
-    for m, (dy, dz) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
-        cell_edges[:, m] = x_edge(ci, cj + dy, ck + dz)
-    for m, (dx, dz) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
-        cell_edges[:, 4 + m] = y_edge(ci + dx, cj, ck + dz)
-    for m, (dx, dy) in enumerate([(0, 0), (1, 0), (0, 1), (1, 1)]):
-        cell_edges[:, 8 + m] = z_edge(ci + dx, cj + dy, ck)
-
-    # Local edges run along positive axes and global ids grow along positive
-    # axes, so orientations agree; keep the general sign computation anyway.
-    ga = cells[np.arange(cells.shape[0])[:, None], LOCAL_EDGE_NODES[:, 0][None, :]]
-    gb = cells[np.arange(cells.shape[0])[:, None], LOCAL_EDGE_NODES[:, 1][None, :]]
-    signs = np.where(ga < gb, 1, -1).astype(np.int8)
+    lower_offsets = NODE_OFFSETS[LOCAL_EDGE_NODES[:, 0]]
+    first = 0
+    for ax in range(3):
+        lower = np.delete(node_ids, -1, axis=2 - ax)  # all but the last layer along ax
+        ids = first + np.arange(lower.size).reshape(lower.shape)
+        edges.append(np.stack([lower.ravel(), lower.ravel() + stride[ax]], axis=1))
+        for m in np.flatnonzero(LOCAL_EDGE_AXIS == ax):
+            ox, oy, oz = lower_offsets[m]
+            cell_edges[:, m] = ids[oz:oz + n[2], oy:oy + n[1], ox:ox + n[0]].ravel()
+        first += lower.size
 
     return Mesh(extents=extents, subdivisions=subdivisions, nodes=nodes,
-                cells=cells, edges=edges, cell_edges=cell_edges,
-                cell_edge_signs=signs)
+                cells=cells, edges=np.concatenate(edges), cell_edges=cell_edges)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from scipy.constants import epsilon_0, mu_0
 from .assembly import (MatrixBundle, MaterialField, assemble_charge_vector,
                        assemble_current_vector)
 from .gauge import GaugeGraph, TreeCotreePartition
-from .mesh import BoundaryTags, Mesh
+from .mesh import Mesh
 from .solve import (ConditionEstimate, Factorization, SolveReport,
                     condition_estimate, sparse_lu_solve)
 from .spaces import (EdgeSpace, ScalarSpace, physical_edge_basis,
@@ -130,7 +130,6 @@ class BuiltScenario:
     """Everything assembled once per scenario; frequency enters later."""
 
     mesh: Mesh
-    boundary: BoundaryTags
     material: MaterialField
     scalar: ScalarSpace
     edge: EdgeSpace
@@ -138,7 +137,6 @@ class BuiltScenario:
     gauge: GaugeGraph
     partition: TreeCotreePartition
     mms: ManufacturedCase | None = None
-    methods: tuple[str, ...] = METHODS
     name: str = "scenario"
     _last_excitation: tuple | None = field(default=None, init=False,
                                            repr=False, compare=False)
@@ -246,10 +244,6 @@ def gauge_residual(bundle: MatrixBundle, omega: float, a_full: np.ndarray,
     return float(np.linalg.norm(D @ a_full[bundle.edge.free]))
 
 
-def _cell_edge_coefficients(mesh: Mesh, a_full: np.ndarray) -> np.ndarray:
-    return a_full[mesh.cell_edges] * mesh.cell_edge_signs
-
-
 def hcurl_error(built: BuiltScenario, a_full: np.ndarray,
                 case: ManufacturedCase) -> float:
     """H(curl) distance between the discrete and prescribed vector potential,
@@ -257,7 +251,7 @@ def hcurl_error(built: BuiltScenario, a_full: np.ndarray,
     mesh = built.mesh
     pts, wts = tensor_quadrature(_ERROR_QUAD_ORDER)
     W, C = physical_edge_basis(mesh.spacing, pts)
-    coeff = _cell_edge_coefficients(mesh, a_full)
+    coeff = a_full[mesh.cell_edges]
     A_h = np.einsum("cl,qld->cqd", coeff, W)
     curl_h = np.einsum("cl,qld->cqd", coeff, C)
     origins = mesh.cell_origins()
@@ -303,7 +297,7 @@ class DerivedFields:
         mesh = self.built.mesh
         cells, ref = mesh.locate_points(points)
         W, C = physical_edge_basis(mesh.spacing, ref)
-        coeff = _cell_edge_coefficients(mesh, self.solution.a)[cells]
+        coeff = self.solution.a[mesh.cell_edges[cells]]
         return np.einsum("ql,qld->qd", coeff, W if which == "value" else C)
 
     def _cell_material(self, points, name: str) -> np.ndarray:

@@ -84,10 +84,9 @@ class Scenario:
         bundle = assemble_bundle(scalar, edge, material, source)
         gauge = build_gauge_graph(mesh, edge, scalar)
         partition = spanning_tree(gauge)
-        return BuiltScenario(mesh=mesh, boundary=boundary, material=material,
-                             scalar=scalar, edge=edge, bundle=bundle,
-                             gauge=gauge, partition=partition, mms=mms,
-                             methods=self.methods, name=self.name)
+        return BuiltScenario(mesh=mesh, material=material, scalar=scalar,
+                             edge=edge, bundle=bundle, gauge=gauge,
+                             partition=partition, mms=mms, name=self.name)
 
     def _manufactured_case(self, material: MaterialField) -> ManufacturedCase:
         sigma = float(material.sigma[0])

@@ -107,9 +107,9 @@ class ConditionEstimate:
             raise AssertionError("condition estimate below 1")  # pragma: no cover
 
 
-def condition_estimate(A: sp.spmatrix, dense_limit: int = DENSE_SVD_LIMIT,
+def condition_estimate(A: sp.spmatrix,
                        fac: Factorization | None = None) -> ConditionEstimate:
-    """2-norm condition number: dense SVD up to dense_limit, else power
+    """2-norm condition number: dense SVD up to DENSE_SVD_LIMIT, else power
     iteration for sigma_max and inverse iteration through an LU for sigma_min.
 
     fac, a Factorization of this same A, is reused for the inverse
@@ -119,7 +119,7 @@ def condition_estimate(A: sp.spmatrix, dense_limit: int = DENSE_SVD_LIMIT,
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("condition estimate needs a square matrix")
-    if n <= dense_limit:
+    if n <= DENSE_SVD_LIMIT:
         s = np.linalg.svd(A.toarray(), compute_uv=False)
         if s[-1] == 0.0:
             return ConditionEstimate(value=np.inf, method="dense-svd",

@@ -89,26 +89,14 @@ def physical_scalar_basis(spacing: np.ndarray, ref_pts: np.ndarray):
 
 
 def physical_edge_basis(spacing: np.ndarray, ref_pts: np.ndarray):
-    """Edge function values and curls in physical coordinates (unsigned)."""
+    """Edge function values and curls in physical coordinates, each running
+    along +axis like the global edge it belongs to."""
     h = np.asarray(spacing, dtype=float)
     vals, curls = edge_shape(ref_pts)
     vals = vals * (2.0 / h)[None, None, :]
     scale = np.array([4.0 / (h[1] * h[2]), 4.0 / (h[0] * h[2]), 4.0 / (h[0] * h[1])])
     curls = curls * scale[None, None, :]
     return vals, curls
-
-
-def eval_scalar_basis(mesh: Mesh, cell: int, ref_point) -> tuple[np.ndarray, np.ndarray]:
-    """All 8 shape values and physical gradients at one reference point."""
-    vals, grads = physical_scalar_basis(mesh.spacing, np.asarray(ref_point, dtype=float))
-    return vals[0], grads[0]
-
-
-def eval_edge_basis(mesh: Mesh, cell: int, ref_point) -> tuple[np.ndarray, np.ndarray]:
-    """All 12 edge function values and curls, signed for the global DOFs."""
-    vals, curls = physical_edge_basis(mesh.spacing, np.asarray(ref_point, dtype=float))
-    s = mesh.cell_edge_signs[cell].astype(float)
-    return vals[0] * s[:, None], curls[0] * s[:, None]
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,7 @@ def source_moments(mesh, source, kind, order=10):
     points of every cell in one source call and one three-operand einsum.
 
     kind "scalar" gives q[i] = int rho N_i over all nodes, kind "edge"
-    j[i] = int J . w_i over all edges (signed by the cell edge signs).
+    j[i] = int J . w_i over all edges.
     """
     from aphi.spaces import (physical_edge_basis, physical_scalar_basis,
                              tensor_quadrature)
@@ -246,7 +246,7 @@ def source_moments(mesh, source, kind, order=10):
         return out
     W, _ = physical_edge_basis(h, pts)
     vals = np.asarray(source(phys.reshape(-1, 3))).reshape(mesh.n_cells, -1, 3)
-    contrib = det * np.einsum("cqd,q,qld->cl", vals, wts, W) * mesh.cell_edge_signs
+    contrib = det * np.einsum("cqd,q,qld->cl", vals, wts, W)
     out = np.zeros(mesh.n_edges, dtype=complex)
     np.add.at(out, mesh.cell_edges, contrib)
     return out

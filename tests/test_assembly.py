@@ -11,8 +11,8 @@ from aphi.mesh import (AIR, CONDUCTOR, Box, boundary_entities, build_box_mesh,
                        tag_regions)
 from aphi.physics import ManufacturedCase
 from aphi.spaces import (DirichletSpec, build_edge_space, build_scalar_space,
-                         edge_interpolate, eval_scalar_basis,
-                         gradient_incidence)
+                         edge_interpolate, gradient_incidence,
+                         physical_edge_basis, physical_scalar_basis)
 from oracles import dense_rank, min_eig_sym, source_moments, volume_quadrature
 
 UNIT = ((0, 1), (0, 1), (0, 1))
@@ -68,7 +68,7 @@ def test_stiffness_unit_cell_diagonal_third():
     for l in range(3):
         def integrand(p, l=l):
             ref = 2.0 * p - 1.0
-            _, grads = eval_scalar_basis(mesh, 0, ref)
+            _, (grads,) = physical_scalar_basis(mesh.spacing, ref)
             return float(grads[l] @ grads[l])
         oracle = volume_quadrature(integrand, (0, 0, 0), (1, 1, 1), n=4)
         assert np.isclose(K[l, l], oracle, rtol=1e-12)
@@ -124,12 +124,10 @@ def test_mass_quadratic_form_matches_fine_quadrature(rng):
     M = assemble_mass(edge, mat, "eps")
     a = rng.standard_normal(mesh.n_edges)
 
-    from aphi.spaces import eval_edge_basis
-
     def interp_sq_in(c):
         def f(p):
             ref = 2.0 * (p - mesh.cell_origins()[c]) / mesh.spacing - 1.0
-            Wv, _ = eval_edge_basis(mesh, c, ref)
+            (Wv,), _ = physical_edge_basis(mesh.spacing, ref)
             val = a[mesh.cell_edges[c]] @ Wv
             return float(val @ val)
         return f
@@ -234,7 +232,7 @@ def test_current_vector_gradient_source_matches_incidence(rng):
         out = np.zeros((pts.shape[0], 3))
         cells, refs = mesh.locate_points(pts)
         for i, (c, r) in enumerate(zip(cells, refs)):
-            _, grads = eval_scalar_basis(mesh, c, r)
+            _, (grads,) = physical_scalar_basis(mesh.spacing, r)
             out[i] = g[mesh.cells[c]] @ grads
         return out
 

@@ -24,6 +24,14 @@ def test_parse_frequencies():
         parse_frequencies("-3")
 
 
+def test_empty_logspace_sweep_exit(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", ACADEMIC, "--freqs", "logspace:0,1,0",
+                 "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 def _read_rows(path):
     lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("#")
@@ -137,6 +145,20 @@ def test_converge_csv(tmp_path):
     header, rows = _read_rows(out)
     assert header == ["s_h", "method", "hcurl_error", "rate"]
     assert rows[0][3] == ""  # first refinement has no rate yet
+    assert float(rows[1][3]) > 0.9
+
+
+def test_converge_repeated_size_rejected(tmp_path):
+    out = tmp_path / "conv.csv"
+    code = main(["converge", "--config", MMS0, "--subdivs", "2,2",
+                 "--freq", "10", "--methods", "tree-cotree", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    # a decreasing list is still a refinement study
+    code = main(["converge", "--config", MMS0, "--subdivs", "4,2",
+                 "--freq", "10", "--methods", "tree-cotree", "--out", str(out)])
+    assert code == 0
+    _, rows = _read_rows(out)
     assert float(rows[1][3]) > 0.9
 
 

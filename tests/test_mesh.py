@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aphi.mesh import (AIR, CONDUCTOR, Box, UncoveredRegionError,
-                       boundary_entities, build_box_mesh, edge_counts,
-                       tag_regions)
+from aphi.mesh import (AIR, CONDUCTOR, LOCAL_EDGE_AXIS, LOCAL_EDGE_NODES, Box,
+                       UncoveredRegionError, boundary_entities, build_box_mesh,
+                       edge_counts, tag_regions)
 from oracles import brute_force_edges, brute_force_faces, interior_node_count
 
 UNIT = ((0, 1), (0, 1), (0, 1))
@@ -70,18 +70,31 @@ def test_lexicographic_numbering_x_fastest():
     assert np.all(np.diff(flat) > 0)
 
 
-def test_cell_edges_reproduce_node_pairs():
-    from aphi.mesh import LOCAL_EDGE_NODES
-    m = build_box_mesh(((0, 1), (0, 2), (0, 1)), (2, 2, 2))
-    for c in range(m.n_cells):
-        for loc, (la, lb) in enumerate(LOCAL_EDGE_NODES):
-            ga, gb = m.cells[c, la], m.cells[c, lb]
-            edge = m.edges[m.cell_edges[c, loc]]
-            sign = m.cell_edge_signs[c, loc]
-            if sign == 1:
-                assert (edge[0], edge[1]) == (ga, gb)
-            else:
-                assert (edge[0], edge[1]) == (gb, ga)
+SUBDIVISIONS = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+
+
+@given(SUBDIVISIONS)
+def test_cell_edges_reproduce_node_pairs(subdivisions):
+    # local and global edges both run along +axis: no orientation sign
+    m = build_box_mesh(((0, 1), (0, 2), (0, 1)), subdivisions)
+    assert np.array_equal(m.edges[m.cell_edges], m.cells[:, LOCAL_EDGE_NODES])
+
+
+@given(SUBDIVISIONS)
+def test_edge_ids_follow_axis_then_lower_node_order(subdivisions):
+    # ids sort by (axis, k, j, i) of the lower node, read off the coordinates
+    m = build_box_mesh(((0, 1), (0, 2), (-1, 3)), subdivisions)
+    lower = m.nodes[m.edges[:, 0]]
+    axis = np.argmax(m.nodes[m.edges[:, 1]] - lower, axis=1)
+    i, j, k = np.rint((lower - m.origin) / m.spacing).astype(int).T
+    assert np.array_equal(np.lexsort((i, j, k, axis)), np.arange(m.n_edges))
+    # so the cell edges are the ids of those keys, local axis included
+    key = {(a, kk, jj, ii): e for e, (a, kk, jj, ii) in enumerate(zip(axis, k, j, i))}
+    corner = np.rint((m.nodes[m.cells[:, LOCAL_EDGE_NODES[:, 0]]] - m.origin)
+                     / m.spacing).astype(int)
+    expected = [[key[(LOCAL_EDGE_AXIS[loc], *corner[c, loc, ::-1])] for loc in range(12)]
+                for c in range(m.n_cells)]
+    assert np.array_equal(m.cell_edges, expected)
 
 
 def test_invalid_arguments():

@@ -92,10 +92,11 @@ def test_condition_identity_and_diagonal():
     assert est.method == "dense-svd"
 
 
-def test_condition_power_iteration_matches_dense(rng):
+def test_condition_power_iteration_matches_dense(rng, monkeypatch):
+    monkeypatch.setattr("aphi.solve.DENSE_SVD_LIMIT", 100)
     A = _random_sparse(500, rng)
     dense = dense_condition(A)
-    est = condition_estimate(A, dense_limit=100)
+    est = condition_estimate(A)
     assert est.method == "power-iteration"
     assert abs(est.value - dense) / dense < 0.05
 
@@ -106,11 +107,12 @@ def test_condition_singular_flagged():
     assert est.singular and np.isinf(est.value)
 
 
-def test_condition_singular_above_dense_limit_costs_no_iterations(rng):
+def test_condition_singular_above_dense_limit_costs_no_iterations(rng, monkeypatch):
     # factoring comes first, so a singular matrix runs no power iteration
+    monkeypatch.setattr("aphi.solve.DENSE_SVD_LIMIT", 100)
     A = _random_sparse(200, rng).tolil()
     A[5, :] = 0.0
-    est = condition_estimate(A.tocsr(), dense_limit=100)
+    est = condition_estimate(A.tocsr())
     assert est.singular and np.isinf(est.value)
     assert est.method == "power-iteration" and est.iterations == 0
 
