@@ -1,8 +1,9 @@
 """Command line front end: frequency sweeps, convergence studies, single
 solves with VTK export, and the structural invariant check.
 
-Exit codes: 0 success, 2 configuration error, 3 singular matrix on a
-method listed as required, 4 I/O failure.  Output files are byte-identical
+Exit codes: 0 success, 2 configuration error, 3 singular matrix or
+inaccurate solve (solve.InaccurateSolveError) on a method listed as
+required, 4 I/O failure.  Output files are byte-identical
 across runs by default; wall-clock columns are zero unless --timing is
 given.
 """
@@ -16,7 +17,8 @@ import numpy as np
 
 from .gauge import UnsupportedTopologyError
 from .mesh import UncoveredRegionError
-from .physics import METHODS, curl_system, hcurl_error, run_two_step
+from .physics import (METHODS, curl_coordinates, curl_system, hcurl_error,
+                      run_two_step)
 from .scenario import ConfigError, Scenario, load_scenario
 from .solve import (DENSE_SVD_LIMIT, ConditionEstimate, SingularMatrixError,
                     condition_estimate)
@@ -92,7 +94,8 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
             if want_cond and eqs_solved and n_dofs > DENSE_SVD_LIMIT:
                 est = ConditionEstimate(np.inf, "power-iteration", 0, singular=True)
             elif want_cond:
-                est = condition_estimate(curl_system(built, omega, method)[0])
+                est = condition_estimate(curl_system(built, omega, method)[0],
+                                         coords=curl_coordinates(built, method))
     cond_cell = cond_method_cell = delta_cell = resid_cell = ""
     if est is not None:
         cond_cell = _num(est.value)
@@ -295,6 +298,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "solve":
+        if args.density < 1:
+            raise ConfigError(0, f"--density must be >= 1, got {args.density}")
         scenario = _load(args)
         built = scenario.build()
         try:

@@ -177,7 +177,7 @@ def solve_eqs_step(built: BuiltScenario, omega: float) -> tuple[np.ndarray, Solv
         K, rhs = build_eqs_static_limit(built.bundle)  # floating-conductor check
     else:
         K, rhs = build_eqs_system(built.bundle, omega)
-    rep = sparse_lu_solve(K, rhs)
+    rep = sparse_lu_solve(K, rhs, built.mesh.nodes[built.scalar.free])
     return built.scalar.full_vector(rep.x), rep
 
 
@@ -207,6 +207,16 @@ def curl_system(built: BuiltScenario, omega: float, method: str,
     return S, b, lambda x: (x[:n], x[n:])
 
 
+def curl_coordinates(built: BuiltScenario, method: str) -> np.ndarray:
+    """Positions of the unknowns of a method's curl system, which order its
+    LU: the free-edge midpoints, then the gauge nodes for the multipliers."""
+    mesh = built.mesh
+    mid = mesh.nodes[mesh.edges[built.edge.free]].mean(axis=1)
+    if method == "lagrange":
+        return np.vstack([mid, mesh.nodes[built.gauge.gauge_nodes]])
+    return mid
+
+
 def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
                  method: str, condition: bool = False) -> Solution:
     """Solve both steps for one frequency with the selected curl variant.
@@ -225,7 +235,7 @@ def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
     u_full, eqs_report, j_free = built.excitation(omega)
 
     A, b, split = curl_system(built, omega, method, j_free)
-    fac = Factorization(A)
+    fac = Factorization(A, curl_coordinates(built, method))
     rep = fac.checked_solve(b)
     est = condition_estimate(A, fac=fac) if condition else None
     a_free, lam = split(rep.x)

@@ -5,6 +5,14 @@ divergence rows, conductor vs. air), so the factorization works on a
 two-sided max-equilibrated copy; residuals are always recomputed from the
 original operator.  Singularity is judged by the pivot ratio of the
 equilibrated factors.
+
+Every LU is ordered by geometric nested dissection of its unknowns'
+coordinates (edge midpoints, node positions; the index where a matrix has
+no geometry) and factored in that order with SuperLU at a diagonal pivot
+threshold of 0.1, which keeps the fill of the dissection order.  The low
+threshold is guarded by the residual: a solve whose relative residual
+exceeds RESIDUAL_TOL takes one step of iterative refinement and raises
+InaccurateSolveError, a SingularMatrixError, if it is still above it.
 """
 from __future__ import annotations
 
@@ -16,6 +24,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 PIVOT_RATIO_TOL = 1e-14  # min |U_ii| <= tol * max-entry of the factored matrix
+DIAG_PIVOT_THRESH = 0.1  # SuperLU keeps the diagonal pivot down to this ratio
+RESIDUAL_TOL = 1e-10     # relative residual a returned solution must meet
+ND_LEAF = 64             # nested dissection stops at sets this small
 DENSE_SVD_LIMIT = 2000
 _POWER_MAX_ITERS = 200
 _POWER_RTOL = 1e-6
@@ -25,6 +36,11 @@ class SingularMatrixError(RuntimeError):
     """Factorization detected a (numerically) singular matrix."""
 
 
+class InaccurateSolveError(SingularMatrixError):
+    """A solve whose relative residual stays above RESIDUAL_TOL after one
+    step of iterative refinement."""
+
+
 @dataclass(frozen=True)
 class SolveReport:
     x: np.ndarray
@@ -32,6 +48,7 @@ class SolveReport:
     min_pivot: float
     max_pivot: float
     wall_s: float
+    refinements: int = 0   # iterative-refinement steps taken (0 or 1)
 
 
 def _equilibrate(A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -45,19 +62,84 @@ def _equilibrate(A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return r, c
 
 
-class Factorization:
-    """Equilibrated sparse LU, reusable for repeated right-hand sides."""
+def nested_dissection(A: sp.spmatrix, coords: np.ndarray | None = None) -> np.ndarray:
+    """Geometric nested-dissection order of the unknowns of square A.
 
-    def __init__(self, A: sp.spmatrix):
+    The unknowns are split at the median coordinate along the longest axis
+    of their bounding box.  The unknowns of one side that are adjacent to
+    the other side, in the symmetrized stored pattern of A, form the
+    separator; of the two sides, the one giving the smaller separator is
+    taken (on an edge grid one side's can be one layer of edges and the
+    other's two).  Both sides are ordered recursively and the separator
+    last; sets of ND_LEAF or fewer unknowns keep their index order.  coords
+    has one row per unknown (shape (n, d)); without it the index is the
+    coordinate.
+    """
+    A = sp.csr_matrix(A)
+    n = A.shape[0]
+    xyz = (np.arange(n, dtype=float)[:, None] if coords is None
+           else np.asarray(coords, dtype=float))
+    if xyz.ndim != 2 or xyz.shape[0] != n:
+        raise ValueError(f"need one coordinate row per unknown ({n}), got {xyz.shape}")
+    pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+    order: list[np.ndarray] = []
+    _dissect(np.arange(n), xyz, (pattern + pattern.T).tocsr(), np.zeros(n), order)
+    return np.concatenate(order)
+
+
+def _dissect(idx: np.ndarray, xyz: np.ndarray, G: sp.csr_matrix,
+             marked: np.ndarray, order: list[np.ndarray]) -> None:
+    """Append the nested-dissection order of the unknowns idx to order.
+
+    A module-level function rather than a closure: a recursive closure is
+    a reference cycle, which would keep G alive until the cyclic garbage
+    collector runs."""
+    extent = np.ptp(xyz[idx], axis=0) if idx.size > ND_LEAF else 0.0
+    if not np.any(extent):  # a leaf, or unknowns that share one point
+        order.append(idx)
+        return
+    key = xyz[idx, np.argmax(extent)]
+    med = np.median(key)
+    right = key > med if key.max() > med else key >= med
+    side, other = idx[~right], idx[right]
+    sep = _touching(side, other, G, marked)
+    other_sep = _touching(other, side, G, marked)
+    if other_sep.sum() < sep.sum():
+        side, other, sep = other, side, other_sep
+    _dissect(side[~sep], xyz, G, marked, order)
+    _dissect(other, xyz, G, marked, order)
+    order.append(side[sep])
+
+
+def _touching(rows: np.ndarray, other: np.ndarray, G: sp.csr_matrix,
+              marked: np.ndarray) -> np.ndarray:
+    """Mask of the unknowns rows with an entry of G in a column of other;
+    marked is an all-zero work vector and is left so."""
+    marked[other] = 1.0
+    hit = G[rows] @ marked > 0
+    marked[other] = 0.0
+    return hit
+
+
+class Factorization:
+    """Equilibrated sparse LU in nested-dissection order, reusable for
+    repeated right-hand sides.  coords (one row per unknown) drive the
+    ordering; see nested_dissection."""
+
+    def __init__(self, A: sp.spmatrix, coords: np.ndarray | None = None):
         t0 = time.perf_counter()
         A = sp.csr_matrix(A, dtype=complex)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got {A.shape}")
         self.A = A
         self.r, self.c = _equilibrate(A)
-        scaled = (sp.diags(1.0 / self.r) @ A @ sp.diags(1.0 / self.c)).tocsc()
+        self._perm = nested_dissection(A, coords)
+        self._iperm = np.argsort(self._perm)
+        scaled = (sp.diags(1.0 / self.r) @ A @ sp.diags(1.0 / self.c)).tocsr()
+        scaled = scaled[self._perm][:, self._perm].tocsc()
         try:
-            self._lu = spla.splu(scaled)
+            self._lu = spla.splu(scaled, permc_spec="NATURAL",
+                                 diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:  # exactly singular inside SuperLU
             raise SingularMatrixError(str(exc)) from exc
         pivots = np.abs(self._lu.U.diagonal())
@@ -70,29 +152,45 @@ class Factorization:
         self.factor_s = time.perf_counter() - t0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self._lu.solve(np.asarray(b, dtype=complex) / self.r)
-        return y / self.c
+        y = self._lu.solve((np.asarray(b, dtype=complex) / self.r)[self._perm])
+        return y[self._iperm] / self.c
 
     def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
-        y = self._lu.solve(np.asarray(b, dtype=complex) / self.c, trans="H")
-        return y / self.r
+        y = self._lu.solve((np.asarray(b, dtype=complex) / self.c)[self._perm],
+                           trans="H")
+        return y[self._iperm] / self.r
 
     def checked_solve(self, b: np.ndarray) -> SolveReport:
         """Solve A x = b with the residual recomputed from the original A;
-        wall_s counts the factorization and this solve."""
+        wall_s counts the factorization and this solve.
+
+        A relative residual above RESIDUAL_TOL takes one refinement step,
+        x += solve(b - A x); if it is still above, InaccurateSolveError."""
         t0 = time.perf_counter()
-        x = self.solve(b)
         b = np.asarray(b, dtype=complex)
-        denom = np.linalg.norm(b)
-        resid = np.linalg.norm(self.A @ x - b) / max(denom, np.finfo(float).tiny)
+        denom = max(np.linalg.norm(b), np.finfo(float).tiny)
+        x = self.solve(b)
+        r = b - self.A @ x
+        resid = np.linalg.norm(r) / denom
+        refinements = 0
+        if not resid <= RESIDUAL_TOL:  # also catches nan
+            x = x + self.solve(r)
+            resid = np.linalg.norm(b - self.A @ x) / denom
+            refinements = 1
+            if not resid <= RESIDUAL_TOL:
+                raise InaccurateSolveError(
+                    f"relative residual {resid:.3e} > {RESIDUAL_TOL:g} "
+                    "after one refinement step")
         return SolveReport(x=x, rel_residual=float(resid),
                            min_pivot=self.min_pivot, max_pivot=self.max_pivot,
-                           wall_s=self.factor_s + time.perf_counter() - t0)
+                           wall_s=self.factor_s + time.perf_counter() - t0,
+                           refinements=refinements)
 
 
-def sparse_lu_solve(A: sp.spmatrix, b: np.ndarray) -> SolveReport:
+def sparse_lu_solve(A: sp.spmatrix, b: np.ndarray,
+                    coords: np.ndarray | None = None) -> SolveReport:
     """Solve A x = b by equilibrated sparse LU; residual checked from scratch."""
-    return Factorization(A).checked_solve(b)
+    return Factorization(A, coords).checked_solve(b)
 
 
 @dataclass(frozen=True)
@@ -107,14 +205,14 @@ class ConditionEstimate:
             raise AssertionError("condition estimate below 1")  # pragma: no cover
 
 
-def condition_estimate(A: sp.spmatrix,
-                       fac: Factorization | None = None) -> ConditionEstimate:
+def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
+                       coords: np.ndarray | None = None) -> ConditionEstimate:
     """2-norm condition number: dense SVD up to DENSE_SVD_LIMIT, else power
     iteration for sigma_max and inverse iteration through an LU for sigma_min.
 
     fac, a Factorization of this same A, is reused for the inverse
     iteration instead of factoring A again.  Without one, A is factored
-    first, so a singular A costs no iterations."""
+    first (ordered by coords), so a singular A costs no iterations."""
     A = sp.csr_matrix(A, dtype=complex)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
@@ -129,7 +227,7 @@ def condition_estimate(A: sp.spmatrix,
 
     if fac is None:
         try:
-            fac = Factorization(A)
+            fac = Factorization(A, coords)
         except SingularMatrixError:
             return ConditionEstimate(value=np.inf, method="power-iteration",
                                      iterations=0, singular=True)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aphi import solve
+from aphi import cli, solve
 from aphi.cli import _sweep_row, main, parse_frequencies
 from aphi.physics import curl_system
 from aphi.scenario import academic_scenario
@@ -71,9 +71,9 @@ def test_singular_sweep_row_above_dense_limit_factors_once(monkeypatch):
     factored = []
 
     class Counted(solve.Factorization):
-        def __init__(self, A):
+        def __init__(self, A, *args, **kwargs):
             factored.append(A.shape[0])
-            super().__init__(A)
+            super().__init__(A, *args, **kwargs)
 
     monkeypatch.setattr(solve, "Factorization", Counted)
     monkeypatch.setattr("aphi.physics.Factorization", Counted)
@@ -87,6 +87,28 @@ def test_singular_sweep_row_above_dense_limit_factors_once(monkeypatch):
     est = condition_estimate(curl_system(built, 0.0, "original")[0])
     assert (est.value, est.method, est.iterations, est.singular) == \
         (np.inf, "power-iteration", 0, True)
+
+
+def test_solve_rejects_density_before_solving(tmp_path, monkeypatch):
+    calls = []
+    real = cli.run_two_step
+    monkeypatch.setattr(cli, "run_two_step",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    out = tmp_path / "f.vtk"
+    code = main(["solve", "--config", ACADEMIC, "--subdivs", "3,3,3",
+                 "--freq", "100", "--method", "tree-cotree",
+                 "--vtk", str(out), "--density", "0"])
+    assert code == 2
+    assert calls == [] and not out.exists()
+
+
+def test_solve_inaccurate_exit(monkeypatch):
+    # a residual the refinement step cannot bring under the tolerance is
+    # reported like a singular solve
+    monkeypatch.setattr(solve, "RESIDUAL_TOL", 0.0)
+    code = main(["solve", "--config", ACADEMIC, "--subdivs", "3,3,3",
+                 "--freq", "100", "--method", "tree-cotree"])
+    assert code == 3
 
 
 def test_sweep_required_singular_exit_code(tmp_path):

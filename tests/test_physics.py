@@ -3,8 +3,9 @@ import pytest
 
 from aphi import physics
 from aphi.mesh import FACE_LABELS, Box
-from aphi.physics import (METHODS, DerivedFields, ManufacturedCase, curl_system,
-                          gauge_residual, hcurl_error, run_two_step)
+from aphi.physics import (METHODS, DerivedFields, ManufacturedCase,
+                          curl_coordinates, curl_system, gauge_residual,
+                          hcurl_error, run_two_step)
 from aphi.scenario import RegionSpec, Scenario, academic_scenario, mms_scenario
 from aphi.solve import SingularMatrixError, condition_estimate
 from aphi.system import StaticSingularityError
@@ -321,14 +322,45 @@ def test_curl_system_sizes_and_split(academic_built):
 @pytest.mark.parametrize("method", ["tree-cotree", "lagrange"])
 def test_condition_from_solve_matches_standalone(method):
     # above the dense limit the estimate runs inverse iteration, here on
-    # the solve's LU; it must equal a fresh estimate on the same system
+    # the solve's LU; it must equal a fresh estimate on the same system,
+    # factored in the same order
     built = mms_scenario(0.0, (10, 10, 10)).build()
     omega = 2 * np.pi * 10.0
     est = run_two_step(built, 10.0, method, condition=True).condition
-    ref = condition_estimate(curl_system(built, omega, method)[0])
+    ref = condition_estimate(curl_system(built, omega, method)[0],
+                             coords=curl_coordinates(built, method))
     assert ref.method == "power-iteration"
     assert (est.value, est.method, est.iterations) == \
         (ref.value, ref.method, ref.iterations)
+
+
+def test_mms_sigma0_classification_at_10hz():
+    # pinned: the unstabilized system still factors at 4^3 and breaks down
+    # by 8^3, while both stabilized variants factor at both sizes
+    for n in (4, 8):
+        built = mms_scenario(0.0, (n, n, n)).build()
+        for method in METHODS:
+            try:
+                run_two_step(built, 10.0, method)
+                factored = True
+            except SingularMatrixError:
+                factored = False
+            assert factored == (method != "original" or n == 4), (n, method)
+
+
+@pytest.mark.parametrize("n", [3, 5])  # 36 and 240 free edges: ND_LEAF is 64
+@pytest.mark.parametrize("method", METHODS)
+def test_curl_solution_matches_dense_solve(n, method):
+    built = academic_scenario((n, n, n)).build()
+    f = 1e9  # well conditioned for every method (kappa2 below 1e4)
+    omega = 2 * np.pi * f
+    sol = run_two_step(built, f, method)
+    A, b, _ = curl_system(built, omega, method, built.excitation(omega)[2])
+    x_dense = np.linalg.solve(A.toarray(), b)
+    x = sol.a[built.edge.free]
+    if sol.lam is not None:
+        x = np.concatenate([x, sol.lam])
+    assert np.linalg.norm(x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
 
 
 def test_J_s_equals_its_two_terms_exactly(rng):

@@ -1,13 +1,20 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
 from aphi.assembly import MaterialField, assemble_curl_curl
 from aphi.mesh import (AIR, FACE_LABELS, Box, boundary_entities,
                        build_box_mesh, tag_regions)
-from aphi.solve import (SingularMatrixError, condition_estimate,
+from aphi.physics import METHODS, curl_coordinates, curl_system
+from aphi.scenario import mms_scenario
+from aphi.solve import (ND_LEAF, RESIDUAL_TOL, Factorization,
+                        InaccurateSolveError, SingularMatrixError,
+                        condition_estimate, nested_dissection,
                         sparse_lu_solve)
 from aphi.spaces import DirichletSpec, build_edge_space
 from oracles import dense_condition
@@ -36,6 +43,7 @@ def test_random_system_matches_dense_oracle(rng):
     x_dense = np.linalg.solve(A.toarray(), b)
     assert np.linalg.norm(rep.x - x_dense) / np.linalg.norm(x_dense) < 1e-10
     assert rep.rel_residual < 1e-10
+    assert rep.refinements == 0  # an accurate solve pays for no second one
 
 
 def test_residual_reported_from_scratch(rng):
@@ -44,6 +52,70 @@ def test_residual_reported_from_scratch(rng):
     rep = sparse_lu_solve(A, b)
     recomputed = np.linalg.norm(A @ rep.x - b) / np.linalg.norm(b)
     assert np.isclose(rep.rel_residual, recomputed, rtol=1e-12)
+
+
+def _solve_through_perturbed_lu(A, b, rel):
+    """checked_solve of A x = b through the LU of (1 + rel) A, whose first
+    solution has relative residual rel / (1 + rel)."""
+    fac = Factorization((1.0 + rel) * A)
+    fac.A = A
+    return fac.checked_solve(b)
+
+
+def test_residual_guard_refines_an_inaccurate_solve(rng):
+    A = _random_sparse(100, rng)
+    b = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+    rep = _solve_through_perturbed_lu(A, b, 1e-7)
+    # one step contracts the residual by another factor 1e-7
+    assert rep.refinements == 1
+    assert rep.rel_residual <= RESIDUAL_TOL
+    x_dense = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(rep.x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+
+
+def test_residual_guard_raises_when_refinement_falls_short(rng):
+    A = _random_sparse(100, rng)
+    b = rng.standard_normal(100) + 0j
+    with pytest.raises(InaccurateSolveError) as info:
+        _solve_through_perturbed_lu(A, b, 1e-3)  # 1e-6 after one step
+    assert isinstance(info.value, SingularMatrixError)
+
+
+@given(st.tuples(*[st.integers(1, 5)] * 3), st.sampled_from(METHODS))
+def test_nested_dissection_is_a_deterministic_permutation(subdivs, method):
+    built = mms_scenario(0.0, subdivs).build()
+    A = curl_system(built, 2 * np.pi * 10.0, method)[0]
+    n = A.shape[0]
+    xyz = curl_coordinates(built, method)
+    for coords in (xyz, None):  # None: the index is the coordinate
+        perm = nested_dissection(A, coords)
+        assert np.array_equal(np.sort(perm), np.arange(n))
+        assert np.array_equal(perm, nested_dissection(A, coords))
+        if n <= ND_LEAF:
+            assert np.array_equal(perm, np.arange(n))
+
+
+def test_factorization_leaves_no_reference_cycle(rng):
+    # a cycle would keep each ordering's pattern matrix alive until the
+    # cyclic collector runs, and a sweep's peak memory grew with them
+    A = _random_sparse(200, rng)  # above ND_LEAF, so the dissection recurses
+    gc.collect()
+    gc.disable()
+    try:
+        Factorization(A).checked_solve(np.ones(200))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_nested_dissection_fill_below_default_ordering():
+    built = mms_scenario(0.0, (12, 12, 12)).build()
+    A = curl_system(built, 2 * np.pi * 10.0, "tree-cotree")[0]
+    fac = Factorization(A, curl_coordinates(built, "tree-cotree"))
+    nd_fill = fac._lu.L.nnz + fac._lu.U.nnz
+    scaled = (sp.diags(1.0 / fac.r) @ fac.A @ sp.diags(1.0 / fac.c)).tocsc()
+    lu = spla.splu(scaled)  # SuperLU's default: COLAMD, partial pivoting
+    assert nd_fill <= 0.85 * (lu.L.nnz + lu.U.nnz)
 
 
 def test_singular_curl_matrix_detected():
