@@ -274,9 +274,6 @@ class MatrixBundle:
     def G_kappa(self, omega: float) -> sp.csr_matrix:
         return (self.G_sigma + 1j * omega * self.G_eps).tocsr()
 
-    def M_kappa(self, omega: float) -> sp.csr_matrix:
-        return (self.M_sigma + 1j * omega * self.M_eps).tocsr()
-
     def D_kappa(self, omega: float) -> sp.csr_matrix:
         return (self.D_sigma + 1j * omega * self.D_eps).tocsr()
 

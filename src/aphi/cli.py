@@ -56,8 +56,8 @@ def parse_frequencies(spec: str) -> list[float]:
         freqs = [float(t) for t in spec.split(",") if t.strip()]
     if not freqs:
         raise ValueError("empty frequency list")
-    if any(f < 0 for f in freqs):
-        raise ValueError("frequencies must be >= 0")
+    if not all(np.isfinite(f) and f >= 0 for f in freqs):
+        raise ValueError("frequencies must be finite and >= 0")
     return freqs
 
 
@@ -130,6 +130,7 @@ def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
                     methods: list[str]) -> list[str]:
     """H(curl) errors and observed rates over mesh refinement; the sizes
     must differ, since a rate compares two of them."""
+    FrequencyPoint(f)  # rejects a negative or non-finite frequency
     if len(set(subdivs)) != len(subdivs):
         raise ConfigError(0, f"repeated convergence size in {subdivs}")
     rows = []
@@ -265,6 +266,8 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.command in ("solve", "converge"):
+        FrequencyPoint(args.freq)  # rejects a bad --freq before loading
     if args.command == "sweep":
         scenario = _load(args)
         methods = _methods(args, scenario)

@@ -260,14 +260,13 @@ class BoundarySet:
 
 @dataclass(frozen=True)
 class BoundaryTags:
-    """Per-face-label boundary entity sets plus union masks.
+    """Per-face-label boundary entity sets plus the union node mask.
 
     Entities on box edges/corners belong to every adjacent label.
     """
 
     sets: dict[str, BoundarySet]
     node_mask: np.ndarray
-    edge_mask: np.ndarray
 
     def __getitem__(self, label: str) -> BoundarySet:
         if label not in self.sets:
@@ -284,7 +283,6 @@ def boundary_entities(mesh: Mesh) -> BoundaryTags:
 
     sets = {}
     node_mask = np.zeros(mesh.n_nodes, dtype=bool)
-    edge_mask = np.zeros(mesh.n_edges, dtype=bool)
     limits = {"xmin": (0, 0), "xmax": (0, 2 * nx), "ymin": (1, 0),
               "ymax": (1, 2 * ny), "zmin": (2, 0), "zmax": (2, 2 * nz)}
     for label in FACE_LABELS:
@@ -293,5 +291,4 @@ def boundary_entities(mesh: Mesh) -> BoundaryTags:
         edges = np.flatnonzero(edge_mid[:, axis] == value)
         sets[label] = BoundarySet(nodes=nodes, edges=edges)
         node_mask[nodes] = True
-        edge_mask[edges] = True
-    return BoundaryTags(sets=sets, node_mask=node_mask, edge_mask=edge_mask)
+    return BoundaryTags(sets=sets, node_mask=node_mask)

@@ -8,7 +8,9 @@ case provides closed-form sources for convergence studies.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -275,69 +277,78 @@ def hcurl_error(built: BuiltScenario, a_full: np.ndarray,
     return float(np.sqrt(err2))
 
 
-class DerivedFields:
-    """Evaluators for the physical fields of a solution at a batch of points.
+# eps and sigma are each point's cell values, as (n, 1) columns.
+_PointBase = namedtuple("_PointBase", "grad_phi A B eps sigma")
 
-    Electroquasistatic parts come from the scalar potential, the
-    full-Maxwell corrections from i*omega times the vector potential; the
-    totals add the impressed source current where one is defined.
+
+class DerivedFields:
+    """The physical fields of a solution at one batch of points.
+
+    The first evaluator call locates the points and evaluates both bases
+    once, keeping a read-only _PointBase.  E = -grad phi - i*omega*A, and D
+    and J split into an electroquasistatic part from grad phi and a
+    full-Maxwell part from i*omega*A; the totals add the impressed source
+    current where one is defined.
     """
 
-    def __init__(self, built: BuiltScenario, solution: Solution):
+    def __init__(self, built: BuiltScenario, solution: Solution,
+                 points: np.ndarray):
         if solution.u.shape[0] != built.mesh.n_nodes or \
                 solution.a.shape[0] != built.mesh.n_edges:
             raise ValueError("solution dimensions do not match the scenario mesh")
         self.built = built
         self.solution = solution
         self.omega = solution.frequency.omega
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
 
-    def grad_phi(self, points: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _base(self) -> _PointBase:
         mesh = self.built.mesh
-        cells, ref = mesh.locate_points(points)
+        cells, ref = mesh.locate_points(self.points)
         _, grads = physical_scalar_basis(mesh.spacing, ref)
-        return np.einsum("ql,qld->qd", self.solution.u[mesh.cells[cells]], grads)
-
-    def vector_potential(self, points: np.ndarray) -> np.ndarray:
-        return self._edge_field(points, which="value")
-
-    def B(self, points: np.ndarray) -> np.ndarray:
-        return self._edge_field(points, which="curl")
-
-    def _edge_field(self, points, which: str) -> np.ndarray:
-        mesh = self.built.mesh
-        cells, ref = mesh.locate_points(points)
         W, C = physical_edge_basis(mesh.spacing, ref)
         coeff = self.solution.a[mesh.cell_edges[cells]]
-        return np.einsum("ql,qld->qd", coeff, W if which == "value" else C)
+        base = _PointBase(
+            grad_phi=np.einsum("ql,qld->qd", self.solution.u[mesh.cells[cells]], grads),
+            A=np.einsum("ql,qld->qd", coeff, W),
+            B=np.einsum("ql,qld->qd", coeff, C),
+            eps=self.built.material.eps[cells][:, None],
+            sigma=self.built.material.sigma[cells][:, None])
+        for arr in base:
+            arr.flags.writeable = False
+        return base
 
-    def _cell_material(self, points, name: str) -> np.ndarray:
-        cells, _ = self.built.mesh.locate_points(points)
-        return getattr(self.built.material, name)[cells]
+    def grad_phi(self) -> np.ndarray:
+        return self._base.grad_phi
 
-    def E(self, points: np.ndarray) -> np.ndarray:
-        return -self.grad_phi(points) - 1j * self.omega * self.vector_potential(points)
+    def vector_potential(self) -> np.ndarray:
+        return self._base.A
 
-    def D_e(self, points: np.ndarray) -> np.ndarray:
-        return -self._cell_material(points, "eps")[:, None] * self.grad_phi(points)
+    def B(self) -> np.ndarray:
+        return self._base.B
 
-    def D_m(self, points: np.ndarray) -> np.ndarray:
-        return -1j * self.omega * self._cell_material(points, "eps")[:, None] \
-            * self.vector_potential(points)
+    def E(self) -> np.ndarray:
+        return -self.grad_phi() - 1j * self.omega * self.vector_potential()
 
-    def J_e(self, points: np.ndarray) -> np.ndarray:
-        return -self._cell_material(points, "sigma")[:, None] * self.grad_phi(points)
+    def D_e(self) -> np.ndarray:
+        return -self._base.eps * self.grad_phi()
 
-    def J_m(self, points: np.ndarray) -> np.ndarray:
-        return -1j * self.omega * self._cell_material(points, "sigma")[:, None] \
-            * self.vector_potential(points)
+    def D_m(self) -> np.ndarray:
+        return -1j * self.omega * self._base.eps * self.vector_potential()
 
-    def J_source(self, points: np.ndarray) -> np.ndarray:
+    def J_e(self) -> np.ndarray:
+        return -self._base.sigma * self.grad_phi()
+
+    def J_m(self) -> np.ndarray:
+        return -1j * self.omega * self._base.sigma * self.vector_potential()
+
+    def J_source(self) -> np.ndarray:
         if self.built.mms is not None:
-            return self.built.mms.J_s(np.atleast_2d(points), self.omega)
-        return np.zeros((np.atleast_2d(points).shape[0], 3), dtype=complex)
+            return self.built.mms.J_s(self.points, self.omega)
+        return np.zeros((self.points.shape[0], 3), dtype=complex)
 
-    def D_total(self, points: np.ndarray) -> np.ndarray:
-        return self.D_e(points) + self.D_m(points)
+    def D_total(self) -> np.ndarray:
+        return self.D_e() + self.D_m()
 
-    def J_total(self, points: np.ndarray) -> np.ndarray:
-        return self.J_e(points) + self.J_m(points) + self.J_source(points)
+    def J_total(self) -> np.ndarray:
+        return self.J_e() + self.J_m() + self.J_source()

@@ -21,14 +21,10 @@ from .mesh import (LOCAL_EDGE_AXIS, LOCAL_EDGE_TRANSVERSE, NODE_OFFSETS,
 _NODE_REF = 2.0 * NODE_OFFSETS - 1.0
 
 
-def gauss_points_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
 @lru_cache(maxsize=8)
 def tensor_quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss rule on [-1,1]^3: ((n^3, 3) points, weights)."""
-    x, w = gauss_points_1d(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     pts = np.array([(a, b, c) for c in x for b in x for a in x])
     wts = np.array([wa * wb * wc for wc in w for wb in w for wa in w])
     return pts, wts
@@ -194,7 +190,7 @@ def edge_interpolate(mesh: Mesh, field, n_gauss: int = 5) -> np.ndarray:
     field maps (m, 3) points to (m, 3) values; edges are straight and
     axis-aligned, so Gauss quadrature along the edge is used directly.
     """
-    x, w = gauss_points_1d(n_gauss)
+    x, w = np.polynomial.legendre.leggauss(n_gauss)
     a = mesh.nodes[mesh.edges[:, 0]]
     b = mesh.nodes[mesh.edges[:, 1]]
     mid = 0.5 * (a + b)

@@ -39,8 +39,8 @@ class FrequencyPoint:
     f: float
 
     def __post_init__(self):
-        if self.f < 0:
-            raise ValueError(f"frequency must be >= 0, got {self.f}")
+        if not (np.isfinite(self.f) and self.f >= 0):
+            raise ValueError(f"frequency must be finite and >= 0, got {self.f}")
 
     @property
     def omega(self) -> float:

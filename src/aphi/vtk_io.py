@@ -64,11 +64,10 @@ def export_vtk(path, built: BuiltScenario, solution: Solution,
     else:
         sample = build_box_mesh(built.mesh.extents,
                                 [density * n for n in built.mesh.subdivisions])
-    flds = DerivedFields(built, solution)
-    pts = sample.nodes
+    flds = DerivedFields(built, solution, sample.nodes)
     point_data: dict[str, np.ndarray] = {}
     for name, attr in _FIELD_EVALUATORS:
-        values = getattr(flds, attr)(pts)
+        values = getattr(flds, attr)()
         point_data[f"{name}_re"] = np.ascontiguousarray(values.real)
         point_data[f"{name}_im"] = np.ascontiguousarray(values.imag)
     write_vtk(path, sample, point_data,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from aphi import cli, solve
-from aphi.cli import _sweep_row, main, parse_frequencies
+from aphi.cli import _sweep_row, main, parse_frequencies, run_convergence
 from aphi.physics import curl_system
-from aphi.scenario import academic_scenario
+from aphi.scenario import Scenario, academic_scenario, load_scenario
 from aphi.solve import DENSE_SVD_LIMIT, condition_estimate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -22,6 +22,9 @@ def test_parse_frequencies():
         parse_frequencies("")
     with pytest.raises(ValueError):
         parse_frequencies("-3")
+    for spec in ("1,inf", "nan"):
+        with pytest.raises(ValueError):
+            parse_frequencies(spec)
 
 
 def test_empty_logspace_sweep_exit(tmp_path):
@@ -100,6 +103,31 @@ def test_solve_rejects_density_before_solving(tmp_path, monkeypatch):
                  "--vtk", str(out), "--density", "0"])
     assert code == 2
     assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", ACADEMIC, "--method", "tree-cotree", "--freq", "{f}"],
+    ["converge", "--config", MMS0, "--subdivs", "2,3", "--freq", "{f}",
+     "--out", "{out}"],
+    ["sweep", "--config", ACADEMIC, "--freqs", "0,{f}", "--out", "{out}"],
+])
+@pytest.mark.parametrize("freq", ["nan", "inf"])
+def test_non_finite_frequency_rejected_before_building(tmp_path, monkeypatch,
+                                                       argv, freq):
+    built = []
+    monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
+    out = tmp_path / "out.csv"
+    assert main([a.format(f=freq, out=out) for a in argv]) == 2
+    assert built == [] and not out.exists()
+
+
+def test_run_convergence_rejects_non_finite_frequency(monkeypatch):
+    built = []
+    monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
+    for f in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            run_convergence(load_scenario(MMS0), [2, 3], f, ["original"])
+    assert built == []
 
 
 def test_solve_inaccurate_exit(monkeypatch):

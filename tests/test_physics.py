@@ -208,37 +208,33 @@ def test_original_deviation_tracks_its_conditioning():
 
 def test_derived_fields_static_corrections_vanish(academic_built):
     sol = run_two_step(academic_built, 0.0, "tree-cotree")
-    flds = DerivedFields(academic_built, sol)
-    pts = academic_built.mesh.cell_centroids()[:5]
-    assert np.all(flds.D_m(pts) == 0)
-    assert np.all(flds.J_m(pts) == 0)
+    flds = DerivedFields(academic_built, sol, academic_built.mesh.cell_centroids()[:5])
+    assert np.all(flds.D_m() == 0)
+    assert np.all(flds.J_m() == 0)
 
 
 def test_derived_fields_conduction_vanishes_in_air(mms_built_sigma0):
     sol = run_two_step(mms_built_sigma0, 10.0, "tree-cotree")
-    flds = DerivedFields(mms_built_sigma0, sol)
-    pts = mms_built_sigma0.mesh.cell_centroids()[:5]
-    assert np.all(flds.J_e(pts) == 0)
-    assert np.all(flds.J_m(pts) == 0)
+    flds = DerivedFields(mms_built_sigma0, sol, mms_built_sigma0.mesh.cell_centroids()[:5])
+    assert np.all(flds.J_e() == 0)
+    assert np.all(flds.J_m() == 0)
 
 
 def test_derived_fields_decompositions_sum(academic_built):
     sol = run_two_step(academic_built, 50.0, "tree-cotree")
-    flds = DerivedFields(academic_built, sol)
-    pts = academic_built.mesh.cell_centroids()[:6]
-    assert np.allclose(flds.D_total(pts), flds.D_e(pts) + flds.D_m(pts))
-    assert np.allclose(flds.J_total(pts),
-                       flds.J_e(pts) + flds.J_m(pts) + flds.J_source(pts))
-    assert np.allclose(flds.E(pts),
-                       -flds.grad_phi(pts) - 1j * sol.frequency.omega
-                       * flds.vector_potential(pts))
+    flds = DerivedFields(academic_built, sol, academic_built.mesh.cell_centroids()[:6])
+    assert np.allclose(flds.D_total(), flds.D_e() + flds.D_m())
+    assert np.allclose(flds.J_total(), flds.J_e() + flds.J_m() + flds.J_source())
+    assert np.allclose(flds.E(),
+                       -flds.grad_phi() - 1j * sol.frequency.omega
+                       * flds.vector_potential())
 
 
 def test_derived_fields_outside_domain_raises(academic_built):
     sol = run_two_step(academic_built, 0.0, "tree-cotree")
-    flds = DerivedFields(academic_built, sol)
+    flds = DerivedFields(academic_built, sol, np.array([[1.0, 0.0, 0.0]]))
     with pytest.raises(ValueError):
-        flds.B(np.array([[1.0, 0.0, 0.0]]))
+        flds.B()
 
 
 def test_derived_fields_match_cell_centre_oracle(academic_built):
@@ -247,27 +243,41 @@ def test_derived_fields_match_cell_centre_oracle(academic_built):
     centres, want = cell_centre_fields(academic_built.mesh, sol.u, sol.a,
                                        sol.frequency.omega)
     order = np.random.default_rng(5).permutation(centres.shape[0])
-    flds = DerivedFields(academic_built, sol)
+    flds = DerivedFields(academic_built, sol, centres[order])
     evaluators = {"grad_phi": flds.grad_phi, "A": flds.vector_potential,
                   "B": flds.B, "E": flds.E}
     for name, evaluate in evaluators.items():
         ref = want[name][order]
         scale = np.abs(ref).max()
         assert scale > 0, name
-        assert np.abs(evaluate(centres[order]) - ref).max() <= 1e-12 * scale, name
+        assert np.abs(evaluate() - ref).max() <= 1e-12 * scale, name
 
 
 def test_derived_fields_single_points_equal_batch_rows(academic_built):
     sol = run_two_step(academic_built, 100.0, "tree-cotree")
-    flds = DerivedFields(academic_built, sol)
     lo, hi = np.array(academic_built.mesh.extents).T
     pts = lo + (hi - lo) * np.random.default_rng(6).uniform(size=(12, 3))
+    flds = DerivedFields(academic_built, sol, pts)
     for name in ("grad_phi", "vector_potential", "B", "E", "D_e", "D_m",
                  "J_e", "J_m", "J_source", "D_total", "J_total"):
-        evaluate = getattr(flds, name)
-        batch = evaluate(pts)
+        batch = getattr(flds, name)()
         for i in (0, 5, 11):
-            assert np.array_equal(evaluate(pts[i]), batch[i:i + 1]), name
+            one = getattr(DerivedFields(academic_built, sol, pts[i]), name)()
+            assert np.array_equal(one, batch[i:i + 1]), name
+
+
+def test_derived_fields_base_arrays_read_only(academic_built):
+    sol = run_two_step(academic_built, 100.0, "tree-cotree")
+    flds = DerivedFields(academic_built, sol, academic_built.mesh.cell_centroids()[:4])
+    for name in ("grad_phi", "vector_potential", "B"):
+        arr = getattr(flds, name)()
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    # the per-point materials that D and J are combined from, too
+    base = flds._base
+    assert not base.eps.flags.writeable and not base.sigma.flags.writeable
+    assert flds.E().flags.writeable  # a combination is a fresh array
 
 
 def test_derived_B_converges_to_analytic_curl(case, rng):
@@ -278,8 +288,7 @@ def test_derived_B_converges_to_analytic_curl(case, rng):
     for s in (2, 4):
         built = mms_scenario(0.0, (s, s, s)).build()
         sol = run_two_step(built, 10.0, "tree-cotree")
-        flds = DerivedFields(built, sol)
-        diff = flds.B(pts) - case.curl_A(pts)
+        diff = DerivedFields(built, sol, pts).B() - case.curl_A(pts)
         errs.append(np.sqrt(np.mean(np.abs(diff) ** 2)))
     assert errs[1] < 0.65 * errs[0]
 

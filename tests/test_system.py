@@ -20,6 +20,9 @@ def test_frequency_point():
     assert fp.omega == pytest.approx(2 * np.pi * 50.0)
     with pytest.raises(ValueError):
         FrequencyPoint(-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            FrequencyPoint(bad)
 
 
 def test_scaling_factors_formula():

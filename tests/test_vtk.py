@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from aphi.mesh import build_box_mesh
+from aphi import physics
+from aphi.mesh import Mesh, build_box_mesh
 from aphi.physics import run_two_step
 from aphi.vtk_io import export_vtk, read_vtk_points, write_vtk
 
@@ -70,6 +71,26 @@ def test_field_export_lengths_and_names(tmp_path, academic_built):
         block = text.split(f"VECTORS {name} double\n", 1)[1]
         rows = block.splitlines()[:n]
         assert len(rows) == n and all(len(r.split()) == 3 for r in rows)
+
+
+def test_export_locates_and_evaluates_each_basis_once(tmp_path, academic_built,
+                                                     monkeypatch):
+    calls = {"locate": 0, "scalar": 0, "edge": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Mesh, "locate_points", counted("locate", Mesh.locate_points))
+    monkeypatch.setattr(physics, "physical_scalar_basis",
+                        counted("scalar", physics.physical_scalar_basis))
+    monkeypatch.setattr(physics, "physical_edge_basis",
+                        counted("edge", physics.physical_edge_basis))
+    sol = run_two_step(academic_built, 100.0, "tree-cotree")
+    export_vtk(tmp_path / "f.vtk", academic_built, sol, density=2)
+    assert calls == {"locate": 1, "scalar": 1, "edge": 1}
 
 
 def test_density_refines_sampling_grid(tmp_path, academic_built):
