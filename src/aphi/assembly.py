@@ -159,18 +159,6 @@ def assemble_grad_coupling(scalar: ScalarSpace, edge: EdgeSpace,
                            (mesh.n_edges, mesh.n_nodes))
 
 
-def assemble_weak_divergence(scalar: ScalarSpace, edge: EdgeSpace,
-                             mat: MaterialField, weight) -> sp.csr_matrix:
-    """Weak weighted divergence D = -G^T (n_nodes x n_edges).
-
-    Lowest-order edge functions have discontinuous normal traces, so the
-    divergence pairing is realized through integration by parts; the
-    boundary term vanishes for test functions supported away from the
-    boundary (the gauge rows used downstream).
-    """
-    return (-assemble_grad_coupling(scalar, edge, mat, weight)).T.tocsr()
-
-
 def _source_moments(mesh: Mesh, source: Callable, basis: np.ndarray) -> np.ndarray:
     """Per-cell moments int source . phi_l over every cell, (n_cells, nloc).
 
@@ -264,6 +252,11 @@ class MatrixBundle:
     M_sigma: sp.csr_matrix
     M_eps: sp.csr_matrix
     C_nu: sp.csr_matrix
+    # Weak weighted divergences D = -G^T (n_nodes x n_edges).  Lowest-order
+    # edge functions have discontinuous normal traces, so the divergence
+    # pairing is realized through integration by parts; the boundary term
+    # vanishes for test functions supported away from the boundary (the
+    # gauge rows used downstream).
     D_sigma: sp.csr_matrix
     D_eps: sp.csr_matrix
     source: SourceModel = field(default_factory=NoSource)

@@ -20,8 +20,8 @@ from .mesh import UncoveredRegionError
 from .physics import (METHODS, curl_coordinates, curl_system, hcurl_error,
                       run_two_step)
 from .scenario import ConfigError, Scenario, load_scenario
-from .solve import (DENSE_SVD_LIMIT, ConditionEstimate, SingularMatrixError,
-                    condition_estimate)
+from .solve import (DENSE_SVD_LIMIT, ConditionEstimate, Factorization,
+                    SingularMatrixError, condition_estimate)
 from .system import FrequencyPoint, StaticSingularityError
 from .vtk_io import export_vtk
 
@@ -51,7 +51,8 @@ def parse_frequencies(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("logspace spec needs start_exp,stop_exp,num")
         start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-        freqs = [float(f) for f in np.logspace(start, stop, num)]
+        with np.errstate(all="ignore"):  # an overflow is rejected below
+            freqs = [float(f) for f in np.logspace(start, stop, num)]
     else:
         freqs = [float(t) for t in spec.split(",") if t.strip()]
     if not freqs:
@@ -157,6 +158,16 @@ def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
     return rows
 
 
+def _factors(A, coords) -> bool:
+    """A passes Factorization's pivot test; an empty A is nonsingular."""
+    if A.shape[0]:
+        try:
+            Factorization(A, coords)
+        except SingularMatrixError:
+            return False
+    return True
+
+
 def run_check(built) -> list[tuple[str, bool]]:
     """Structural invariants of one built scenario (see the check command)."""
     from .spaces import gradient_incidence
@@ -176,17 +187,22 @@ def run_check(built) -> list[tuple[str, bool]]:
     air_edges = ~built.material.tags.conductor_edges
     m_sigma_air = abs(bundle.M_sigma[air_edges]).max() if air_edges.any() else 0.0
     results.append(("M_sigma vanishes on air rows", m_sigma_air == 0.0))
-    fw = built.edge.free
-    C_free = bundle.C_nu[fw][:, fw].toarray()
-    s = np.linalg.svd(C_free, compute_uv=False)
-    tol = max(s[0], 1.0) * 1e-10
-    kernel = int(np.sum(s <= tol))
-    results.append((f"tree count {built.partition.tree.size} = curl kernel {kernel}",
-                    kernel == built.partition.tree.size))
-    cotree = built.partition.cotree
-    sRR = np.linalg.svd(C_free[cotree][:, cotree], compute_uv=False)
-    full = bool(sRR.size == 0 or sRR[-1] > 1e-10 * max(sRR[0], 1.0))
-    results.append(("cotree block of the static curl matrix has full rank", full))
+    # The kernel of the free curl matrix has dimension |tree| (Manges &
+    # Cendes): a nonsingular cotree block gives rank >= |cotree|, and the
+    # gradients G of the vertices the tree edges reach are |tree| kernel
+    # vectors, independent when G[tree] is nonsingular.
+    fw, tree, cotree = built.edge.free, built.partition.tree, built.partition.cotree
+    C_free = bundle.C_nu[fw][:, fw]
+    mid = curl_coordinates(built, "original")
+    cotree_ok = _factors(C_free[cotree][:, cotree], mid[cotree])
+    G = P[fw][:, built.gauge.gauge_nodes[built.partition.tree_vertex]]
+    curl_G = np.abs((C_free @ G).data).max(initial=0.0)
+    kernel_ok = (cotree_ok and curl_G <= 1e-12 * scale
+                 and _factors(G[tree], mid[tree]))
+    results.append((f"tree count {tree.size} = curl kernel "
+                     f"(max |C P_g| = {curl_G:.2e})", kernel_ok))
+    results.append(("cotree block of the static curl matrix has full rank",
+                    cotree_ok))
     return results
 
 

@@ -135,19 +135,6 @@ class Mesh:
         return cells, np.clip(ref, -1.0, 1.0)
 
 
-def edge_counts(subdivisions: Sequence[int]) -> tuple[int, int, int]:
-    """Edge counts per axis: n_i * prod_{j != i} (n_j + 1)."""
-    n = list(subdivisions)
-    out = []
-    for ax in range(3):
-        c = n[ax]
-        for other in range(3):
-            if other != ax:
-                c *= n[other] + 1
-        out.append(c)
-    return tuple(out)
-
-
 def build_box_mesh(extents: Sequence[Sequence[float]],
                    subdivisions: Sequence[int]) -> Mesh:
     """Build the structured hex mesh of a box.

@@ -5,8 +5,7 @@ from aphi import assembly
 from aphi.assembly import (MaterialError, MaterialField, assemble_bundle,
                            assemble_charge_vector, assemble_curl_curl,
                            assemble_current_vector, assemble_grad_coupling,
-                           assemble_grad_grad, assemble_mass,
-                           assemble_weak_divergence)
+                           assemble_grad_grad, assemble_mass)
 from aphi.mesh import (AIR, CONDUCTOR, Box, boundary_entities, build_box_mesh,
                        tag_regions)
 from aphi.physics import ManufacturedCase
@@ -169,7 +168,7 @@ def test_curl_curl_rank_constrained_222():
 
 def test_weak_divergence_is_minus_coupling_transpose():
     _, _, _, mat, scal, edge = _uniform_setup((2, 2, 2))
-    D = assemble_weak_divergence(scal, edge, mat, "eps")
+    D = assemble_bundle(scal, edge, mat).D_eps
     G = assemble_grad_coupling(scal, edge, mat, "eps")
     assert abs(D + G.T).max() < 1e-14 * abs(G).max()
 
@@ -191,7 +190,7 @@ def _interior_weak_div_norm(field, subdivisions, domain):
     mat = MaterialField.uniform(mesh, tags, sigma=0.0, eps=1.0, nu=1.0)
     scal = build_scalar_space(mesh, bt, DirichletSpec())
     edge = build_edge_space(mesh, bt, DirichletSpec())
-    D = assemble_weak_divergence(scal, edge, mat, "eps")
+    D = -assemble_grad_coupling(scal, edge, mat, "eps").T
     a = edge_interpolate(mesh, field, n_gauss=12)
     interior = np.flatnonzero(~bt.node_mask)
     return np.linalg.norm((D @ a)[interior]), np.linalg.norm(a)

@@ -1,17 +1,22 @@
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aphi import cli, solve
-from aphi.cli import _sweep_row, main, parse_frequencies, run_convergence
+from aphi import cli, scenario, solve
+from aphi.cli import _sweep_row, main, parse_frequencies, run_check, run_convergence
+from aphi.gauge import UnsupportedTopologyError
 from aphi.physics import curl_system
 from aphi.scenario import Scenario, academic_scenario, load_scenario
 from aphi.solve import DENSE_SVD_LIMIT, condition_estimate
+from oracles import dense_rank
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 ACADEMIC = str(CONFIG_DIR / "academic.cfg")
 MMS0 = str(CONFIG_DIR / "mms_sigma0.cfg")
+MMS6E7 = str(CONFIG_DIR / "mms_sigma6e7.cfg")
 
 
 def test_parse_frequencies():
@@ -25,6 +30,13 @@ def test_parse_frequencies():
     for spec in ("1,inf", "nan"):
         with pytest.raises(ValueError):
             parse_frequencies(spec)
+
+
+def test_overflowing_logspace_rejected_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            parse_frequencies("logspace:0,400,2")
 
 
 def test_empty_logspace_sweep_exit(tmp_path):
@@ -264,6 +276,99 @@ def test_check_command(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+# No phi and no a_zero line: nothing collapses, so the gauge graph has no
+# root and one more gauge node than tree edges.
+NO_ROOT = """\
+domain        0 1  0 1  0 1
+subdivisions  3 3 3
+region 0 1  0 1  0 1  eps_r=1 sigma=0
+source none
+"""
+
+RANK_LINES = ("tree count", "cotree block")
+
+
+def _rank_verdicts(built):
+    """The check's kernel and cotree verdicts, and the dense-SVD oracle's."""
+    verdicts = {prefix: ok for label, ok in run_check(built)
+                for prefix in RANK_LINES if label.startswith(prefix)}
+    fw, part = built.edge.free, built.partition
+    C_free = built.bundle.C_nu[fw][:, fw]
+    C_RR = C_free[part.cotree][:, part.cotree]
+    dense = {"tree count": fw.size - dense_rank(C_free) == part.tree.size,
+             "cotree block": dense_rank(C_RR) == part.cotree.size}
+    return verdicts, dense
+
+
+def _move_tree_edge_to_cotree(built):
+    part = built.partition
+    k = part.tree.size // 2
+    mutant = replace(part, tree=np.delete(part.tree, k),
+                     tree_vertex=np.delete(part.tree_vertex, k),
+                     cotree=np.sort(np.append(part.cotree, part.tree[k])))
+    return replace(built, partition=mutant)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+@pytest.mark.parametrize("config", ["academic", "mms_sigma0", "mms_sigma6e7",
+                                    "no-root"])
+def test_check_rank_verdicts_match_dense_oracle(config, size, tmp_path):
+    source = {"academic": ACADEMIC, "mms_sigma0": MMS0,
+              "mms_sigma6e7": MMS6E7}.get(config)
+    if source is None:
+        source = tmp_path / "no_root.cfg"
+        source.write_text(NO_ROOT)
+    built = load_scenario(source).with_subdivisions((size,) * 3).build()
+    if config == "no-root":
+        assert built.gauge.root is None
+        assert built.gauge.gauge_nodes.size == built.partition.tree.size + 1
+    verdicts, dense = _rank_verdicts(built)
+    assert verdicts == dense == {"tree count": True, "cotree block": True}
+    verdicts, dense = _rank_verdicts(_move_tree_edge_to_cotree(built))
+    assert verdicts == dense == {"tree count": False, "cotree block": False}
+
+
+def test_check_kernel_line_needs_independent_gradients(academic_built):
+    # a pairing that gives two tree edges the same vertex leaves the cotree
+    # block alone but repeats a kernel vector
+    part = academic_built.partition
+    vertex = part.tree_vertex.copy()
+    vertex[1] = vertex[0]
+    built = replace(academic_built, partition=replace(part, tree_vertex=vertex))
+    verdicts, _ = _rank_verdicts(built)
+    assert verdicts == {"tree count": False, "cotree block": True}
+
+
+def test_check_proves_rank_facts_without_svd(monkeypatch, capsys):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("dense SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    code = main(["check", "--config", ACADEMIC, "--subdivs", "11,11,11"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "tree count 1000 = curl kernel" in out
+    assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_check_without_free_edges(capsys):
+    code = main(["check", "--config", ACADEMIC, "--subdivs", "1,1,1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "tree count 0 = curl kernel" in out
+    assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+def test_disconnected_gauge_graph_exit(monkeypatch, capsys):
+    def disconnected(graph):
+        raise UnsupportedTopologyError("gauge graph is disconnected")
+
+    monkeypatch.setattr(scenario, "spanning_tree", disconnected)
+    code = main(["check", "--config", ACADEMIC])
+    assert code == 2
+    assert "disconnected" in capsys.readouterr().err
 
 
 def test_config_error_exit(tmp_path):
