@@ -1,11 +1,11 @@
 """Command line front end: frequency sweeps, convergence studies, single
 solves with VTK export, and the structural invariant check.
 
-Exit codes: 0 success, 2 configuration error, 3 singular matrix or
-inaccurate solve (solve.InaccurateSolveError) on a method listed as
-required, 4 I/O failure.  Output files are byte-identical
-across runs by default; wall-clock columns are zero unless --timing is
-given.
+Exit codes: 0 success, 2 configuration error (or a system with no free
+unknowns), 3 singular matrix or inaccurate solve (solve.InaccurateSolveError)
+on a method listed as required, 4 I/O failure.  Output files are
+byte-identical across runs by default; wall-clock columns are zero unless
+--timing is given.
 """
 from __future__ import annotations
 

@@ -264,10 +264,9 @@ def hcurl_error(built: BuiltScenario, a_full: np.ndarray,
     pts, wts = tensor_quadrature(_ERROR_QUAD_ORDER)
     W, C = physical_edge_basis(mesh.spacing, pts)
     coeff = a_full[mesh.cell_edges]
-    A_h = np.einsum("cl,qld->cqd", coeff, W)
-    curl_h = np.einsum("cl,qld->cqd", coeff, C)
-    origins = mesh.cell_origins()
-    phys = origins[:, None, :] + (pts[None, :, :] + 1.0) * (0.5 * mesh.spacing)
+    A_h = (coeff @ W.transpose(1, 0, 2).reshape(12, -1)).reshape(mesh.n_cells, -1, 3)
+    curl_h = (coeff @ C.transpose(1, 0, 2).reshape(12, -1)).reshape(mesh.n_cells, -1, 3)
+    phys = mesh.cell_origins()[:, None, :] + (pts[None, :, :] + 1.0) * (0.5 * mesh.spacing)
     flat = phys.reshape(-1, 3)
     dA = A_h - case.A(flat).reshape(A_h.shape)
     dC = curl_h - case.curl_A(flat).reshape(curl_h.shape)

@@ -120,12 +120,15 @@ def _touching(rows: np.ndarray, other: np.ndarray, G: sp.csr_matrix,
 class Factorization:
     """Equilibrated sparse LU in nested-dissection order, reusable for
     repeated right-hand sides.  coords (one row per unknown) drive the
-    ordering; see nested_dissection."""
+    ordering; see nested_dissection.  A matrix that is not square, or is
+    0 x 0 (a system with no free unknowns), raises ValueError."""
 
     def __init__(self, A: sp.spmatrix, coords: np.ndarray | None = None):
         A = sp.csr_matrix(A, dtype=complex)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got {A.shape}")
+        if not A.shape[0]:
+            raise ValueError("the system has no free unknowns (0 x 0 matrix)")
         self.A = A
         self.r, self.c = _equilibrate(A)
         self._perm = nested_dissection(A, coords)

@@ -250,3 +250,26 @@ def source_moments(mesh, source, kind, order=10):
     out = np.zeros(mesh.n_edges, dtype=complex)
     np.add.at(out, mesh.cell_edges, contrib)
     return out
+
+
+def hcurl_error(built, a_full, case):
+    """physics.hcurl_error with the discrete field and its curl at the
+    quadrature points formed by one unoptimized einsum each."""
+    from aphi.physics import _ERROR_QUAD_ORDER
+    from aphi.spaces import physical_edge_basis, tensor_quadrature
+
+    mesh = built.mesh
+    pts, wts = tensor_quadrature(_ERROR_QUAD_ORDER)
+    W, C = physical_edge_basis(mesh.spacing, pts)
+    coeff = a_full[mesh.cell_edges]
+    A_h = np.einsum("cl,qld->cqd", coeff, W)
+    curl_h = np.einsum("cl,qld->cqd", coeff, C)
+    origins = mesh.cell_origins()
+    phys = origins[:, None, :] + (pts[None, :, :] + 1.0) * (0.5 * mesh.spacing)
+    flat = phys.reshape(-1, 3)
+    dA = A_h - case.A(flat).reshape(A_h.shape)
+    dC = curl_h - case.curl_A(flat).reshape(curl_h.shape)
+    det = mesh.spacing.prod() / 8.0
+    err2 = det * np.einsum("q,cq->", wts,
+                           np.abs(dA) ** 2 @ np.ones(3) + np.abs(dC) ** 2 @ np.ones(3))
+    return float(np.sqrt(err2))

@@ -361,6 +361,14 @@ def test_check_without_free_edges(capsys):
     assert all(line.startswith("PASS") for line in out.splitlines())
 
 
+def test_sweep_without_free_unknowns_exit(tmp_path, capsys):
+    # every node of the one-cell mesh is a Dirichlet node: step one is 0 x 0
+    code = main(["sweep", "--config", ACADEMIC, "--subdivs", "1,1,1",
+                 "--freqs", "1", "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "the system has no free unknowns" in capsys.readouterr().err
+
+
 def test_disconnected_gauge_graph_exit(monkeypatch, capsys):
     def disconnected(graph):
         raise UnsupportedTopologyError("gauge graph is disconnected")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,16 @@ from aphi.mesh import FACE_LABELS, Box
 from aphi.physics import (METHODS, DerivedFields, ManufacturedCase,
                           curl_coordinates, curl_system, gauge_residual,
                           hcurl_error, run_two_step)
-from aphi.scenario import RegionSpec, Scenario, academic_scenario, mms_scenario
+from aphi.scenario import (RegionSpec, Scenario, academic_scenario, load_scenario,
+                           mms_scenario)
 from aphi.solve import SingularMatrixError, condition_estimate
-from aphi.system import StaticSingularityError
+from aphi.system import FrequencyPoint, StaticSingularityError
 from aphi.spaces import edge_interpolate
 from oracles import (cell_centre_fields, fd_curl_curl, fd_divergence,
-                     fd_gradient, volume_quadrature)
+                     fd_gradient, source_moments, volume_quadrature)
+from oracles import hcurl_error as einsum_hcurl_error
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # exact H(curl) norm of the prescribed vector potential: sqrt(3 pi^3)
 HCURL_NORM_A_ANA = 9.644627006368583
@@ -112,6 +118,35 @@ def test_hcurl_error_zero_solution_is_field_norm(mms_built_sigma0):
                       built.mms)
     # 3^3 assembly-side quadrature of the smooth field: small h-dependent bias
     assert np.isclose(err, HCURL_NORM_A_ANA, rtol=2e-2)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_hcurl_error_matches_einsum_oracle(size, rng):
+    built = mms_scenario(0.0, (size,) * 3).build()
+    n = built.mesh.n_edges
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = einsum_hcurl_error(built, a, built.mms)
+    assert abs(hcurl_error(built, a, built.mms) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("config,scalar", [("mms_sigma0.cfg", "charge_vector"),
+                                           ("mms_sigma6e7.cfg", "eqs_rhs")])
+@pytest.mark.parametrize("size", [2, 3])
+def test_source_vectors_match_order_10_oracle(config, scalar, size):
+    # the manufactured sources integrate to rounding at the assembly's
+    # order: order 10 changes no moment beyond it
+    built = load_scenario(CONFIG_DIR / config).with_subdivisions((size,) * 3).build()
+    # step one uses eqs_rhs = i*omega*q_s on conductor rows, q_s on air rows
+    assert built.material.tags.conductor_cells.any() == (scalar == "eqs_rhs")
+    omega, case, source = FrequencyPoint(10.0).omega, built.mms, built.bundle.source
+    scale = 1j * omega if scalar == "eqs_rhs" else 1.0
+    for got, ref in ((getattr(source, scalar)(built.scalar, omega),
+                      scale * source_moments(built.mesh, lambda p: case.rho_s(p, omega),
+                                             "scalar", order=10)),
+                     (source.current_vector(built.edge, omega),
+                      source_moments(built.mesh, lambda p: case.J_s(p, omega), "edge",
+                                     order=10))):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_hcurl_error_of_interpolant_is_first_order(case):
