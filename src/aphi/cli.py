@@ -1,11 +1,11 @@
 """Command line front end: frequency sweeps, convergence studies, single
 solves with VTK export, and the structural invariant check.
 
-Exit codes: 0 success, 2 configuration error (or a system with no free
-unknowns), 3 singular matrix or inaccurate solve (solve.InaccurateSolveError)
-on a method listed as required, 4 I/O failure.  Output files are
-byte-identical across runs by default; wall-clock columns are zero unless
---timing is given.
+Exit codes: 0 success, 1 a failed structural invariant (check), 2
+configuration error (or a system with no free unknowns), 3 singular matrix
+or inaccurate solve (solve.InaccurateSolveError) on a method listed as
+required, 4 I/O failure.  Output files are byte-identical across runs by
+default; wall-clock columns are zero unless --timing is given.
 """
 from __future__ import annotations
 
@@ -15,14 +15,12 @@ import time
 
 import numpy as np
 
-from .gauge import UnsupportedTopologyError
-from .mesh import UncoveredRegionError
 from .physics import (METHODS, curl_coordinates, curl_system, hcurl_error,
                       run_two_step)
 from .scenario import ConfigError, Scenario, load_scenario
 from .solve import (DENSE_SVD_LIMIT, ConditionEstimate, Factorization,
                     SingularMatrixError, condition_estimate)
-from .system import FrequencyPoint, StaticSingularityError
+from .system import FrequencyPoint
 from .vtk_io import export_vtk
 
 EXIT_OK = 0
@@ -79,9 +77,8 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
     """
     t0 = time.perf_counter()
     want_cond = "condition" in quantities
-    n_dofs = {"original": built.edge.n_free,
-              "tree-cotree": built.edge.n_free,
-              "lagrange": built.edge.n_free + built.partition.tree.size}[method]
+    coords = curl_coordinates(built, method)
+    n_dofs = coords.shape[0]
     omega = FrequencyPoint(f).omega
     sol = est = None
     if quantities:
@@ -91,12 +88,12 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
             eqs_solved = True
             sol = run_two_step(built, f, method, condition=want_cond)
             est = sol.condition
-        except (SingularMatrixError, StaticSingularityError):
+        except SingularMatrixError:
             if want_cond and eqs_solved and n_dofs > DENSE_SVD_LIMIT:
                 est = ConditionEstimate(np.inf, "power-iteration", 0, singular=True)
             elif want_cond:
                 est = condition_estimate(curl_system(built, omega, method)[0],
-                                         coords=curl_coordinates(built, method))
+                                         coords=coords)
     cond_cell = cond_method_cell = delta_cell = resid_cell = ""
     if est is not None:
         cond_cell = _num(est.value)
@@ -144,7 +141,7 @@ def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
             try:
                 sol = run_two_step(built, f, m)
                 err = hcurl_error(built, sol.a, built.mms)
-            except (SingularMatrixError, StaticSingularityError):
+            except SingularMatrixError:
                 err = None
             if err is None:
                 rows.append(f"{s},{m},singular,")
@@ -272,8 +269,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, UncoveredRegionError, UnsupportedTopologyError,
-            ValueError) as exc:
+    except ValueError as exc:  # ConfigError and every other input error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -323,7 +319,7 @@ def _dispatch(args) -> int:
         built = scenario.build()
         try:
             sol = run_two_step(built, args.freq, args.method)
-        except (SingularMatrixError, StaticSingularityError) as exc:
+        except SingularMatrixError as exc:
             print(f"singular: {exc}", file=sys.stderr)
             return EXIT_SINGULAR
         print(f"f = {args.freq:g} Hz, method = {args.method}")

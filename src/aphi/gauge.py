@@ -2,7 +2,8 @@
 
 The gauge graph has one vertex per mesh node that is neither an endpoint
 of a constrained edge nor a Dirichlet node of the scalar space; all other
-nodes collapse into a single virtual root.  A breadth-first spanning tree
+nodes, or node 0 alone when nothing is constrained, collapse into a single
+virtual root, so every graph is rooted.  A breadth-first spanning tree
 of this graph marks the edge DOFs whose rows in the curl system become
 redundant in the static limit: the tree count equals both the number of
 gauge (divergence-constraint) rows and the kernel dimension of the
@@ -27,10 +28,10 @@ class UnsupportedTopologyError(ValueError):
 
 @dataclass(frozen=True)
 class GaugeGraph:
-    """Vertices are the gauge nodes plus an optional collapsed root."""
+    """Vertices are the gauge nodes, then the collapsed root."""
 
     n_vertices: int
-    root: int | None               # vertex index of the virtual root
+    root: int                      # vertex index of the virtual root, the last
     gauge_nodes: np.ndarray        # mesh node ids owning a vertex, ascending
     edge_ids: np.ndarray           # global ids of the free edges; index = free position
     edge_vertices: np.ndarray      # (m, 2) vertex endpoints
@@ -39,27 +40,24 @@ class GaugeGraph:
 def build_gauge_graph(mesh: Mesh, edge_space: EdgeSpace,
                       scalar_space: ScalarSpace) -> GaugeGraph:
     """Collapse constrained-edge endpoints and scalar Dirichlet nodes into
-    one root vertex; graph edges are the free edge DOFs."""
+    one root vertex, node 0 if there are none; graph edges are the free
+    edge DOFs."""
     collapsed = np.zeros(mesh.n_nodes, dtype=bool)
     if edge_space.constrained.size:
         collapsed[mesh.edges[edge_space.constrained].ravel()] = True
     collapsed[scalar_space.constrained] = True
+    if not collapsed.any():
+        collapsed[0] = True  # with nothing constrained, node 0 is the root
 
     gauge_nodes = np.flatnonzero(~collapsed)
-    n_gauge = gauge_nodes.shape[0]
-    has_root = bool(collapsed.any())
-    root = n_gauge if has_root else None
-    n_vertices = n_gauge + (1 if has_root else 0)
-
-    vertex_of_node = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    vertex_of_node[gauge_nodes] = np.arange(n_gauge)
-    if has_root:
-        vertex_of_node[collapsed] = root
+    root = gauge_nodes.shape[0]
+    vertex_of_node = np.full(mesh.n_nodes, root, dtype=np.int64)
+    vertex_of_node[gauge_nodes] = np.arange(root)
 
     edge_ids = edge_space.free
     va = vertex_of_node[mesh.edges[edge_ids, 0]]
     vb = vertex_of_node[mesh.edges[edge_ids, 1]]
-    return GaugeGraph(n_vertices=n_vertices, root=root, gauge_nodes=gauge_nodes,
+    return GaugeGraph(n_vertices=root + 1, root=root, gauge_nodes=gauge_nodes,
                       edge_ids=edge_ids,
                       edge_vertices=np.stack([va, vb], axis=1))
 
@@ -80,7 +78,7 @@ class TreeCotreePartition:
 
 
 def spanning_tree(graph: GaugeGraph) -> TreeCotreePartition:
-    """BFS spanning tree from the root (or vertex 0), neighbors visited in
+    """BFS spanning tree from the root, neighbors visited in
     ascending edge index; deterministic for identical inputs.
 
     Raises UnsupportedTopologyError if the gauge graph is disconnected.
@@ -96,8 +94,7 @@ def spanning_tree(graph: GaugeGraph) -> TreeCotreePartition:
     order = np.lexsort((np.concatenate([pos, pos]), src))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
     adj = sp.csr_matrix((np.ones(order.size), dst[order], indptr), shape=(n, n))
-    start = graph.root if graph.root is not None else 0
-    reached, pred = breadth_first_order(adj, start, directed=True,
+    reached, pred = breadth_first_order(adj, graph.root, directed=True,
                                         return_predecessors=True)
     if reached.size != n:
         missing = int(np.setdiff1d(np.arange(n), reached)[0])

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,11 +78,6 @@ class ManufacturedCase:
     def curl_curl_A(self, points: np.ndarray) -> np.ndarray:
         return 3.0 * self.A(points)
 
-    def div_A(self, points: np.ndarray) -> np.ndarray:
-        x, y, z = np.atleast_2d(points).T
-        cxyz = np.cos(x) * np.cos(y) * np.cos(z)
-        return cxyz - 2.0 * cxyz + cxyz
-
     def J_s(self, points: np.ndarray, omega: float) -> np.ndarray:
         """(3 nu + i omega kappa) A + kappa grad phi, with the six sines and
         cosines shared by both terms (same products as A and grad_phi)."""
@@ -102,11 +96,6 @@ class ManufacturedCase:
             raise ValueError("charge density undefined at omega = 0 for sigma > 0; "
                              "run the static check without the manufactured charge")
         return 3.0 * self.kappa(omega) * self.phi(points) / (1j * omega)
-
-    def hcurl_norm_squared(self) -> float:
-        """Exact squared H(curl) norm of the prescribed vector potential."""
-        half_pi_cubed = (np.pi / 2) ** 3
-        return 24.0 * half_pi_cubed
 
 
 @dataclass(frozen=True)
@@ -184,13 +173,12 @@ def solve_eqs_step(built: BuiltScenario, omega: float) -> tuple[np.ndarray, Solv
 
 
 def curl_system(built: BuiltScenario, omega: float, method: str,
-                j: np.ndarray | None = None
-                ) -> tuple[sp.csr_matrix, np.ndarray, Callable]:
+                j: np.ndarray | None = None) -> tuple[sp.csr_matrix, np.ndarray]:
     """The curl system A x = b of one method at one frequency.
 
-    j is the curl right-hand side on the free edges (zero if omitted).
-    Returns (A, b, split), where split maps a solution x to the free-edge
-    values and the multipliers (None unless the method is lagrange).
+    j is the curl right-hand side on the free edges (zero if omitted).  x
+    is the free-edge vector, followed for lagrange by the multipliers; its
+    unknowns are placed by curl_coordinates.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -198,15 +186,12 @@ def curl_system(built: BuiltScenario, omega: float, method: str,
     if j is None:
         j = np.zeros(W.shape[0], dtype=complex)
     if method == "original":
-        return W, j, lambda x: (x, None)
+        return W, j
     factors = scaling_factors(omega, built.material)
     D = build_scaled_divergence(built.bundle, omega, factors, built.gauge)
     if method == "tree-cotree":
-        S, b = build_stabilized_system(W, D, j, built.partition)
-        return S, b, lambda x: (x, None)
-    S, b = build_lagrange_system(W, D, j)
-    n = W.shape[0]
-    return S, b, lambda x: (x[:n], x[n:])
+        return build_stabilized_system(W, D, j, built.partition)
+    return build_lagrange_system(W, D, j)
 
 
 def curl_coordinates(built: BuiltScenario, method: str) -> np.ndarray:
@@ -228,19 +213,22 @@ def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
     2-norm condition estimate of the curl system is computed on the LU
     that solved it and stored on the Solution.
 
-    Propagates SingularMatrixError (expected for the original variant at
-    low frequency) and StaticSingularityError (floating conductor at 0 Hz).
+    Propagates SingularMatrixError: expected for the original variant at
+    low frequency, and raised by step one without a scalar Dirichlet node
+    or, as StaticSingularityError, for a floating conductor at 0 Hz.
     """
     if not isinstance(frequency, FrequencyPoint):
         frequency = FrequencyPoint(float(frequency))
     omega = frequency.omega
     u_full, eqs_report, j_free = built.excitation(omega)
 
-    A, b, split = curl_system(built, omega, method, j_free)
+    A, b = curl_system(built, omega, method, j_free)
     fac = Factorization(A, curl_coordinates(built, method))
     rep = fac.checked_solve(b)
     est = condition_estimate(A, fac=fac) if condition else None
-    a_free, lam = split(rep.x)
+    n_free = built.edge.n_free
+    a_free = rep.x[:n_free]
+    lam = rep.x[n_free:] if method == "lagrange" else None
 
     a_full = built.edge.full_vector(a_free)
     delta = gauge_residual(built.bundle, omega, a_full, built.gauge)

@@ -141,12 +141,11 @@ class Factorization:
         except RuntimeError as exc:  # exactly singular inside SuperLU
             raise SingularMatrixError(str(exc)) from exc
         pivots = np.abs(self._lu.U.diagonal())
-        self.min_pivot = float(pivots.min()) if pivots.size else 0.0
-        self.max_pivot = float(pivots.max()) if pivots.size else 0.0
-        scale = max(float(abs(scaled).max()) if scaled.nnz else 0.0, self.max_pivot)
-        if self.min_pivot <= PIVOT_RATIO_TOL * scale:
+        min_pivot = float(pivots.min())
+        scale = max(float(abs(scaled).max()), float(pivots.max()))
+        if min_pivot <= PIVOT_RATIO_TOL * scale:
             raise SingularMatrixError(
-                f"numerically singular: pivot ratio {self.min_pivot:.3e} / {scale:.3e}")
+                f"numerically singular: pivot ratio {min_pivot:.3e} / {scale:.3e}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         y = self._lu.solve((np.asarray(b, dtype=complex) / self.r)[self._perm])

@@ -18,11 +18,12 @@ from scipy.sparse.csgraph import connected_components
 
 from .assembly import MatrixBundle
 from .gauge import GaugeGraph, TreeCotreePartition
+from .solve import SingularMatrixError
 
 DEFAULT_SIGMA_ART = 1e-6
 
 
-class StaticSingularityError(RuntimeError):
+class StaticSingularityError(SingularMatrixError):
     """A conductor component has no scalar Dirichlet node at omega = 0."""
 
     def __init__(self, component_node: int):
@@ -79,9 +80,15 @@ def build_eqs_system(bundle: MatrixBundle, omega: float) -> tuple[sp.csr_matrix,
     matrix therefore stays regular as omega -> 0 (given no floating
     conductor), where it is the block lower-triangular static limit:
     stationary current flow in the conductors, electrostatics in air.  The
-    Dirichlet lift goes to the right-hand side.
+    Dirichlet lift goes to the right-hand side.  Without a Dirichlet node
+    the constants lie in the kernel at every frequency, which raises
+    SingularMatrixError.
     """
     scal = bundle.scalar
+    if not scal.constrained.size:
+        raise SingularMatrixError(
+            "no scalar Dirichlet node (phi line): constant potentials make "
+            "the scalar-potential system singular")
     cond = bundle.material.tags.conductor_nodes
     K = _region_rows(cond, bundle.K_kappa(omega), bundle.K_eps)
     # each source is evaluated only where its rows exist: the charge

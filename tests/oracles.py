@@ -29,7 +29,7 @@ def brute_force_edges(subdivisions):
 
 
 def bfs_tree(graph):
-    """Queue-based BFS of a gauge graph from its root (or vertex 0), with
+    """Queue-based BFS of a gauge graph from its root, with
     neighbours in ascending free-edge position.  Returns the tree edge
     positions, ascending, and the vertex each of them reaches."""
     adj = [[] for _ in range(graph.n_vertices)]
@@ -39,10 +39,9 @@ def bfs_tree(graph):
             continue
         adj[va].append((pos, vb))
         adj[vb].append((pos, va))
-    start = graph.root if graph.root is not None else 0
     visited = [False] * graph.n_vertices
-    visited[start] = True
-    queue = deque([start])
+    visited[graph.root] = True
+    queue = deque([graph.root])
     reached = {}
     while queue:
         v = queue.popleft()

@@ -8,7 +8,7 @@ import pytest
 from aphi import cli, scenario, solve
 from aphi.cli import _sweep_row, main, parse_frequencies, run_check, run_convergence
 from aphi.gauge import UnsupportedTopologyError
-from aphi.physics import curl_system
+from aphi.physics import METHODS, curl_coordinates, curl_system
 from aphi.scenario import Scenario, academic_scenario, load_scenario
 from aphi.solve import DENSE_SVD_LIMIT, condition_estimate
 from oracles import dense_rank
@@ -278,14 +278,21 @@ def test_check_command(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-# No phi and no a_zero line: nothing collapses, so the gauge graph has no
-# root and one more gauge node than tree edges.
+# No phi and no a_zero line: nothing is constrained, so node 0 alone is
+# collapsed into the gauge graph's root.
 NO_ROOT = """\
 domain        0 1  0 1  0 1
 subdivisions  3 3 3
 region 0 1  0 1  0 1  eps_r=1 sigma=0
 source none
 """
+
+
+def _no_root_config(tmp_path, sigma):
+    cfg = tmp_path / "no_root.cfg"
+    cfg.write_text(NO_ROOT.replace("sigma=0", f"sigma={sigma}"))
+    return cfg
+
 
 RANK_LINES = ("tree count", "cotree block")
 
@@ -318,16 +325,66 @@ def test_check_rank_verdicts_match_dense_oracle(config, size, tmp_path):
     source = {"academic": ACADEMIC, "mms_sigma0": MMS0,
               "mms_sigma6e7": MMS6E7}.get(config)
     if source is None:
-        source = tmp_path / "no_root.cfg"
-        source.write_text(NO_ROOT)
+        source = _no_root_config(tmp_path, 0)
     built = load_scenario(source).with_subdivisions((size,) * 3).build()
-    if config == "no-root":
-        assert built.gauge.root is None
-        assert built.gauge.gauge_nodes.size == built.partition.tree.size + 1
+    assert built.gauge.gauge_nodes.size == built.partition.tree.size
     verdicts, dense = _rank_verdicts(built)
     assert verdicts == dense == {"tree count": True, "cotree block": True}
     verdicts, dense = _rank_verdicts(_move_tree_edge_to_cotree(built))
     assert verdicts == dense == {"tree count": False, "cotree block": False}
+
+
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_no_root_systems_square_and_sized_once(sigma, tmp_path):
+    # the matrix, the coordinates ordering its LU and the sweep's n_dofs
+    # column agree for every method; step one is singular without a phi
+    # line, so the solve columns read singular and the run still exits 0
+    cfg = _no_root_config(tmp_path, sigma)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", str(cfg), "--freqs", "1",
+                 "--methods", ",".join(METHODS), "--out", str(out)])
+    assert code == 0
+    header, rows = _read_rows(out)
+    by_method = {row[header.index("method")]: row for row in rows}
+    built = load_scenario(cfg).build()
+    for method in METHODS:
+        A = curl_system(built, 2 * np.pi, method)[0]
+        n = A.shape[0]
+        assert A.shape == (n, n)
+        assert curl_coordinates(built, method).shape[0] == n
+        row = by_method[method]
+        assert int(row[header.index("n_dofs")]) == n
+        assert row[header.index("delta_D")] == "singular"
+
+
+@pytest.mark.parametrize("f", [1.0, 1e6])
+def test_no_root_stabilized_systems_full_rank(f, tmp_path):
+    # one gauge row per tree edge: no dependent divergence row remains
+    built = load_scenario(_no_root_config(tmp_path, 1)).build()
+    for method in ("tree-cotree", "lagrange"):
+        A = curl_system(built, 2 * np.pi * f, method)[0]
+        assert dense_rank(A) == A.shape[0], method
+
+
+NO_DIRICHLET = """\
+domain        0 1  0 1  0 1
+subdivisions  3 3 3
+region 0 1  0 1  0 1  eps_r=1 sigma=0
+a_zero all
+source none
+"""
+
+
+@pytest.mark.parametrize("size", [5, 11])
+def test_solve_without_scalar_dirichlet_node_exit(size, tmp_path, capsys):
+    # constants span the scalar system's kernel at every frequency; the
+    # pivot test alone passes it at some sizes
+    cfg = tmp_path / "no_dirichlet.cfg"
+    cfg.write_text(NO_DIRICHLET)
+    code = main(["solve", "--config", str(cfg), "--freq", "1",
+                 "--method", "tree-cotree", "--subdivs", f"{size},{size},{size}"])
+    assert code == 3
+    assert "no scalar Dirichlet node" in capsys.readouterr().err
 
 
 def test_check_kernel_line_needs_independent_gradients(academic_built):

@@ -36,8 +36,10 @@ def test_graph_all_boundary_constrained_222():
 def test_graph_unconstrained_single_cell():
     mesh, scal, edge = _setup((1, 1, 1), constrain_all=False)
     graph = build_gauge_graph(mesh, edge, scal)
-    assert graph.root is None
+    # nothing is constrained: node 0 alone collapses into the root
+    assert graph.root == 7
     assert graph.n_vertices == 8
+    assert np.array_equal(graph.gauge_nodes, np.arange(1, 8))
     assert graph.edge_ids.shape[0] == 12
 
 
@@ -171,10 +173,10 @@ def test_root_collapse_keeps_graph_connected():
 
 
 def test_disconnected_graph_raises():
-    # the connectivity guard itself, on a hand-built split graph
+    # the connectivity guard itself, on a hand-built rooted split graph
     from aphi.gauge import GaugeGraph
-    graph = GaugeGraph(n_vertices=2, root=None,
-                       gauge_nodes=np.array([0, 1]),
+    graph = GaugeGraph(n_vertices=2, root=1,
+                       gauge_nodes=np.array([0]),
                        edge_ids=np.array([], dtype=np.int64),
                        edge_vertices=np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(UnsupportedTopologyError):

@@ -33,10 +33,8 @@ def _random_points(rng, n=100):
 
 
 def test_div_A_identically_zero(case, rng):
-    pts = _random_points(rng, 10)
-    assert np.allclose(case.div_A(pts), 0.0, atol=1e-15)
-    # and through the finite-difference oracle
-    for p in pts[:5]:
+    # through the finite-difference oracle
+    for p in _random_points(rng, 5):
         assert abs(fd_divergence(lambda x: case.A(x[None, :])[0], p)) < 1e-6
 
 
@@ -108,8 +106,6 @@ def test_hcurl_norm_analytic_vs_quadrature_oracle(case):
                 hi = [mids[cx + 1], mids[cy + 1], mids[cz + 1]]
                 oracle += volume_quadrature(density, lo, hi, n=6)
     assert np.isclose(np.sqrt(oracle), HCURL_NORM_A_ANA, rtol=1e-9)
-    assert np.isclose(np.sqrt(case.hcurl_norm_squared()), HCURL_NORM_A_ANA,
-                      rtol=1e-12)
 
 
 def test_hcurl_error_zero_solution_is_field_norm(mms_built_sigma0):
@@ -351,16 +347,16 @@ def test_curl_system_sizes_and_split(academic_built):
     omega = 2 * np.pi * 10.0
     sizes = {"original": n_free, "tree-cotree": n_free, "lagrange": n_free + n_tree}
     for method, n in sizes.items():
-        A, b, split = curl_system(built, omega, method)
+        A, b = curl_system(built, omega, method)
         assert A.shape == (n, n) and b.shape == (n,)
-    _, _, split = curl_system(built, omega, "tree-cotree")
-    x = np.arange(n_free, dtype=float)
-    a_free, lam = split(x)
-    # the stabilized system's unknown is the free-edge vector itself
-    assert a_free is x and lam is None
-    _, _, split = curl_system(built, omega, "lagrange")
-    a_free, lam = split(np.arange(n_free + n_tree))
-    assert a_free.size == n_free and lam.size == n_tree
+        assert curl_coordinates(built, method).shape[0] == n
+        # the solution splits into the free edges and, for lagrange only,
+        # one multiplier per gauge row
+        sol = run_two_step(built, 10.0, method)
+        assert sol.a.size == built.mesh.n_edges
+        assert (sol.lam is None) == (method != "lagrange")
+        if sol.lam is not None:
+            assert sol.lam.size == n_tree
 
 
 @pytest.mark.parametrize("method", ["tree-cotree", "lagrange"])
@@ -399,7 +395,7 @@ def test_curl_solution_matches_dense_solve(n, method):
     f = 1e9  # well conditioned for every method (kappa2 below 1e4)
     omega = 2 * np.pi * f
     sol = run_two_step(built, f, method)
-    A, b, _ = curl_system(built, omega, method, built.excitation(omega)[2])
+    A, b = curl_system(built, omega, method, built.excitation(omega)[2])
     x_dense = np.linalg.solve(A.toarray(), b)
     x = sol.a[built.edge.free]
     if sol.lam is not None:
