@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce the low-frequency stability data on the academic scenario.
 
-Writes two CSVs next to this script (or into --outdir): a condition-number
-sweep and a gauge-residual sweep over a wide frequency range, comparing
-the unstabilized curl system with the tree-cotree stabilized one.
+Writes one CSV, academic_stability.csv, next to this script (or into
+--outdir): the condition number, gauge residual and solve residual of the
+unstabilized curl system and of both stabilized ones (tree-cotree and
+Lagrange) over a wide frequency range.
 """
 import argparse
 import pathlib

@@ -70,8 +70,8 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
     """One CSV row from one solve; the condition estimate reuses its LU.
 
     A singular solve counts as singular only when a solve quantity is
-    asked for.  When step one succeeded, the curl LU failed its pivot
-    test; above the dense limit that is the estimator's own singularity
+    asked for.  When step one succeeded, the curl LU failed its kappa_1 *
+    eps test; above the dense limit that is the estimator's own singularity
     test, so the estimate is written as infinite without a second
     factorization.  Otherwise it is made on the system alone.
     """
@@ -131,6 +131,8 @@ def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
     FrequencyPoint(f)  # rejects a negative or non-finite frequency
     if len(set(subdivs)) != len(subdivs):
         raise ConfigError(0, f"repeated convergence size in {subdivs}")
+    if any(s < 1 for s in subdivs):
+        raise ConfigError(0, f"convergence sizes must be >= 1, got {subdivs}")
     rows = []
     errors: dict[str, list[tuple[int, float]]] = {m: [] for m in methods}
     for s in subdivs:
@@ -156,7 +158,7 @@ def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
 
 
 def _factors(A, coords) -> bool:
-    """A passes Factorization's pivot test; an empty A is nonsingular."""
+    """A passes Factorization's kappa_1 * eps test; empty A is nonsingular."""
     if A.shape[0]:
         try:
             Factorization(A, coords)
@@ -287,6 +289,10 @@ def _dispatch(args) -> int:
         unknown = quantities - set(SWEEP_QUANTITIES)
         if unknown:
             raise ConfigError(0, f"unknown sweep quantities {sorted(unknown)}")
+        required = {t.strip() for t in args.require.split(",") if t.strip()}
+        if required - set(methods):
+            raise ConfigError(0, f"--require {sorted(required - set(methods))} "
+                                 f"is not among the swept methods {methods}")
         freqs = parse_frequencies(args.freqs)
         rows, singular = run_sweep(scenario, freqs, methods, quantities,
                                    timing=args.timing)
@@ -294,7 +300,6 @@ def _dispatch(args) -> int:
             fh.write(f"# aphi sweep v1 columns: {SWEEP_HEADER}\n")
             fh.write(SWEEP_HEADER + "\n")
             fh.write("\n".join(rows) + "\n")
-        required = {t.strip() for t in args.require.split(",") if t.strip()}
         if required & singular:
             print(f"required method(s) singular: {sorted(required & singular)}",
                   file=sys.stderr)

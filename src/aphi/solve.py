@@ -3,8 +3,10 @@
 Systems here mix row scales over many orders of magnitude (curl rows vs.
 divergence rows, conductor vs. air), so the factorization works on a
 two-sided max-equilibrated copy; residuals are always recomputed from the
-original operator.  Singularity is judged by the pivot ratio of the
-equilibrated factors.
+original operator.  Singularity is judged by kappa_1 * eps of the
+equilibrated matrix, ||A^-1||_1 estimated through the LU's own solves
+(Higham & Tisseur 2000).  Each LU is held once: SuperLU.L and .U, which
+scipy builds as copies cached on the factor, are never read.
 
 Every LU is ordered by geometric nested dissection of its unknowns'
 coordinates (edge midpoints, node positions; the index where a matrix has
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-PIVOT_RATIO_TOL = 1e-14  # min |U_ii| <= tol * max-entry of the factored matrix
+KAPPA1_EPS_TOL = 0.2     # kappa_1 * eps at or above this is singular
 DIAG_PIVOT_THRESH = 0.1  # SuperLU keeps the diagonal pivot down to this ratio
 RESIDUAL_TOL = 1e-10     # relative residual a returned solution must meet
 ND_LEAF = 64             # nested dissection stops at sets this small
@@ -140,12 +142,14 @@ class Factorization:
                                  diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:  # exactly singular inside SuperLU
             raise SingularMatrixError(str(exc)) from exc
-        pivots = np.abs(self._lu.U.diagonal())
-        min_pivot = float(pivots.min())
-        scale = max(float(abs(scaled).max()), float(pivots.max()))
-        if min_pivot <= PIVOT_RATIO_TOL * scale:
-            raise SingularMatrixError(
-                f"numerically singular: pivot ratio {min_pivot:.3e} / {scale:.3e}")
+        lu = self._lu  # t=1 is deterministic; t >= 2 draws from numpy's global RNG
+        inv = spla.LinearOperator(scaled.shape, matvec=lu.solve, dtype=complex,
+                                  rmatvec=lambda b: lu.solve(b, trans="H"))
+        self.kappa1 = float(spla.norm(scaled, 1) * spla.onenormest(inv, t=1))
+        eps_kappa = self.kappa1 * np.finfo(float).eps
+        if not eps_kappa < KAPPA1_EPS_TOL:  # also catches nan
+            raise SingularMatrixError(f"numerically singular: kappa_1 * eps = "
+                                      f"{eps_kappa:.3e} >= {KAPPA1_EPS_TOL:g}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         y = self._lu.solve((np.asarray(b, dtype=complex) / self.r)[self._perm])

@@ -9,7 +9,7 @@ from aphi import cli, scenario, solve
 from aphi.cli import _sweep_row, main, parse_frequencies, run_check, run_convergence
 from aphi.gauge import UnsupportedTopologyError
 from aphi.physics import METHODS, curl_coordinates, curl_system
-from aphi.scenario import Scenario, academic_scenario, load_scenario
+from aphi.scenario import ConfigError, Scenario, academic_scenario, load_scenario
 from aphi.solve import DENSE_SVD_LIMIT, condition_estimate
 from oracles import dense_rank
 
@@ -159,6 +159,20 @@ def test_sweep_required_singular_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("require", ["tree-cotre", "lagrange", "original,x"])
+def test_sweep_require_outside_swept_methods_rejected(tmp_path, monkeypatch,
+                                                      require):
+    # a typo, or a method the sweep does not run, could never fail the run
+    built = []
+    monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", ACADEMIC, "--freqs", "1",
+                 "--methods", "original", "--require", require,
+                 "--out", str(out)])
+    assert code == 2
+    assert built == [] and not out.exists()
+
+
 def test_sweep_condition_only_does_not_count_singular(tmp_path):
     # without a solve quantity a singular row is not a failed solve
     out = tmp_path / "c.csv"
@@ -222,6 +236,19 @@ def test_converge_repeated_size_rejected(tmp_path):
     assert code == 0
     _, rows = _read_rows(out)
     assert float(rows[1][3]) > 0.9
+
+
+def test_converge_rejects_size_below_one_before_building(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
+    for subdivs in ([2, -4], [0, 2]):
+        with pytest.raises(ConfigError):
+            run_convergence(load_scenario(MMS0), subdivs, 10.0, ["tree-cotree"])
+    out = tmp_path / "conv.csv"
+    code = main(["converge", "--config", MMS0, "--subdivs", "2,-4",
+                 "--freq", "10", "--methods", "tree-cotree", "--out", str(out)])
+    assert code == 2
+    assert built == [] and not out.exists()
 
 
 def test_solve_with_vtk(tmp_path, capsys):

@@ -7,12 +7,13 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aphi import solve
 from aphi.assembly import MaterialField, assemble_curl_curl
 from aphi.mesh import (AIR, FACE_LABELS, Box, boundary_entities,
                        build_box_mesh, tag_regions)
-from aphi.physics import METHODS, curl_coordinates, curl_system
-from aphi.scenario import mms_scenario
-from aphi.solve import (ND_LEAF, RESIDUAL_TOL, Factorization,
+from aphi.physics import METHODS, curl_coordinates, curl_system, run_two_step
+from aphi.scenario import academic_scenario, mms_scenario
+from aphi.solve import (KAPPA1_EPS_TOL, ND_LEAF, RESIDUAL_TOL, Factorization,
                         InaccurateSolveError, SingularMatrixError,
                         condition_estimate, nested_dissection,
                         sparse_lu_solve)
@@ -106,6 +107,62 @@ def test_factorization_leaves_no_reference_cycle(rng):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class _FactorsUnread:
+    """A SuperLU whose L and U fail the test when read: scipy builds a CSC
+    copy of both factors on the first read and keeps it as long as the
+    factor lives, which holds every LU twice."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    L = U = property(lambda self: pytest.fail("SuperLU.L or .U was read"))
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_no_lu_factor_is_read_back(rng, monkeypatch):
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: _FactorsUnread(splu(*a, **k)))
+    monkeypatch.setattr(solve, "DENSE_SVD_LIMIT", 100)
+    A = _random_sparse(200, rng)
+    b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    fac = Factorization(A)
+    dense = A.toarray()
+    assert np.allclose(dense @ fac.solve(b), b)
+    assert np.allclose(dense.conj().T @ fac.solve_adjoint(b), b)
+    assert fac.checked_solve(b).rel_residual <= RESIDUAL_TOL
+    for est in (condition_estimate(A, fac=fac), condition_estimate(A)):
+        assert est.method == "power-iteration" and not est.singular
+    built = mms_scenario(0.0, (4, 4, 4)).build()
+    for method in ("tree-cotree", "lagrange"):
+        sol = run_two_step(built, 10.0, method, condition=True)
+        assert sol.curl_report.rel_residual <= RESIDUAL_TOL
+    with pytest.raises(SingularMatrixError):
+        run_two_step(built, 10.0, "original")
+
+
+@pytest.mark.parametrize("scenario, f, singular", [
+    (lambda: academic_scenario((11, 11, 11)), 1e3, False),
+    (lambda: mms_scenario(0.0, (8, 8, 8)), 10.0, True),
+], ids=["academic-11-1e3Hz", "mms_sigma0-8-10Hz"])
+def test_kappa1_classification_margin(scenario, f, singular, monkeypatch):
+    # the unstabilized systems nearest the constant on either side of it,
+    # of every benchmark cell, sit at least 4x away from it
+    built = scenario().build()
+    A = curl_system(built, 2 * np.pi * f, "original")[0]
+    coords = curl_coordinates(built, "original")
+    if singular:
+        with pytest.raises(SingularMatrixError, match="kappa_1 \\* eps"):
+            Factorization(A, coords)
+        monkeypatch.setattr(solve, "KAPPA1_EPS_TOL", np.inf)
+    eps_kappa = Factorization(A, coords).kappa1 * np.finfo(float).eps
+    if singular:
+        assert eps_kappa >= 4 * KAPPA1_EPS_TOL
+    else:
+        assert eps_kappa <= KAPPA1_EPS_TOL / 4
 
 
 def test_nested_dissection_fill_below_default_ordering():
