@@ -54,9 +54,12 @@ class MaterialField:
     tags: RegionTags
 
     def __post_init__(self):
-        if np.any(self.eps <= 0) or np.any(self.nu <= 0):
+        # written so that nan fails every check
+        if not all(np.all(np.isfinite(v)) for v in (self.sigma, self.eps, self.nu)):
+            raise MaterialError("sigma, eps and nu must be finite everywhere")
+        if not (np.all(self.eps > 0) and np.all(self.nu > 0)):
             raise MaterialError("eps and nu must be positive everywhere")
-        if np.any(self.sigma < 0):
+        if not np.all(self.sigma >= 0):
             raise MaterialError("sigma must be nonnegative")
         if np.any(self.sigma[self.tags.air_cells] != 0):
             raise MaterialError("sigma must vanish on air cells")

@@ -117,9 +117,12 @@ def _parse_floats(tokens, count, line, what):
     if len(tokens) != count:
         raise ConfigError(line, f"{what} needs {count} numbers, got {len(tokens)}")
     try:
-        return [float(t) for t in tokens]
+        values = [float(t) for t in tokens]
     except ValueError as exc:
         raise ConfigError(line, f"bad number in {what}: {exc}") from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(line, f"{what} numbers must be finite, got {tokens}")
+    return values
 
 
 def _parse_keyvals(tokens, line, required, optional=()):
@@ -134,6 +137,8 @@ def _parse_keyvals(tokens, line, required, optional=()):
             out[key] = float(val)
         except ValueError:
             raise ConfigError(line, f"bad value for {key}: {val!r}") from None
+        if not np.isfinite(out[key]):
+            raise ConfigError(line, f"{key} must be finite, got {val!r}")
     for key in required:
         if key not in out:
             raise ConfigError(line, f"missing required key {key}=")
@@ -178,9 +183,11 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 raise ConfigError(lineno, "eps_r must be positive")
             if kv["sigma"] < 0:
                 raise ConfigError(lineno, "sigma must be nonnegative")
+            mu_r = kv.get("mu_r", 1.0)
+            if mu_r <= 0:
+                raise ConfigError(lineno, "mu_r must be positive")
             regions.append(RegionSpec(box=box, eps_r=kv["eps_r"],
-                                      sigma=kv["sigma"],
-                                      mu_r=kv.get("mu_r", 1.0)))
+                                      sigma=kv["sigma"], mu_r=mu_r))
         elif key == "phi":
             if len(tokens) != 2:
                 raise ConfigError(lineno, "phi needs a face label and a value")
@@ -188,6 +195,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                 value = complex(tokens[1])
             except ValueError:
                 raise ConfigError(lineno, f"bad phi value {tokens[1]!r}") from None
+            if not np.isfinite(value):
+                raise ConfigError(lineno, f"phi value must be finite, got {tokens[1]!r}")
             for face in _expand_faces(tokens[0], lineno):
                 phi_bcs.append((face, value))
         elif key == "a_zero":

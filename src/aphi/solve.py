@@ -8,6 +8,15 @@ equilibrated matrix, ||A^-1||_1 estimated through the LU's own solves
 (Higham & Tisseur 2000).  Each LU is held once: SuperLU.L and .U, which
 scipy builds as copies cached on the factor, are never read.
 
+A matrix whose stored entries have no imaginary part is factored in real
+arithmetic, at half the memory traffic of the complex LU: every system at
+omega = 0 (among them `solver check`'s static blocks) and, at any
+frequency, the EQS and curl systems of a case with no conductor, where no
+i*omega*sigma term enters.  A complex right-hand side then goes through
+one real solve with its real and imaginary parts as two columns.  The
+residual is still computed from the caller's matrix, held complex, so a
+real factor is checked exactly as a complex one.
+
 Every LU is ordered by geometric nested dissection of its unknowns'
 coordinates (edge midpoints, node positions; the index where a matrix has
 no geometry) and factored in that order with SuperLU at a diagonal pivot
@@ -131,33 +140,49 @@ class Factorization:
             raise ValueError(f"matrix must be square, got {A.shape}")
         if not A.shape[0]:
             raise ValueError("the system has no free unknowns (0 x 0 matrix)")
+        if not np.isfinite(A.data).all():
+            raise ValueError("the matrix has non-finite entries")
         self.A = A
         self.r, self.c = _equilibrate(A)
         self._perm = nested_dissection(A, coords)
         self._iperm = np.argsort(self._perm)
         scaled = (sp.diags(1.0 / self.r) @ A @ sp.diags(1.0 / self.c)).tocsr()
         scaled = scaled[self._perm][:, self._perm].tocsc()
+        if not scaled.data.imag.any():  # same pattern in half the storage
+            scaled = sp.csc_matrix((scaled.data.real.copy(), scaled.indices,
+                                    scaled.indptr), shape=scaled.shape)
         try:
             self._lu = spla.splu(scaled, permc_spec="NATURAL",
                                  diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:  # exactly singular inside SuperLU
             raise SingularMatrixError(str(exc)) from exc
-        lu = self._lu  # t=1 is deterministic; t >= 2 draws from numpy's global RNG
-        inv = spla.LinearOperator(scaled.shape, matvec=lu.solve, dtype=complex,
-                                  rmatvec=lambda b: lu.solve(b, trans="H"))
+        self._real = scaled.dtype == np.float64
+        # t=1 is deterministic; t >= 2 draws from numpy's global RNG
+        inv = spla.LinearOperator(scaled.shape, matvec=self._lu_solve,
+                                  dtype=scaled.dtype,
+                                  rmatvec=lambda b: self._lu_solve(b, adjoint=True))
         self.kappa1 = float(spla.norm(scaled, 1) * spla.onenormest(inv, t=1))
         eps_kappa = self.kappa1 * np.finfo(float).eps
         if not eps_kappa < KAPPA1_EPS_TOL:  # also catches nan
             raise SingularMatrixError(f"numerically singular: kappa_1 * eps = "
                                       f"{eps_kappa:.3e} >= {KAPPA1_EPS_TOL:g}")
 
+    def _lu_solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """The LU's solve with the scaled, permuted matrix or its adjoint.
+        A real factor takes a complex b as two real columns of one solve."""
+        trans = ("T" if self._real else "H") if adjoint else "N"
+        if self._real and np.iscomplexobj(b):
+            y = self._lu.solve(np.column_stack((b.real, b.imag)), trans=trans)
+            return y[:, 0] + 1j * y[:, 1]
+        return self._lu.solve(b, trans=trans)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self._lu.solve((np.asarray(b, dtype=complex) / self.r)[self._perm])
+        y = self._lu_solve((np.asarray(b, dtype=complex) / self.r)[self._perm])
         return y[self._iperm] / self.c
 
     def solve_adjoint(self, b: np.ndarray) -> np.ndarray:
-        y = self._lu.solve((np.asarray(b, dtype=complex) / self.c)[self._perm],
-                           trans="H")
+        y = self._lu_solve((np.asarray(b, dtype=complex) / self.c)[self._perm],
+                           adjoint=True)
         return y[self._iperm] / self.r
 
     def checked_solve(self, b: np.ndarray) -> SolveReport:

@@ -29,3 +29,18 @@ def mms_built_sigma0():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def splu_dtypes(monkeypatch):
+    """The dtype of every matrix handed to SuperLU, in call order."""
+    import scipy.sparse.linalg as spla
+    splu = spla.splu
+    dtypes = []
+
+    def spy(A, *args, **kwargs):
+        dtypes.append(A.dtype)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return dtypes

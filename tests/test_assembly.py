@@ -57,6 +57,20 @@ def test_material_validation():
         MaterialField.uniform(mesh, ctags, sigma=0.0, eps=1.0, nu=1.0)
 
 
+@pytest.mark.parametrize("sigma, eps, nu", [
+    (np.nan, 1.0, 1.0), (np.inf, 1.0, 1.0), (1.0, np.nan, 1.0),
+    (1.0, np.inf, 1.0), (1.0, 1.0, np.nan), (1.0, 1.0, np.inf),
+    (1.0, 1.0, 0.0),
+])
+def test_material_validation_rejects_non_finite_and_zero(sigma, eps, nu):
+    # all conductor, so only the value under test is wrong; nan compares
+    # false both ways, so it must fail a check of what is required
+    mesh = build_box_mesh(UNIT, (1, 1, 1))
+    tags = tag_regions(mesh, [(Box(lo=(0, 0, 0), hi=(1, 1, 1)), CONDUCTOR)])
+    with pytest.raises(MaterialError):
+        MaterialField.uniform(mesh, tags, sigma=sigma, eps=eps, nu=nu)
+
+
 def test_stiffness_unit_cell_diagonal_third():
     # trilinear stiffness on the unit cube: diagonal entries 1/3, checked
     # against a 4^3 Gauss oracle of |grad N_l|^2

@@ -8,7 +8,7 @@ import pytest
 from aphi import cli, scenario, solve
 from aphi.cli import _sweep_row, main, parse_frequencies, run_check, run_convergence
 from aphi.gauge import UnsupportedTopologyError
-from aphi.physics import METHODS, curl_coordinates, curl_system
+from aphi.physics import METHODS, curl_coordinates, curl_system, run_two_step
 from aphi.scenario import ConfigError, Scenario, academic_scenario, load_scenario
 from aphi.solve import DENSE_SVD_LIMIT, condition_estimate
 from oracles import dense_rank
@@ -469,6 +469,51 @@ def test_config_error_exit(tmp_path):
     code = main(["solve", "--config", str(bad), "--freq", "1",
                  "--method", "original"])
     assert code == 2
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("eps_r=1 sigma=1 # center", "eps_r=nan sigma=1 # center", "eps_r must be finite"),
+    ("eps_r=5 sigma=5    # left", "eps_r=5 sigma=inf    # left", "sigma must be finite"),
+    ("sigma=1 # center", "sigma=1 mu_r=0 # center", "mu_r must be positive"),
+    ("sigma=1 # center", "sigma=1 mu_r=nan # center", "mu_r must be finite"),
+    ("domain        0 0.22", "domain        0 inf", "domain numbers must be finite"),
+    ("region 0 0.10  0.10", "region 0 nan  0.10", "region box numbers must be finite"),
+    ("subdivisions  3 3 3", "subdivisions  3 inf 3", "subdivisions numbers must be finite"),
+    ("phi xmax 1", "phi xmax nan", "phi value must be finite"),
+], ids=["eps_r-nan", "sigma-inf", "mu_r-zero", "mu_r-nan", "domain-inf",
+        "region-box-nan", "subdivisions-inf", "phi-nan"])
+def test_non_finite_or_zero_material_exit(old, new, message, tmp_path, capsys):
+    # the materials used to build and exit 3 as singular (mu_r=0 also made
+    # BLAS print an illegal-parameter message), and an infinite subdivision
+    # count crashed with an OverflowError
+    text = Path(ACADEMIC).read_text()
+    assert text.count(old) == 1
+    lines = text.replace(old, new).splitlines()
+    line = next(i for i, l in enumerate(lines, start=1) if new in l)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines))
+    code = main(["solve", "--config", str(cfg), "--freq", "0",
+                 "--method", "tree-cotree"])
+    assert code == 2
+    assert f"line {line}: {message}" in capsys.readouterr().err
+
+
+def test_lu_field_follows_the_system(academic_built, splu_dtypes):
+    # static and nonconducting systems are real and factor in real
+    # arithmetic; a conductor at omega > 0 makes them complex
+    methods = list(METHODS)
+    run_convergence(load_scenario(MMS0), [4], 10.0, methods)
+    assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.float64)}
+    splu_dtypes.clear()
+    run_convergence(load_scenario(MMS6E7), [4], 10.0, methods)
+    assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.complex128)}
+    splu_dtypes.clear()
+    for method in METHODS:
+        try:
+            run_two_step(academic_built, 0.0, method)
+        except solve.SingularMatrixError:
+            assert method == "original"
+    assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.float64)}
 
 
 def test_io_error_exit(tmp_path):

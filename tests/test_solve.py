@@ -127,21 +127,77 @@ def test_no_lu_factor_is_read_back(rng, monkeypatch):
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: _FactorsUnread(splu(*a, **k)))
     monkeypatch.setattr(solve, "DENSE_SVD_LIMIT", 100)
-    A = _random_sparse(200, rng)
     b = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-    fac = Factorization(A)
-    dense = A.toarray()
-    assert np.allclose(dense @ fac.solve(b), b)
-    assert np.allclose(dense.conj().T @ fac.solve_adjoint(b), b)
-    assert fac.checked_solve(b).rel_residual <= RESIDUAL_TOL
-    for est in (condition_estimate(A, fac=fac), condition_estimate(A)):
-        assert est.method == "power-iteration" and not est.singular
+    complex_A = _random_sparse(200, rng)
+    for A in (complex_A, complex_A.real):  # a complex and a real factor
+        fac = Factorization(A)
+        dense = A.toarray()
+        assert np.allclose(dense @ fac.solve(b), b)
+        assert np.allclose(dense.conj().T @ fac.solve_adjoint(b), b)
+        assert fac.checked_solve(b).rel_residual <= RESIDUAL_TOL
+        for est in (condition_estimate(A, fac=fac), condition_estimate(A)):
+            assert est.method == "power-iteration" and not est.singular
     built = mms_scenario(0.0, (4, 4, 4)).build()
     for method in ("tree-cotree", "lagrange"):
         sol = run_two_step(built, 10.0, method, condition=True)
         assert sol.curl_report.rel_residual <= RESIDUAL_TOL
     with pytest.raises(SingularMatrixError):
         run_two_step(built, 10.0, "original")
+
+
+def _random_real(n, seed):
+    r = np.random.default_rng(seed)
+    A = sp.random(n, n, density=0.05, random_state=r, format="csr")
+    return (A + sp.diags(r.standard_normal(n) + 10.0)).tocsr()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_real_matrix_factors_in_real_arithmetic(seed, dtype, splu_dtypes):
+    A = _random_real(150, seed).astype(dtype)
+    r = np.random.default_rng(seed + 100)
+    b = r.standard_normal(150) + 1j * r.standard_normal(150)
+    fac = Factorization(A)
+    assert splu_dtypes == [np.float64]
+    assert fac.A.dtype == complex  # the residual is taken on complex A
+    dense = A.toarray()
+    for x, M in ((fac.solve(b), dense), (fac.solve_adjoint(b), dense.conj().T)):
+        oracle = np.linalg.solve(M, b)
+        assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_real_factor_kappa1_matches_complex_factor(splu_dtypes):
+    A = _random_real(300, 3)  # above ND_LEAF, so the order is not the index
+    fac = Factorization(A)
+    scaled = (sp.diags(1.0 / fac.r) @ fac.A @ sp.diags(1.0 / fac.c)).tocsr()
+    scaled = scaled[fac._perm][:, fac._perm].tocsc()
+    lu = spla.splu(scaled, permc_spec="NATURAL",
+                   diag_pivot_thresh=solve.DIAG_PIVOT_THRESH)
+    assert splu_dtypes == [np.float64, np.complex128]
+    inv = spla.LinearOperator(scaled.shape, matvec=lu.solve, dtype=complex,
+                              rmatvec=lambda b: lu.solve(b, trans="H"))
+    kappa1 = spla.norm(scaled, 1) * spla.onenormest(inv, t=1)
+    assert fac.kappa1 == pytest.approx(kappa1, rel=1e-12)
+
+
+def test_one_imaginary_entry_takes_the_complex_path(rng, splu_dtypes):
+    A = _random_real(150, 4).astype(complex).tolil()
+    A[7, 7] += 1e-3j
+    A = A.tocsr()
+    b = rng.standard_normal(150) + 1j * rng.standard_normal(150)
+    x = Factorization(A).solve(b)
+    assert splu_dtypes == [np.complex128]
+    oracle = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_entry_rejected(bad, splu_dtypes):
+    A = sp.eye(5, format="lil", dtype=complex)
+    A[2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite entries"):
+        Factorization(A.tocsr())
+    assert splu_dtypes == []  # refused before equilibration and SuperLU
 
 
 @pytest.mark.parametrize("scenario, f, singular", [
