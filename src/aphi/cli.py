@@ -70,10 +70,12 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
     """One CSV row from one solve; the condition estimate reuses its LU.
 
     A singular solve counts as singular only when a solve quantity is
-    asked for.  When step one succeeded, the curl LU failed its kappa_1 *
-    eps test; above the dense limit that is the estimator's own singularity
-    test, so the estimate is written as infinite without a second
-    factorization.  Otherwise it is made on the system alone.
+    asked for.  When step one succeeded, the curl system failed the
+    kappa_1 * eps test, either by the gradient probe of an original
+    system, before any LU, or by its LU; above the dense limit that is the
+    estimator's own singularity test, so the estimate is written as
+    infinite without a further factorization.  Otherwise it is made on the
+    system alone.
     """
     t0 = time.perf_counter()
     want_cond = "condition" in quantities
@@ -258,8 +260,10 @@ def _load(args) -> Scenario:
 
 
 def _methods(args, scenario: Scenario) -> list[str]:
-    if args.methods:
+    if args.methods is not None:
         methods = [t.strip() for t in args.methods.split(",") if t.strip()]
+        if not methods:
+            raise ConfigError(0, f"empty --methods list {args.methods!r}")
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(0, f"unknown method {m!r}")

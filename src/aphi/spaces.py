@@ -182,22 +182,3 @@ def gradient_incidence(mesh: Mesh) -> sp.csr_matrix:
     cols = np.concatenate([mesh.edges[:, 1], mesh.edges[:, 0]])
     data = np.concatenate([np.ones(mesh.n_edges), -np.ones(mesh.n_edges)])
     return sp.csr_matrix((data, (rows, cols)), shape=(mesh.n_edges, mesh.n_nodes))
-
-
-def edge_interpolate(mesh: Mesh, field, n_gauss: int = 5) -> np.ndarray:
-    """Edge circulations of a vector field: int_e F . t dl per edge.
-
-    field maps (m, 3) points to (m, 3) values; edges are straight and
-    axis-aligned, so Gauss quadrature along the edge is used directly.
-    """
-    x, w = np.polynomial.legendre.leggauss(n_gauss)
-    a = mesh.nodes[mesh.edges[:, 0]]
-    b = mesh.nodes[mesh.edges[:, 1]]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    circ = np.zeros(mesh.n_edges, dtype=complex)
-    for xi, wi in zip(x, w):
-        pts = mid + xi * half
-        vals = np.asarray(field(pts))
-        circ += wi * np.einsum("ij,ij->i", vals, half)
-    return circ

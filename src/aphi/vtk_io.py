@@ -72,16 +72,3 @@ def export_vtk(path, built: BuiltScenario, solution: Solution,
         point_data[f"{name}_im"] = np.ascontiguousarray(values.imag)
     write_vtk(path, sample, point_data,
               title=f"{built.name} f={solution.frequency.f:g}Hz {solution.method}")
-
-
-def read_vtk_points(path) -> np.ndarray:
-    """Parse the POINTS block back out of a legacy ASCII VTK file."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith("POINTS"):
-            count = int(line.split()[1])
-            rows = [tuple(float(t) for t in lines[i + 1 + k].split())
-                    for k in range(count)]
-            return np.array(rows)
-    raise ValueError(f"no POINTS block found in {path}")

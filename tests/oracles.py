@@ -272,3 +272,35 @@ def hcurl_error(built, a_full, case):
     err2 = det * np.einsum("q,cq->", wts,
                            np.abs(dA) ** 2 @ np.ones(3) + np.abs(dC) ** 2 @ np.ones(3))
     return float(np.sqrt(err2))
+
+
+def edge_interpolate(mesh, field, n_gauss=5):
+    """Edge circulations of a vector field: int_e F . t dl per edge.
+
+    field maps (m, 3) points to (m, 3) values; edges are straight and
+    axis-aligned, so Gauss quadrature along the edge is used directly.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_gauss)
+    a = mesh.nodes[mesh.edges[:, 0]]
+    b = mesh.nodes[mesh.edges[:, 1]]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    circ = np.zeros(mesh.n_edges, dtype=complex)
+    for xi, wi in zip(x, w):
+        pts = mid + xi * half
+        vals = np.asarray(field(pts))
+        circ += wi * np.einsum("ij,ij->i", vals, half)
+    return circ
+
+
+def read_vtk_points(path):
+    """Parse the POINTS block back out of a legacy ASCII VTK file."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    for i, line in enumerate(lines):
+        if line.startswith("POINTS"):
+            count = int(line.split()[1])
+            rows = [tuple(float(t) for t in lines[i + 1 + k].split())
+                    for k in range(count)]
+            return np.array(rows)
+    raise ValueError(f"no POINTS block found in {path}")

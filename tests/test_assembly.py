@@ -10,9 +10,10 @@ from aphi.mesh import (AIR, CONDUCTOR, Box, boundary_entities, build_box_mesh,
                        tag_regions)
 from aphi.physics import ManufacturedCase
 from aphi.spaces import (DirichletSpec, build_edge_space, build_scalar_space,
-                         edge_interpolate, gradient_incidence,
-                         physical_edge_basis, physical_scalar_basis)
-from oracles import dense_rank, min_eig_sym, source_moments, volume_quadrature
+                         gradient_incidence, physical_edge_basis,
+                         physical_scalar_basis)
+from oracles import (dense_rank, edge_interpolate, min_eig_sym, source_moments,
+                     volume_quadrature)
 
 UNIT = ((0, 1), (0, 1), (0, 1))
 

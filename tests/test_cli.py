@@ -96,8 +96,9 @@ def test_singular_sweep_row_above_dense_limit_factors_once(monkeypatch):
                                {"condition", "delta_D", "solve_residual"}, False)
     assert singular
     assert row == f"0,original,inf,power-iteration,singular,singular,{built.edge.n_free},0"
-    # one EQS and one curl factorization; the estimate adds none
-    assert len(factored) == 2
+    # the EQS factorization only: the gradient probe proves the curl
+    # system singular without an LU, and the estimate adds none
+    assert len(factored) == 1
     # the estimate written is the one the system alone gives
     est = condition_estimate(curl_system(built, 0.0, "original")[0])
     assert (est.value, est.method, est.iterations, est.singular) == \
@@ -238,6 +239,21 @@ def test_converge_repeated_size_rejected(tmp_path):
     assert float(rows[1][3]) > 0.9
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", ACADEMIC, "--freqs", "1", "--methods", ","],
+    ["converge", "--config", MMS0, "--subdivs", "2,4", "--freq", "10",
+     "--methods", " , "],
+])
+def test_empty_methods_list_rejected_before_building(argv, tmp_path, monkeypatch,
+                                                      capsys):
+    built = []
+    monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "empty --methods list" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+
+
 def test_converge_rejects_size_below_one_before_building(tmp_path, monkeypatch):
     built = []
     monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
@@ -261,10 +277,16 @@ def test_solve_with_vtk(tmp_path, capsys):
     assert "delta_D" in out
 
 
-def test_solve_singular_exit(tmp_path):
+def test_solve_singular_exit(tmp_path, capsys):
     code = main(["solve", "--config", ACADEMIC, "--freq", "0",
                  "--method", "original"])
     assert code == 3
+    # at 3^3 the bars leave no air gauge node, so the LU judges it
+    assert "kappa_1 * eps =" in capsys.readouterr().err
+    code = main(["solve", "--config", ACADEMIC, "--subdivs", "4,4,4",
+                 "--freq", "0", "--method", "original"])
+    assert code == 3
+    assert "gradient probe" in capsys.readouterr().err
 
 
 FLOATING_CONDUCTOR = """\

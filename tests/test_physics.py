@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,14 +8,15 @@ from aphi import physics
 from aphi.mesh import FACE_LABELS, Box
 from aphi.physics import (METHODS, DerivedFields, ManufacturedCase,
                           curl_coordinates, curl_system, gauge_residual,
-                          hcurl_error, run_two_step)
+                          gradient_probe_bound, hcurl_error, run_two_step)
 from aphi.scenario import (RegionSpec, Scenario, academic_scenario, load_scenario,
                            mms_scenario)
-from aphi.solve import SingularMatrixError, condition_estimate
+from aphi.solve import (KAPPA1_EPS_TOL, SingularMatrixError, _equilibrate,
+                        condition_estimate)
 from aphi.system import FrequencyPoint, StaticSingularityError
-from aphi.spaces import edge_interpolate
-from oracles import (cell_centre_fields, fd_curl_curl, fd_divergence,
-                     fd_gradient, source_moments, volume_quadrature)
+from oracles import (cell_centre_fields, edge_interpolate, fd_curl_curl,
+                     fd_divergence, fd_gradient, source_moments,
+                     volume_quadrature)
 from oracles import hcurl_error as einsum_hcurl_error
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -387,6 +389,78 @@ def test_mms_sigma0_classification_at_10hz():
             except SingularMatrixError:
                 factored = False
             assert factored == (method != "original"), (n, method)
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("f", [10.0, 1e3, 1e6])
+@pytest.mark.parametrize("scenario", [mms_scenario(0.0, (2, 2, 2)),
+                                      mms_scenario(0.0, (4, 4, 4)),
+                                      academic_scenario((4, 4, 4))])  # all air
+def test_gradient_probe_bound_below_dense_kappa1(scenario, f):
+    built = scenario.build()
+    A = curl_system(built, 2 * np.pi * f, "original")[0]
+    kappa1 = _dense_kappa1(A)
+    # both sides carry rounding of relative order kappa_1 * eps; at 2^3 the
+    # one gauge node makes the probe the kernel vector itself, so there the
+    # bound meets kappa_1 within that rounding
+    assert 1.0 <= gradient_probe_bound(built, A) <= kappa1 * (1 + 10 * EPS * kappa1)
+
+
+def _dense_kappa1(A):
+    r, c = _equilibrate(A)
+    return np.linalg.cond(A.toarray() / r[:, None] / c[None, :], 1)
+
+
+def test_probe_proven_system_is_never_factored(splu_dtypes):
+    # pinned: the probe reads kappa_1 * eps 0.223 at 4^3, the nearest margin
+    # to the constant 0.2 (the dense value is 0.727), and 0.782 at 8^3
+    for n, low in ((4, 0.22), (8, 0.78)):
+        built = mms_scenario(0.0, (n, n, n)).build()
+        omega = 2 * np.pi * 10.0
+        built.excitation(omega)
+        A = curl_system(built, omega, "original")[0]
+        bound = gradient_probe_bound(built, A)
+        assert bound * EPS >= low > KAPPA1_EPS_TOL
+        if n == 4:
+            assert bound < _dense_kappa1(A) / 3
+        splu_dtypes.clear()
+        with pytest.raises(SingularMatrixError, match="gradient probe"):
+            run_two_step(built, 10.0, "original")
+        assert splu_dtypes == []
+
+
+def test_gradient_probe_skipped_without_air_gauge_node(monkeypatch, splu_dtypes):
+    built = mms_scenario(6e7, (4, 4, 4)).build()
+    A = curl_system(built, 2 * np.pi * 10.0, "original")[0]
+    assert gradient_probe_bound(built, A) is None
+    run_two_step(built, 10.0, "original")
+    assert len(splu_dtypes) == 2  # EQS and curl
+    # the gauged systems are full rank by construction: never probed
+    probed = []
+    monkeypatch.setattr(physics, "gradient_probe_bound",
+                        lambda *a: probed.append(a))
+    built = mms_scenario(0.0, (4, 4, 4)).build()
+    for method in ("tree-cotree", "lagrange"):
+        run_two_step(built, 10.0, method)
+    assert probed == []
+
+
+def test_gradient_probe_at_0hz_raises_without_warning(splu_dtypes):
+    built = mms_scenario(0.0, (4, 4, 4)).build()
+    built.excitation(0.0)
+    splu_dtypes.clear()
+    A = curl_system(built, 0.0, "original")[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError, match="gradient probe"):
+            run_two_step(built, 0.0, "original")
+        # A_s x is the curl of a gradient, at rounding level ...
+        assert gradient_probe_bound(built, A) * EPS > 1.0
+        # ... or exactly zero, where the bound is infinite
+        assert gradient_probe_bound(built, 0.0 * A) == np.inf
+    assert splu_dtypes == []
 
 
 @pytest.mark.parametrize("n", [3, 5])  # 36 and 240 free edges: ND_LEAF is 64

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from aphi.mesh import FACE_LABELS, boundary_entities, build_box_mesh
 from aphi.spaces import (DirichletSpec, build_edge_space, build_scalar_space,
-                         edge_interpolate, gradient_incidence,
-                         physical_edge_basis, physical_scalar_basis)
-from oracles import fd_gradient, line_integral
+                         gradient_incidence, physical_edge_basis,
+                         physical_scalar_basis)
+from oracles import edge_interpolate, fd_gradient, line_integral
 
 UNIT = ((0, 1), (0, 1), (0, 1))
 

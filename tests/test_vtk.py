@@ -4,7 +4,8 @@ import pytest
 from aphi import physics
 from aphi.mesh import Mesh, build_box_mesh
 from aphi.physics import run_two_step
-from aphi.vtk_io import export_vtk, read_vtk_points, write_vtk
+from aphi.vtk_io import export_vtk, write_vtk
+from oracles import read_vtk_points
 
 
 def test_mesh_only_file_structure(tmp_path):
