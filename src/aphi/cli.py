@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from .mesh import match_cells
 from .physics import (METHODS, curl_coordinates, curl_system, hcurl_error,
                       run_two_step)
 from .scenario import ConfigError, Scenario, load_scenario
@@ -345,6 +346,11 @@ def _dispatch(args) -> int:
     if args.command == "check":
         scenario = _load(args)
         built = scenario.build()
+        match = match_cells(built.mesh, [r.box for r in scenario.regions])
+        counts = np.bincount(match, minlength=len(scenario.regions))
+        for i, (region, count) in enumerate(zip(scenario.regions, counts)):
+            print(f"INFO  region {i} (eps_r={region.eps_r:g}, "
+                  f"sigma={region.sigma:g}): {count} cells")
         results = run_check(built)
         ok = True
         for label, passed in results:

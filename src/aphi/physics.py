@@ -249,9 +249,11 @@ def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
     """Solve both steps for one frequency with the selected curl variant.
 
     Step one and the curl right-hand side come from built.excitation, so
-    methods solved at the same omega share them.  With condition=True the
-    2-norm condition estimate of the curl system is computed on the LU
-    that solved it and stored on the Solution.
+    methods solved at the same omega share them.  The curl system is
+    factored in mixed precision (see solve.Factorization), except with
+    condition=True: the 2-norm condition estimate of the curl system is
+    then computed on the double LU that solved it and stored on the
+    Solution.
 
     Propagates SingularMatrixError: expected for the original variant at
     low frequency, where gradient_probe_bound usually proves it before any
@@ -271,7 +273,7 @@ def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
             raise SingularMatrixError(
                 f"numerically singular by the gradient probe: kappa_1 * eps "
                 f">= {eps_bound:.3e} >= {KAPPA1_EPS_TOL:g}")
-    fac = Factorization(A, curl_coordinates(built, method))
+    fac = Factorization(A, curl_coordinates(built, method), mixed=not condition)
     rep = fac.checked_solve(b)
     est = condition_estimate(A, fac=fac) if condition else None
     n_free = built.edge.n_free

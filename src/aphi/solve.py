@@ -28,6 +28,27 @@ threshold of 0.1, which keeps the fill of the dissection order.  The low
 threshold is guarded by the residual: a solve whose relative residual
 exceeds RESIDUAL_TOL takes one step of iterative refinement and raises
 InaccurateSolveError, a SingularMatrixError, if it is still above it.
+
+Mixed precision (Factorization(..., mixed=True); sparse_lu_solve and
+physics.run_two_step without a condition estimate): the LU is of a
+single-precision copy of the equilibrated, ordered matrix, at half the
+factor storage, and checked_solve refines its solution against the double
+matrix (Langou et al. 2006; Carson & Higham 2018).  In that copy every
+real and imaginary part below SINGLE_TINY = 2^-24, float32's unit
+roundoff against the row and column maxima of 1, is set to zero, with the
+stored pattern kept.  Without this, imaginary parts 1e-9 to 1e-17 below
+the real parts form subnormal products that made a complex64 LU up to 13x
+slower than the complex128 one.  The copy is complex64 when an imaginary
+part survives, else float32.  Each right-hand side is scaled by a power
+of two near its largest magnitude before the cast, exactly, so that small
+refinement residuals stay in float32's normal range.  The single factor
+serves only when its own kappa_1 * eps_single is at most
+SINGLE_KAPPA1_EPS_TOL; otherwise, or when SuperLU refuses the copy, the
+matrix is factored in double and judged exactly as without mixed, so a
+single factor never decides a singular verdict.  Refinement stops at a
+relative residual of REFINE_TOL or after MAX_REFINEMENTS steps; a residual
+still above RESIDUAL_TOL then falls back to the double LU and its checked
+solve.
 """
 from __future__ import annotations
 
@@ -40,6 +61,10 @@ import scipy.sparse.linalg as spla
 KAPPA1_EPS_TOL = 0.2     # kappa_1 * eps at or above this is singular
 DIAG_PIVOT_THRESH = 0.1  # SuperLU keeps the diagonal pivot down to this ratio
 RESIDUAL_TOL = 1e-10     # relative residual a returned solution must meet
+REFINE_TOL = 1e-14       # mixed-precision refinement stops at this residual
+MAX_REFINEMENTS = 3      # ... or after this many steps
+SINGLE_KAPPA1_EPS_TOL = 1e-2  # kappa_1 * eps_single above this: factor in double
+SINGLE_TINY = 2.0 ** -24  # float32 unit roundoff; smaller parts zeroed in the copy
 ND_LEAF = 64             # nested dissection stops at sets this small
 DENSE_SVD_LIMIT = 2000
 _POWER_MAX_ITERS = 200
@@ -59,7 +84,8 @@ class InaccurateSolveError(SingularMatrixError):
 class SolveReport:
     x: np.ndarray
     rel_residual: float
-    refinements: int = 0   # iterative-refinement steps taken (0 or 1)
+    refinements: int = 0   # refinement steps: 0 or 1 on a double LU, up
+                           # to MAX_REFINEMENTS on a single one
 
 
 def _equilibrate(A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -138,12 +164,21 @@ class Factorization:
     ordering; see nested_dissection.  A matrix that is not square, or is
     0 x 0 (a system with no free unknowns), raises ValueError.
 
-    kappa1 is a lower-bound estimate of the equilibrated matrix's kappa_1:
+    With mixed=True the LU is of a single-precision copy when that copy's
+    kappa_1 * eps_single is at most SINGLE_KAPPA1_EPS_TOL (see the module
+    docstring), and `single` is then True: checked_solve refines to double
+    accuracy, while solve and solve_adjoint are good only to about
+    kappa * eps_single.  Otherwise, and always without mixed, the LU is in
+    double and a kappa_1 * eps at or above KAPPA1_EPS_TOL raises
+    SingularMatrixError.
+
+    kappa1 is a lower-bound estimate of the held LU's kappa_1:
     onenormest with t=1 follows the largest entry of its iterate, and
     rounding alone can change which entry that is, moving kappa1 by about
     7% (the same matrix factored in real and in complex arithmetic)."""
 
-    def __init__(self, A: sp.spmatrix, coords: np.ndarray | None = None):
+    def __init__(self, A: sp.spmatrix, coords: np.ndarray | None = None,
+                 mixed: bool = False):
         A = sp.csr_matrix(A, dtype=complex)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got {A.shape}")
@@ -155,22 +190,57 @@ class Factorization:
         self.r, self.c = _equilibrate(A)
         self._perm = nested_dissection(A, coords)
         self._iperm = np.argsort(self._perm)
-        scaled = (sp.diags(1.0 / self.r) @ A @ sp.diags(1.0 / self.c)).tocsr()
-        scaled = scaled[self._perm][:, self._perm].tocsc()
-        if not scaled.data.imag.any():  # same pattern in half the storage
-            scaled = sp.csc_matrix((scaled.data.real.copy(), scaled.indices,
-                                    scaled.indptr), shape=scaled.shape)
+        if not (mixed and self._factor_single()):
+            self._factor_double()
+
+    @property
+    def single(self) -> bool:
+        """The held LU is a float32 or complex64 one."""
+        return np.finfo(self._dtype).bits == 32
+
+    def _scaled(self) -> sp.csc_matrix:
+        """The equilibrated matrix in dissection order."""
+        scaled = (sp.diags(1.0 / self.r) @ self.A @ sp.diags(1.0 / self.c)).tocsr()
+        return scaled[self._perm][:, self._perm].tocsc()
+
+    def _factor(self, scaled: sp.csc_matrix) -> None:
+        """Factor scaled with SuperLU and estimate its kappa_1."""
+        self._dtype = scaled.dtype
         try:
             self._lu = spla.splu(scaled, permc_spec="NATURAL",
                                  diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:  # exactly singular inside SuperLU
             raise SingularMatrixError(str(exc)) from exc
-        self._real = scaled.dtype == np.float64
         # t=1 is deterministic; t >= 2 draws from numpy's global RNG
-        inv = spla.LinearOperator(scaled.shape, matvec=self._lu_solve,
-                                  dtype=scaled.dtype,
+        dtype = float if scaled.dtype.kind == "f" else complex
+        inv = spla.LinearOperator(scaled.shape, matvec=self._lu_solve, dtype=dtype,
                                   rmatvec=lambda b: self._lu_solve(b, adjoint=True))
         self.kappa1 = float(spla.norm(scaled, 1) * spla.onenormest(inv, t=1))
+
+    def _factor_single(self) -> bool:
+        """Factor the single-precision copy; False, holding no LU, when
+        SuperLU refuses it or its kappa_1 * eps_single is too large."""
+        scaled = self._scaled()
+        re, im = (np.where(abs(part) < SINGLE_TINY, 0.0, part)
+                  for part in (scaled.data.real, scaled.data.imag))
+        data = (re + 1j * im).astype(np.complex64) if im.any() else re.astype(np.float32)
+        copy = sp.csc_matrix((data, scaled.indices, scaled.indptr), shape=scaled.shape)
+        del scaled, re, im, data  # only the copy is factored
+        try:
+            self._factor(copy)
+        except SingularMatrixError:  # SuperLU refused the copy: no LU held
+            return False
+        if self.kappa1 * np.finfo(np.float32).eps <= SINGLE_KAPPA1_EPS_TOL:
+            return True
+        self._lu = None  # freed before the double LU is built
+        return False
+
+    def _factor_double(self) -> None:
+        scaled = self._scaled()
+        if not scaled.data.imag.any():  # same pattern in half the storage
+            scaled = sp.csc_matrix((scaled.data.real.copy(), scaled.indices,
+                                    scaled.indptr), shape=scaled.shape)
+        self._factor(scaled)
         eps_kappa = self.kappa1 * np.finfo(float).eps
         if not eps_kappa < KAPPA1_EPS_TOL:  # also catches nan
             raise SingularMatrixError(f"numerically singular: kappa_1 * eps = "
@@ -178,12 +248,19 @@ class Factorization:
 
     def _lu_solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """The LU's solve with the scaled, permuted matrix or its adjoint.
-        A real factor takes a complex b as two real columns of one solve."""
-        trans = ("T" if self._real else "H") if adjoint else "N"
-        if self._real and np.iscomplexobj(b):
-            y = self._lu.solve(np.column_stack((b.real, b.imag)), trans=trans)
+        A real factor takes a complex b as two real columns of one solve.
+        A single factor takes b divided by a power of two near its largest
+        magnitude, an exact scaling undone on the result."""
+        real = self._dtype.kind == "f"
+        trans = ("T" if real else "H") if adjoint else "N"
+        if real and np.iscomplexobj(b):
+            y = self._lu_solve(np.column_stack((b.real, b.imag)), adjoint)
             return y[:, 0] + 1j * y[:, 1]
-        return self._lu.solve(b, trans=trans)
+        if not self.single:
+            return self._lu.solve(b, trans=trans)
+        scale = np.ldexp(1.0, np.frexp(np.abs(b).max())[1])
+        y = self._lu.solve((b / scale).astype(self._dtype), trans=trans)
+        return y.astype(np.promote_types(y.dtype, np.float64)) * scale
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         y = self._lu_solve((np.asarray(b, dtype=complex) / self.r)[self._perm])
@@ -197,29 +274,46 @@ class Factorization:
     def checked_solve(self, b: np.ndarray) -> SolveReport:
         """Solve A x = b with the residual recomputed from the original A.
 
-        A relative residual above RESIDUAL_TOL takes one refinement step,
-        x += solve(b - A x); if it is still above, InaccurateSolveError."""
+        On a double LU, a relative residual above RESIDUAL_TOL takes one
+        refinement step, x += solve(b - A x); if it is still above,
+        InaccurateSolveError.  A single LU refines until REFINE_TOL or
+        MAX_REFINEMENTS steps; above RESIDUAL_TOL then, the matrix is
+        factored in double and solved as above."""
         b = np.asarray(b, dtype=complex)
+        if self.single:
+            rep = self._refined_solve(b, MAX_REFINEMENTS, REFINE_TOL)
+            if rep.rel_residual <= RESIDUAL_TOL:
+                return rep
+            self._lu = None  # freed before the double LU is built
+            self._factor_double()
+        rep = self._refined_solve(b, 1, RESIDUAL_TOL)
+        if not rep.rel_residual <= RESIDUAL_TOL:  # also catches nan
+            raise InaccurateSolveError(
+                f"relative residual {rep.rel_residual:.3e} > {RESIDUAL_TOL:g} "
+                "after one refinement step")
+        return rep
+
+    def _refined_solve(self, b: np.ndarray, max_steps: int, tol: float) -> SolveReport:
+        """x = solve(b), then x += solve(b - A x) until the relative
+        residual is at most tol or after max_steps steps."""
         denom = max(np.linalg.norm(b), np.finfo(float).tiny)
         x = self.solve(b)
         r = b - self.A @ x
         resid = np.linalg.norm(r) / denom
-        refinements = 0
-        if not resid <= RESIDUAL_TOL:  # also catches nan
+        steps = 0
+        while steps < max_steps and not resid <= tol:  # also catches nan
             x = x + self.solve(r)
-            resid = np.linalg.norm(b - self.A @ x) / denom
-            refinements = 1
-            if not resid <= RESIDUAL_TOL:
-                raise InaccurateSolveError(
-                    f"relative residual {resid:.3e} > {RESIDUAL_TOL:g} "
-                    "after one refinement step")
-        return SolveReport(x=x, rel_residual=float(resid), refinements=refinements)
+            r = b - self.A @ x
+            resid = np.linalg.norm(r) / denom
+            steps += 1
+        return SolveReport(x=x, rel_residual=float(resid), refinements=steps)
 
 
 def sparse_lu_solve(A: sp.spmatrix, b: np.ndarray,
                     coords: np.ndarray | None = None) -> SolveReport:
-    """Solve A x = b by equilibrated sparse LU; residual checked from scratch."""
-    return Factorization(A, coords).checked_solve(b)
+    """Solve A x = b by equilibrated sparse LU in mixed precision (see
+    Factorization); residual checked from scratch."""
+    return Factorization(A, coords, mixed=True).checked_solve(b)
 
 
 @dataclass(frozen=True)
@@ -248,8 +342,12 @@ def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
     iteration for sigma_max and inverse iteration through an LU for sigma_min.
 
     fac, a Factorization of this same A, is reused for the inverse
-    iteration instead of factoring A again.  Without one, A is factored
-    first (ordered by coords), so a singular A costs no iterations."""
+    iteration instead of factoring A again; a single-precision one raises
+    ValueError, since its inverse is good only to about kappa * eps_single.
+    Without one, A is factored first (ordered by coords), so a singular A
+    costs no iterations."""
+    if fac is not None and fac.single:
+        raise ValueError("condition estimate needs a double-precision factor")
     A = sp.csr_matrix(A, dtype=complex)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:

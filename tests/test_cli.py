@@ -456,7 +456,7 @@ def test_check_proves_rank_facts_without_svd(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "tree count 1000 = curl kernel" in out
-    assert all(line.startswith("PASS") for line in out.splitlines())
+    assert all(line.startswith(("PASS", "INFO  region")) for line in out.splitlines())
 
 
 def test_check_without_free_edges(capsys):
@@ -464,7 +464,21 @@ def test_check_without_free_edges(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "tree count 0 = curl kernel" in out
-    assert all(line.startswith("PASS") for line in out.splitlines())
+    assert all(line.startswith(("PASS", "INFO  region")) for line in out.splitlines())
+
+
+@pytest.mark.parametrize("size, cells", [
+    (11, [1100, 110, 110, 5, 5, 1]),
+    (4, [64, 0, 0, 0, 0, 0]),  # the bars and arms capture no cell centroid
+])
+def test_check_prints_region_cell_counts(size, cells, capsys):
+    code = main(["check", "--config", ACADEMIC, "--subdivs", f"{size},{size},{size}"])
+    out = capsys.readouterr().out
+    assert code == 0
+    regions = [line for line in out.splitlines() if line.startswith("INFO  region")]
+    assert [int(line.split(": ")[1].split()[0]) for line in regions] == cells
+    assert regions[0] == "INFO  region 0 (eps_r=5, sigma=0): " + f"{cells[0]} cells"
+    assert regions[5].startswith("INFO  region 5 (eps_r=1, sigma=1): ")
 
 
 def test_sweep_without_free_unknowns_exit(tmp_path, capsys):
@@ -522,20 +536,35 @@ def test_non_finite_or_zero_material_exit(old, new, message, tmp_path, capsys):
 
 def test_lu_field_follows_the_system(academic_built, splu_dtypes):
     # static and nonconducting systems are real and factor in real
-    # arithmetic; a conductor at omega > 0 makes them complex
+    # arithmetic; a conductor at omega > 0 makes the curl system complex,
+    # while the conducting EQS system's imaginary parts lie below single
+    # resolution and are dropped from its single-precision LU
     methods = list(METHODS)
     run_convergence(load_scenario(MMS0), [4], 10.0, methods)
-    assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.float64)}
+    assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.float32)}
     splu_dtypes.clear()
-    run_convergence(load_scenario(MMS6E7), [4], 10.0, methods)
-    assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.complex128)}
+    built = load_scenario(MMS6E7).with_subdivisions((4, 4, 4)).build()
+    built.excitation(2 * np.pi * 10.0)
+    assert splu_dtypes == [np.dtype(np.float32)]  # the EQS step
     splu_dtypes.clear()
     for method in METHODS:
-        try:
-            run_two_step(academic_built, 0.0, method)
-        except solve.SingularMatrixError:
-            assert method == "original"
-    assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.float64)}
+        run_two_step(built, 10.0, method)
+    assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.complex64)}
+    splu_dtypes.clear()
+    for method in ("tree-cotree", "lagrange"):
+        run_two_step(academic_built, 0.0, method)
+    assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.float32)}
+    # the singular original system (no air gauge node for the probe at
+    # 3^3) is judged by the double LU once the single one is refused
+    splu_dtypes.clear()
+    with pytest.raises(solve.SingularMatrixError, match="kappa_1 \\* eps"):
+        run_two_step(academic_built, 0.0, "original")
+    assert splu_dtypes == [np.dtype(np.float32), np.dtype(np.float64)]
+    # a condition estimate asks for the double LU
+    splu_dtypes.clear()
+    run_two_step(academic_built, 0.0, "tree-cotree", condition=True)
+    run_two_step(built, 10.0, "tree-cotree", condition=True)
+    assert splu_dtypes == [np.dtype(np.float64), np.dtype(np.complex128)]
 
 
 def test_io_error_exit(tmp_path):

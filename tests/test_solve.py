@@ -40,11 +40,123 @@ def test_identity_system():
 def test_random_system_matches_dense_oracle(rng):
     A = _random_sparse(100, rng)
     b = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    rep = sparse_lu_solve(A, b)
+    rep = Factorization(A).checked_solve(b)
     x_dense = np.linalg.solve(A.toarray(), b)
     assert np.linalg.norm(rep.x - x_dense) / np.linalg.norm(x_dense) < 1e-10
     assert rep.rel_residual < 1e-10
     assert rep.refinements == 0  # an accurate solve pays for no second one
+
+
+def test_mixed_random_system_matches_dense_oracle(rng, splu_dtypes):
+    # a complex64 LU refined against the complex128 matrix reaches double
+    # accuracy within MAX_REFINEMENTS steps
+    A = _random_sparse(100, rng)
+    b = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+    rep = sparse_lu_solve(A, b)
+    assert splu_dtypes == [np.complex64]
+    x_dense = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(rep.x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+    assert rep.rel_residual <= solve.REFINE_TOL
+    assert 1 <= rep.refinements <= solve.MAX_REFINEMENTS == 3
+
+
+def test_imaginary_parts_below_single_resolution_factor_in_float32(rng, splu_dtypes):
+    # imaginary parts 1e-10 below the real ones are zeroed in the single
+    # copy, which is then real; the residual is still the complex matrix's
+    A = (_random_real(150, 5) + 1e-10j * _random_real(150, 6)).tocsr()
+    b = rng.standard_normal(150) + 1j * rng.standard_normal(150)
+    fac = Factorization(A, mixed=True)
+    assert splu_dtypes == [np.float32] and fac.single
+    rep = fac.checked_solve(b)
+    assert rep.rel_residual <= solve.REFINE_TOL
+    assert np.linalg.norm(A @ rep.x - b) <= solve.REFINE_TOL * np.linalg.norm(b)
+    x_dense = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(rep.x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+
+
+@pytest.mark.parametrize("scale", [1e-40, 1e-30, 1e30, 1e40])
+def test_mixed_solve_of_extreme_right_hand_sides(scale, rng, splu_dtypes):
+    # the power-of-two scaling keeps b and the refinement residuals inside
+    # float32's normal range, whatever the magnitude of b: 1e40 overflows
+    # float32 and 1e-40 is subnormal in it
+    A = _random_sparse(100, rng)
+    b = scale * (rng.standard_normal(100) + 1j * rng.standard_normal(100))
+    rep = sparse_lu_solve(A, b)
+    assert splu_dtypes == [np.complex64]
+    x_dense = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(rep.x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+    assert rep.rel_residual <= solve.REFINE_TOL
+
+
+def _bidiagonal(n, super_diag):
+    """I + super_diag on the superdiagonal: kappa_1 grows as |super_diag|^n."""
+    return sp.diags([np.ones(n), np.full(n - 1, super_diag)], [0, 1], format="csr")
+
+
+@pytest.mark.parametrize("super_diag, singular", [(-1.05, False), (-1.5, True)])
+def test_ill_conditioned_system_ends_on_a_double_factor(super_diag, singular,
+                                                        splu_dtypes):
+    # kappa_1 * eps_single far above SINGLE_KAPPA1_EPS_TOL: the single LU
+    # is dropped and the double one gives the verdict a double
+    # Factorization gives
+    A = _bidiagonal(200, super_diag)
+    b = np.ones(200) + 0j
+    if singular:
+        with pytest.raises(SingularMatrixError, match="kappa_1 \\* eps"):
+            Factorization(A)
+        splu_dtypes.clear()
+        with pytest.raises(SingularMatrixError, match="kappa_1 \\* eps"):
+            sparse_lu_solve(A, b)
+        assert splu_dtypes == [np.float32, np.float64]
+        return
+    double = Factorization(A)
+    splu_dtypes.clear()
+    fac = Factorization(A, mixed=True)
+    assert splu_dtypes == [np.float32, np.float64] and not fac.single
+    assert fac.kappa1 * np.finfo(np.float32).eps > solve.SINGLE_KAPPA1_EPS_TOL
+    assert fac.kappa1 == double.kappa1
+    rep = fac.checked_solve(b)
+    assert rep.rel_residual <= RESIDUAL_TOL
+    assert np.array_equal(rep.x, double.checked_solve(b).x)
+
+
+def test_stalled_refinement_falls_back_to_a_double_factor(rng, splu_dtypes):
+    # a single LU of (1 + 1e-2) A contracts the residual by 1e-2 a step,
+    # 1e-8 after MAX_REFINEMENTS: the matrix is factored in double instead
+    A = _random_sparse(100, rng)
+    b = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+    fac = Factorization(1.01 * A, mixed=True)
+    fac.A = A
+    assert fac.single
+    rep = fac.checked_solve(b)
+    assert splu_dtypes == [np.complex64, np.complex128] and not fac.single
+    assert rep.rel_residual <= RESIDUAL_TOL and rep.refinements == 0
+    x_dense = np.linalg.solve(A.toarray(), b)
+    assert np.linalg.norm(rep.x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
+
+
+def test_condition_estimate_refuses_a_single_factor(rng, monkeypatch):
+    monkeypatch.setattr(solve, "DENSE_SVD_LIMIT", 100)
+    A = _random_sparse(200, rng)
+    fac = Factorization(A, mixed=True)
+    assert fac.single
+    with pytest.raises(ValueError, match="double-precision factor"):
+        condition_estimate(A, fac=fac)
+    assert condition_estimate(A, fac=Factorization(A)).method == "power-iteration"
+
+
+@pytest.mark.parametrize("scenario, f", [
+    (lambda: academic_scenario((11, 11, 11)), 100.0),
+    (lambda: mms_scenario(0.0, (8, 8, 8)), 10.0),
+], ids=["academic-11-100Hz", "mms_sigma0-8-10Hz"])
+def test_single_factor_margin(scenario, f, splu_dtypes):
+    # the stabilized systems of the benchmark sit at least 10x below the
+    # constant that admits a single LU
+    built = scenario().build()
+    A = curl_system(built, 2 * np.pi * f, "tree-cotree")[0]
+    fac = Factorization(A, curl_coordinates(built, "tree-cotree"), mixed=True)
+    assert fac.single and len(splu_dtypes) == 1
+    assert fac.kappa1 * np.finfo(np.float32).eps <= solve.SINGLE_KAPPA1_EPS_TOL / 10
 
 
 def test_residual_reported_from_scratch(rng):
