@@ -4,8 +4,9 @@ solves with VTK export, and the structural invariant check.
 Exit codes: 0 success, 1 a failed structural invariant (check), 2
 configuration error (or a system with no free unknowns), 3 singular matrix
 or inaccurate solve (solve.InaccurateSolveError) on a method listed as
-required, 4 I/O failure.  Output files are byte-identical across runs by
-default; wall-clock columns are zero unless --timing is given.
+required, 4 I/O failure.  Output files are byte-identical across runs at
+a fixed BLAS thread count; wall-clock columns are zero unless --timing is
+given.
 """
 from __future__ import annotations
 
@@ -72,11 +73,11 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
 
     A singular solve counts as singular only when a solve quantity is
     asked for.  When step one succeeded, the curl system failed the
-    kappa_1 * eps test, either by the gradient probe of an original
-    system, before any LU, or by its LU; above the dense limit that is the
-    estimator's own singularity test, so the estimate is written as
-    infinite without a further factorization.  Otherwise it is made on the
-    system alone.
+    kappa_1 * eps test of its Factorization, either by the gradient probe
+    of an original system, before any LU, or by its LU; above the dense
+    limit that is the estimator's own singularity test, so the estimate is
+    written as infinite without a further factorization.  Otherwise it is
+    made on the system alone.
     """
     t0 = time.perf_counter()
     want_cond = "condition" in quantities

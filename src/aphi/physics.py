@@ -7,9 +7,10 @@ tree-cotree stabilized, or Lagrange-multiplier variant.  The manufactured trigon
 case provides closed-form sources for convergence studies.
 
 Discrete gradients are the kernel of the curl, and in air only
-omega^2 M_eps holds them, so an original system can be proven singular
-from one gradient before any LU (gradient_probe_bound); the gauged
-variants are full rank by construction and are always factored.
+omega^2 M_eps holds them, so run_two_step hands solve.Factorization one
+such gradient (gradient_probe) with an original system, which can then
+be proven singular before any LU; the gauged variants are full rank by
+construction and are never probed.
 """
 from __future__ import annotations
 
@@ -19,15 +20,13 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.constants import epsilon_0, mu_0
 
 from .assembly import (MatrixBundle, MaterialField, assemble_charge_vector,
                        assemble_current_vector)
 from .gauge import GaugeGraph, TreeCotreePartition
 from .mesh import Mesh
-from .solve import (KAPPA1_EPS_TOL, ConditionEstimate, Factorization,
-                    SingularMatrixError, SolveReport, _equilibrate,
+from .solve import (ConditionEstimate, Factorization, SolveReport,
                     condition_estimate, sparse_lu_solve)
 from .spaces import (EdgeSpace, ScalarSpace, gradient_incidence,
                      physical_edge_basis, physical_scalar_basis,
@@ -202,36 +201,19 @@ def curl_system(built: BuiltScenario, omega: float, method: str,
     return build_lagrange_system(W, D, j)
 
 
-def gradient_probe_bound(built: BuiltScenario, A: sp.spmatrix) -> float | None:
-    """Lower bound on kappa_1 of the equilibrated original curl matrix A,
-    or None when no gauge node lies in air.
-
-    The probe is the gradient g = P phi of a seeded random potential phi
-    (default_rng(0)) on the gauge nodes outside the conductors, zero
-    elsewhere: the curl annihilates it and no i*omega*sigma term reaches
-    it, so A g is only -omega^2 M_eps g.  With A_s = R^-1 A C^-1, the
-    matrix Factorization judges, and x = C g, ||A_s^-1||_1 >= ||x||_1 /
-    ||A_s x||_1 (Higham & Tisseur 2000), so the bound is
-    ||A_s||_1 ||x||_1 / ||A_s x||_1.  Being a lower bound, it can show a
-    system singular but never nonsingular.
-    """
+def gradient_probe(built: BuiltScenario) -> np.ndarray | None:
+    """The gradient g, on the free edges, of a seeded random potential on
+    the gauge nodes outside the conductors, or None when no gauge node lies
+    in air: Factorization's probe for an original curl matrix A.  The curl
+    annihilates g and no i*omega*sigma term reaches it, so A g is only
+    -omega^2 M_eps g."""
     air = np.setdiff1d(built.gauge.gauge_nodes,
                        np.flatnonzero(built.material.tags.conductor_nodes))
     if not air.size:
         return None
     phi = np.zeros(built.mesh.n_nodes)
     phi[air] = np.random.default_rng(0).standard_normal(air.size)
-    g = (gradient_incidence(built.mesh) @ phi)[built.edge.free]
-    r, c = _equilibrate(A)
-    A_s = sp.diags(1.0 / r) @ A @ sp.diags(1.0 / c)
-    x = c * g
-    # At omega = 0, A_s x is the curl of a gradient: rounding noise, so the
-    # bound is good only to its order of magnitude (about 7 / eps on
-    # academic 11^3), or exactly zero, where the bound is infinite.
-    norm_Ax = float(np.abs(A_s @ x).sum())
-    if norm_Ax == 0.0:
-        return np.inf
-    return float(spla.norm(A_s, 1)) * float(np.abs(x).sum()) / norm_Ax
+    return (gradient_incidence(built.mesh) @ phi)[built.edge.free]
 
 
 def curl_coordinates(built: BuiltScenario, method: str) -> np.ndarray:
@@ -256,7 +238,7 @@ def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
     Solution.
 
     Propagates SingularMatrixError: expected for the original variant at
-    low frequency, where gradient_probe_bound usually proves it before any
+    low frequency, where the gradient probe usually proves it before any
     LU, and raised by step one without a scalar Dirichlet node or, as
     StaticSingularityError, for a floating conductor at 0 Hz.
     """
@@ -266,14 +248,9 @@ def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
     u_full, eqs_report, j_free = built.excitation(omega)
 
     A, b = curl_system(built, omega, method, j_free)
-    if method == "original":
-        bound = gradient_probe_bound(built, A)
-        eps_bound = 0.0 if bound is None else bound * np.finfo(float).eps
-        if eps_bound >= KAPPA1_EPS_TOL:  # proven singular: no LU
-            raise SingularMatrixError(
-                f"numerically singular by the gradient probe: kappa_1 * eps "
-                f">= {eps_bound:.3e} >= {KAPPA1_EPS_TOL:g}")
-    fac = Factorization(A, curl_coordinates(built, method), mixed=not condition)
+    probe = gradient_probe(built) if method == "original" else None
+    fac = Factorization(A, curl_coordinates(built, method), mixed=not condition,
+                        probe=probe)
     rep = fac.checked_solve(b)
     est = condition_estimate(A, fac=fac) if condition else None
     n_free = built.edge.n_free

@@ -6,11 +6,11 @@ two-sided max-equilibrated copy; residuals are always recomputed from the
 original operator.  Singularity is judged by kappa_1 * eps of the
 equilibrated matrix, ||A^-1||_1 estimated through the LU's own solves
 (Higham & Tisseur 2000).  Each LU is held once: SuperLU.L and .U, which
-scipy builds as copies cached on the factor, are never read.  An original
-(unstabilized) curl system can be judged singular before it reaches this
-module: physics.gradient_probe_bound bounds the same kappa_1 from below
-with a discrete gradient, and a bound at or above KAPPA1_EPS_TOL / eps
-skips the LU.
+scipy builds as copies cached on the factor, are never read.  Given a
+vector g that A nearly annihilates (physics.gradient_probe for an original
+curl system), Factorization(..., probe=g) bounds the same kappa_1 from
+below right after equilibrating; a bound at or above KAPPA1_EPS_TOL / eps
+raises SingularMatrixError, naming the gradient probe, with no LU.
 
 A matrix whose stored entries have no imaginary part is factored in real
 arithmetic, at half the memory traffic of the complex LU: every system at
@@ -41,14 +41,15 @@ the real parts form subnormal products that made a complex64 LU up to 13x
 slower than the complex128 one.  The copy is complex64 when an imaginary
 part survives, else float32.  Each right-hand side is scaled by a power
 of two near its largest magnitude before the cast, exactly, so that small
-refinement residuals stay in float32's normal range.  The single factor
+refinement residuals stay in float32's normal range.  A probe bound above
+SINGLE_KAPPA1_EPS_TOL / eps_single skips the single copy; a single factor
 serves only when its own kappa_1 * eps_single is at most
 SINGLE_KAPPA1_EPS_TOL; otherwise, or when SuperLU refuses the copy, the
-matrix is factored in double and judged exactly as without mixed, so a
-single factor never decides a singular verdict.  Refinement stops at a
-relative residual of REFINE_TOL or after MAX_REFINEMENTS steps; a residual
-still above RESIDUAL_TOL then falls back to the double LU and its checked
-solve.
+single LU is freed and the matrix is factored in double and judged as
+without mixed, so a single factor never decides a singular verdict.
+Refinement stops at a relative residual of REFINE_TOL or after
+MAX_REFINEMENTS steps; a residual still above RESIDUAL_TOL then falls back
+to the double LU and its checked solve.
 """
 from __future__ import annotations
 
@@ -97,6 +98,22 @@ def _equilibrate(A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     c = np.asarray(scaled.max(axis=0).todense()).ravel()
     c[c == 0] = 1.0
     return r, c
+
+
+def _probe_bound(A: sp.csr_matrix, r: np.ndarray, c: np.ndarray,
+                 g: np.ndarray) -> float:
+    """Lower bound ||A_s||_1 ||x||_1 / ||A_s x||_1 on kappa_1 of A_s =
+    R^-1 A C^-1, with x = C g (Higham & Tisseur 2000): it can show a matrix
+    singular, never nonsingular."""
+    A_s = sp.diags(1.0 / r) @ A @ sp.diags(1.0 / c)
+    x = c * g
+    # For an exact kernel vector g, A_s x is rounding noise, so the bound is
+    # good only to its order of magnitude (about 7 / eps for the curl of a
+    # gradient on academic 11^3 at 0 Hz), or zero, where it is infinite.
+    norm_Ax = float(np.abs(A_s @ x).sum())
+    if norm_Ax == 0.0:
+        return np.inf
+    return float(spla.norm(A_s, 1)) * float(np.abs(x).sum()) / norm_Ax
 
 
 def nested_dissection(A: sp.spmatrix, coords: np.ndarray | None = None) -> np.ndarray:
@@ -170,7 +187,8 @@ class Factorization:
     accuracy, while solve and solve_adjoint are good only to about
     kappa * eps_single.  Otherwise, and always without mixed, the LU is in
     double and a kappa_1 * eps at or above KAPPA1_EPS_TOL raises
-    SingularMatrixError.
+    SingularMatrixError.  probe, a vector that A nearly annihilates, is
+    judged by the same constants before any LU (see the module docstring).
 
     kappa1 is a lower-bound estimate of the held LU's kappa_1:
     onenormest with t=1 follows the largest entry of its iterate, and
@@ -178,7 +196,7 @@ class Factorization:
     7% (the same matrix factored in real and in complex arithmetic)."""
 
     def __init__(self, A: sp.spmatrix, coords: np.ndarray | None = None,
-                 mixed: bool = False):
+                 mixed: bool = False, probe: np.ndarray | None = None):
         A = sp.csr_matrix(A, dtype=complex)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got {A.shape}")
@@ -188,63 +206,65 @@ class Factorization:
             raise ValueError("the matrix has non-finite entries")
         self.A = A
         self.r, self.c = _equilibrate(A)
+        if probe is not None:
+            bound = _probe_bound(A, self.r, self.c, probe)
+            eps_bound = bound * np.finfo(float).eps
+            if eps_bound >= KAPPA1_EPS_TOL:  # proven singular: no LU
+                raise SingularMatrixError(
+                    f"numerically singular by the gradient probe: kappa_1 * eps "
+                    f">= {eps_bound:.3e} >= {KAPPA1_EPS_TOL:g}")
+            # a single LU would be refused by its own kappa_1 * eps_single
+            mixed = mixed and bound * np.finfo(np.float32).eps <= SINGLE_KAPPA1_EPS_TOL
         self._perm = nested_dissection(A, coords)
         self._iperm = np.argsort(self._perm)
-        if not (mixed and self._factor_single()):
-            self._factor_double()
+        if not (mixed and self._factor(np.float32)):
+            self._factor(np.float64)
 
     @property
     def single(self) -> bool:
         """The held LU is a float32 or complex64 one."""
         return np.finfo(self._dtype).bits == 32
 
-    def _scaled(self) -> sp.csc_matrix:
-        """The equilibrated matrix in dissection order."""
+    def _factor(self, precision: type) -> bool:
+        """Factor the equilibrated, ordered matrix with SuperLU in the
+        precision of np.float32 or np.float64, real when no imaginary part
+        survives, and judge its kappa_1 * eps.  A refused single LU is freed
+        and returns False; a refused double one raises SingularMatrixError."""
+        single = precision == np.float32
         scaled = (sp.diags(1.0 / self.r) @ self.A @ sp.diags(1.0 / self.c)).tocsr()
-        return scaled[self._perm][:, self._perm].tocsc()
-
-    def _factor(self, scaled: sp.csc_matrix) -> None:
-        """Factor scaled with SuperLU and estimate its kappa_1."""
-        self._dtype = scaled.dtype
+        scaled = scaled[self._perm][:, self._perm].tocsc()
+        data = scaled.data
+        if single:  # see SINGLE_TINY in the module docstring
+            data = (np.where(abs(data.real) < SINGLE_TINY, 0.0, data.real)
+                    + 1j * np.where(abs(data.imag) < SINGLE_TINY, 0.0, data.imag))
+        if data.imag.any():
+            precision = np.result_type(precision, np.complex64)
+        else:  # same pattern in half the storage
+            data = data.real
+        lu_input = sp.csc_matrix((np.ascontiguousarray(data, dtype=precision),
+                                  scaled.indices, scaled.indptr), shape=scaled.shape)
+        del scaled, data  # freed before the LU is built
+        self._dtype = lu_input.dtype
         try:
-            self._lu = spla.splu(scaled, permc_spec="NATURAL",
+            self._lu = spla.splu(lu_input, permc_spec="NATURAL",
                                  diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:  # exactly singular inside SuperLU
+            if single:
+                return False
             raise SingularMatrixError(str(exc)) from exc
         # t=1 is deterministic; t >= 2 draws from numpy's global RNG
-        dtype = float if scaled.dtype.kind == "f" else complex
-        inv = spla.LinearOperator(scaled.shape, matvec=self._lu_solve, dtype=dtype,
+        dtype = float if self._dtype.kind == "f" else complex
+        inv = spla.LinearOperator(lu_input.shape, matvec=self._lu_solve, dtype=dtype,
                                   rmatvec=lambda b: self._lu_solve(b, adjoint=True))
-        self.kappa1 = float(spla.norm(scaled, 1) * spla.onenormest(inv, t=1))
-
-    def _factor_single(self) -> bool:
-        """Factor the single-precision copy; False, holding no LU, when
-        SuperLU refuses it or its kappa_1 * eps_single is too large."""
-        scaled = self._scaled()
-        re, im = (np.where(abs(part) < SINGLE_TINY, 0.0, part)
-                  for part in (scaled.data.real, scaled.data.imag))
-        data = (re + 1j * im).astype(np.complex64) if im.any() else re.astype(np.float32)
-        copy = sp.csc_matrix((data, scaled.indices, scaled.indptr), shape=scaled.shape)
-        del scaled, re, im, data  # only the copy is factored
-        try:
-            self._factor(copy)
-        except SingularMatrixError:  # SuperLU refused the copy: no LU held
+        self.kappa1 = float(spla.norm(lu_input, 1) * spla.onenormest(inv, t=1))
+        eps_kappa = self.kappa1 * np.finfo(self._dtype).eps
+        if single and not eps_kappa <= SINGLE_KAPPA1_EPS_TOL:
+            self._lu = None  # freed before the double LU is built
             return False
-        if self.kappa1 * np.finfo(np.float32).eps <= SINGLE_KAPPA1_EPS_TOL:
-            return True
-        self._lu = None  # freed before the double LU is built
-        return False
-
-    def _factor_double(self) -> None:
-        scaled = self._scaled()
-        if not scaled.data.imag.any():  # same pattern in half the storage
-            scaled = sp.csc_matrix((scaled.data.real.copy(), scaled.indices,
-                                    scaled.indptr), shape=scaled.shape)
-        self._factor(scaled)
-        eps_kappa = self.kappa1 * np.finfo(float).eps
         if not eps_kappa < KAPPA1_EPS_TOL:  # also catches nan
             raise SingularMatrixError(f"numerically singular: kappa_1 * eps = "
                                       f"{eps_kappa:.3e} >= {KAPPA1_EPS_TOL:g}")
+        return True
 
     def _lu_solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """The LU's solve with the scaled, permuted matrix or its adjoint.
@@ -285,7 +305,7 @@ class Factorization:
             if rep.rel_residual <= RESIDUAL_TOL:
                 return rep
             self._lu = None  # freed before the double LU is built
-            self._factor_double()
+            self._factor(np.float64)
         rep = self._refined_solve(b, 1, RESIDUAL_TOL)
         if not rep.rel_residual <= RESIDUAL_TOL:  # also catches nan
             raise InaccurateSolveError(

@@ -80,7 +80,7 @@ def test_sweep_reproducible_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_singular_sweep_row_above_dense_limit_factors_once(monkeypatch):
+def test_singular_sweep_row_above_dense_limit_factors_once(monkeypatch, splu_dtypes):
     built = academic_scenario((11, 11, 11)).build()
     assert built.edge.n_free > DENSE_SVD_LIMIT
     factored = []
@@ -96,9 +96,11 @@ def test_singular_sweep_row_above_dense_limit_factors_once(monkeypatch):
                                {"condition", "delta_D", "solve_residual"}, False)
     assert singular
     assert row == f"0,original,inf,power-iteration,singular,singular,{built.edge.n_free},0"
-    # the EQS factorization only: the gradient probe proves the curl
-    # system singular without an LU, and the estimate adds none
-    assert len(factored) == 1
+    # one LU, of the EQS system: the gradient probe proves the curl system
+    # singular inside its Factorization without an LU, and the estimate
+    # adds none
+    assert factored == [built.scalar.n_free, built.edge.n_free]
+    assert len(splu_dtypes) == 1
     # the estimate written is the one the system alone gives
     est = condition_estimate(curl_system(built, 0.0, "original")[0])
     assert (est.value, est.method, est.iterations, est.singular) == \

@@ -1,17 +1,21 @@
+import importlib
+import pkgutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aphi import physics
+import aphi
+from aphi import physics, solve
 from aphi.mesh import FACE_LABELS, Box
 from aphi.physics import (METHODS, DerivedFields, ManufacturedCase,
                           curl_coordinates, curl_system, gauge_residual,
-                          gradient_probe_bound, hcurl_error, run_two_step)
+                          gradient_probe, hcurl_error, run_two_step)
 from aphi.scenario import (RegionSpec, Scenario, academic_scenario, load_scenario,
                            mms_scenario)
-from aphi.solve import (KAPPA1_EPS_TOL, SingularMatrixError, _equilibrate,
+from aphi.solve import (KAPPA1_EPS_TOL, SINGLE_KAPPA1_EPS_TOL,
+                        SingularMatrixError, _equilibrate, _probe_bound,
                         condition_estimate)
 from aphi.system import FrequencyPoint, StaticSingularityError
 from oracles import (cell_centre_fields, edge_interpolate, fd_curl_curl,
@@ -394,6 +398,11 @@ def test_mms_sigma0_classification_at_10hz():
 EPS = np.finfo(float).eps
 
 
+def _gradient_probe_bound(built, A):
+    """The bound that Factorization(A, probe=gradient_probe(built)) judges."""
+    return _probe_bound(A, *_equilibrate(A), gradient_probe(built))
+
+
 @pytest.mark.parametrize("f", [10.0, 1e3, 1e6])
 @pytest.mark.parametrize("scenario", [mms_scenario(0.0, (2, 2, 2)),
                                       mms_scenario(0.0, (4, 4, 4)),
@@ -405,7 +414,7 @@ def test_gradient_probe_bound_below_dense_kappa1(scenario, f):
     # both sides carry rounding of relative order kappa_1 * eps; at 2^3 the
     # one gauge node makes the probe the kernel vector itself, so there the
     # bound meets kappa_1 within that rounding
-    assert 1.0 <= gradient_probe_bound(built, A) <= kappa1 * (1 + 10 * EPS * kappa1)
+    assert 1.0 <= _gradient_probe_bound(built, A) <= kappa1 * (1 + 10 * EPS * kappa1)
 
 
 def _dense_kappa1(A):
@@ -421,7 +430,7 @@ def test_probe_proven_system_is_never_factored(splu_dtypes):
         omega = 2 * np.pi * 10.0
         built.excitation(omega)
         A = curl_system(built, omega, "original")[0]
-        bound = gradient_probe_bound(built, A)
+        bound = _gradient_probe_bound(built, A)
         assert bound * EPS >= low > KAPPA1_EPS_TOL
         if n == 4:
             assert bound < _dense_kappa1(A) / 3
@@ -432,19 +441,22 @@ def test_probe_proven_system_is_never_factored(splu_dtypes):
 
 
 def test_gradient_probe_skipped_without_air_gauge_node(monkeypatch, splu_dtypes):
-    built = mms_scenario(6e7, (4, 4, 4)).build()
-    A = curl_system(built, 2 * np.pi * 10.0, "original")[0]
-    assert gradient_probe_bound(built, A) is None
-    run_two_step(built, 10.0, "original")
-    assert len(splu_dtypes) == 2  # EQS and curl
-    # the gauged systems are full rank by construction: never probed
     probed = []
-    monkeypatch.setattr(physics, "gradient_probe_bound",
-                        lambda *a: probed.append(a))
+    bound = solve._probe_bound
+    monkeypatch.setattr(solve, "_probe_bound",
+                        lambda *a: probed.append(a) or bound(*a))
+    built = mms_scenario(6e7, (4, 4, 4)).build()
+    assert gradient_probe(built) is None
+    run_two_step(built, 10.0, "original")
+    assert len(splu_dtypes) == 2 and probed == []  # EQS and curl
+    # the gauged systems are full rank by construction: never probed
     built = mms_scenario(0.0, (4, 4, 4)).build()
     for method in ("tree-cotree", "lagrange"):
         run_two_step(built, 10.0, method)
     assert probed == []
+    with pytest.raises(SingularMatrixError, match="gradient probe"):
+        run_two_step(built, 10.0, "original")
+    assert len(probed) == 1
 
 
 def test_gradient_probe_at_0hz_raises_without_warning(splu_dtypes):
@@ -457,10 +469,54 @@ def test_gradient_probe_at_0hz_raises_without_warning(splu_dtypes):
         with pytest.raises(SingularMatrixError, match="gradient probe"):
             run_two_step(built, 0.0, "original")
         # A_s x is the curl of a gradient, at rounding level ...
-        assert gradient_probe_bound(built, A) * EPS > 1.0
+        assert _gradient_probe_bound(built, A) * EPS > 1.0
         # ... or exactly zero, where the bound is infinite
-        assert gradient_probe_bound(built, 0.0 * A) == np.inf
+        assert _gradient_probe_bound(built, 0.0 * A) == np.inf
     assert splu_dtypes == []
+
+
+@pytest.fixture(scope="module")
+def academic_11():
+    return academic_scenario((11, 11, 11)).build()
+
+
+@pytest.mark.parametrize("f, curl_dtypes", [
+    (1e3, [np.complex128]), (1e6, [np.complex128]), (1e9, [np.complex64])])
+def test_probe_bound_skips_a_hopeless_single_factor(academic_11, f, curl_dtypes,
+                                                    splu_dtypes):
+    # the probe bound times eps_single reads about 4e6, 4 and 4e-6: a
+    # single LU of the first two would only be refused by its own kappa_1
+    omega = 2 * np.pi * f
+    academic_11.excitation(omega)
+    A = curl_system(academic_11, omega, "original")[0]
+    bound = _gradient_probe_bound(academic_11, A)
+    assert (bound * np.finfo(np.float32).eps > SINGLE_KAPPA1_EPS_TOL) == (f < 1e9)
+    splu_dtypes.clear()
+    run_two_step(academic_11, f, "original")
+    assert splu_dtypes == curl_dtypes
+
+
+def test_probed_factorization_equilibrates_once(monkeypatch, mms_built_sigma0):
+    # every module that binds the name is spied on, so an equilibration
+    # repeated outside solve is counted too
+    calls = []
+    equilibrate = solve._equilibrate
+    for info in pkgutil.iter_modules(aphi.__path__):
+        if info.name == "__main__":  # runs the command line on import
+            continue
+        module = importlib.import_module(f"aphi.{info.name}")
+        if "_equilibrate" in vars(module):
+            monkeypatch.setattr(module, "_equilibrate",
+                                lambda A: calls.append(A.shape) or equilibrate(A))
+    mms_built_sigma0.excitation(2 * np.pi * 10.0)  # step one, uncounted
+    calls.clear()
+    with pytest.raises(SingularMatrixError, match="gradient probe"):
+        run_two_step(mms_built_sigma0, 10.0, "original")
+    assert len(calls) == 1
+    mms_built_sigma0.excitation(2 * np.pi * 1e6)
+    calls.clear()
+    run_two_step(mms_built_sigma0, 1e6, "original")  # probed, then factored
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [3, 5])  # 36 and 240 free edges: ND_LEAF is 64
