@@ -1,4 +1,4 @@
-"""Global sparse matrix and source-vector assembly.
+"""Global sparse matrices, and load vectors of the source densities given.
 
 All cells of a box mesh share one geometry, so the unit-weight element
 matrices are computed once per mesh and scattered with per-cell material
@@ -14,8 +14,8 @@ basis, so the temporaries stay bounded by the block and not by the mesh.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -204,42 +204,13 @@ def assemble_current_vector(edge: EdgeSpace, current: Callable) -> np.ndarray:
                            mesh.n_edges)
 
 
-class SourceModel(Protocol):
-    """Volume sources of a scenario, assembled per frequency."""
-
-    def eqs_rhs(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        """i*omega*q_s over all nodes, the right-hand side of the conductor
-        rows of the scalar system at every omega; must stay finite as
-        omega -> 0."""
-
-    def charge_vector(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        """q_s over all nodes, the right-hand side of the air rows of the
-        scalar system at every omega; may raise where the charge density is
-        undefined (it is not called for a scenario without air rows)."""
-
-    def current_vector(self, edge: EdgeSpace, omega: float) -> np.ndarray:
-        """j_s over all edges."""
-
-
-@dataclass(frozen=True)
-class NoSource:
-    def eqs_rhs(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        return np.zeros(scalar.entity_count, dtype=complex)
-
-    def charge_vector(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        return np.zeros(scalar.entity_count, dtype=complex)
-
-    def current_vector(self, edge: EdgeSpace, omega: float) -> np.ndarray:
-        return np.zeros(edge.entity_count, dtype=complex)
-
-
 @dataclass(frozen=True)
 class MatrixBundle:
     """All frequency-independent matrices of one scenario, full entity size.
 
     Frequency-dependent systems are scalar combinations of these; free-DOF
     restriction and Dirichlet lifts happen when the per-frequency systems
-    are formed.
+    are formed, with their right-hand sides from source.
     """
 
     mesh: Mesh
@@ -260,7 +231,7 @@ class MatrixBundle:
     # gauge rows used downstream).
     D_sigma: sp.csr_matrix
     D_eps: sp.csr_matrix
-    source: SourceModel = field(default_factory=NoSource)
+    source: object = None  # physics.ManufacturedCase, or None: no source terms
 
     def K_kappa(self, omega: float) -> sp.csr_matrix:
         return (self.K_sigma + 1j * omega * self.K_eps).tocsr()
@@ -273,7 +244,7 @@ class MatrixBundle:
 
 
 def assemble_bundle(scalar: ScalarSpace, edge: EdgeSpace, material: MaterialField,
-                    source: SourceModel | None = None) -> MatrixBundle:
+                    source: object = None) -> MatrixBundle:
     G_sigma = assemble_grad_coupling(scalar, edge, material, "sigma")
     G_eps = assemble_grad_coupling(scalar, edge, material, "eps")
     return MatrixBundle(
@@ -287,5 +258,5 @@ def assemble_bundle(scalar: ScalarSpace, edge: EdgeSpace, material: MaterialFiel
         C_nu=assemble_curl_curl(edge, material),
         D_sigma=(-G_sigma).T.tocsr(),
         D_eps=(-G_eps).T.tocsr(),
-        source=source if source is not None else NoSource(),
+        source=source,
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .mesh import match_cells
 from .physics import (METHODS, curl_coordinates, curl_system, hcurl_error,
                       run_two_step)
-from .scenario import ConfigError, Scenario, load_scenario
+from .scenario import ConfigError, Scenario, check_methods, load_scenario
 from .solve import (DENSE_SVD_LIMIT, ConditionEstimate, Factorization,
                     SingularMatrixError, condition_estimate)
 from .system import FrequencyPoint
@@ -266,10 +266,7 @@ def _methods(args, scenario: Scenario) -> list[str]:
         methods = [t.strip() for t in args.methods.split(",") if t.strip()]
         if not methods:
             raise ConfigError(0, f"empty --methods list {args.methods!r}")
-        for m in methods:
-            if m not in METHODS:
-                raise ConfigError(0, f"unknown method {m!r}")
-        return methods
+        return list(check_methods(methods, 0))
     return list(scenario.methods)
 
 

@@ -3,8 +3,8 @@
 Step one computes the scalar potential (the frequency-scaled
 complex-conductivity Poisson problem, one system down to omega = 0); step
 two the vector potential from the curl system, with the original,
-tree-cotree stabilized, or Lagrange-multiplier variant.  The manufactured trigonometric
-case provides closed-form sources for convergence studies.
+tree-cotree stabilized, or Lagrange-multiplier variant.  The manufactured
+trigonometric case, the only source, fills both steps' right-hand sides.
 
 Discrete gradients are the kernel of the curl, and in air only
 omega^2 M_eps holds them, so run_two_step hands solve.Factorization one
@@ -104,23 +104,20 @@ class ManufacturedCase:
                              "run the static check without the manufactured charge")
         return 3.0 * self.kappa(omega) * self.phi(points) / (1j * omega)
 
-
-@dataclass(frozen=True)
-class ManufacturedSource:
-    """SourceModel adapter; the scalar RHS i*omega*q_s is assembled from the
-    finite combination 3*kappa*phi, so it stays defined at omega = 0."""
-
-    case: ManufacturedCase
-
     def eqs_rhs(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        k = self.case.kappa(omega)
-        return assemble_charge_vector(scalar, lambda p: 3.0 * k * self.case.phi(p))
+        """i*omega*q_s over all nodes (the scalar system's conductor rows),
+        from the finite 3*kappa*phi, so it stays finite as omega -> 0."""
+        k = self.kappa(omega)
+        return assemble_charge_vector(scalar, lambda p: 3.0 * k * self.phi(p))
 
     def charge_vector(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        return assemble_charge_vector(scalar, lambda p: self.case.rho_s(p, omega))
+        """q_s over all nodes (the scalar system's air rows); raises where
+        rho_s is undefined, so it is not called without air rows."""
+        return assemble_charge_vector(scalar, lambda p: self.rho_s(p, omega))
 
     def current_vector(self, edge: EdgeSpace, omega: float) -> np.ndarray:
-        return assemble_current_vector(edge, lambda p: self.case.J_s(p, omega))
+        """j_s over all edges."""
+        return assemble_current_vector(edge, lambda p: self.J_s(p, omega))
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.constants import epsilon_0, mu_0
 
-from .assembly import MaterialField, NoSource, assemble_bundle
+from .assembly import MaterialField, assemble_bundle
 from .gauge import build_gauge_graph, spanning_tree
 from .mesh import (FACE_LABELS, Box, boundary_entities, build_box_mesh,
                    derive_entity_tags, match_cells)
-from .physics import (METHODS, BuiltScenario, ManufacturedCase,
-                      ManufacturedSource)
+from .physics import METHODS, BuiltScenario, ManufacturedCase
 from .spaces import DirichletSpec, build_edge_space, build_scalar_space
 
 
@@ -77,11 +76,7 @@ class Scenario:
         mms = None
         if self.source == "manufactured":
             mms = self._manufactured_case(material)
-            source = ManufacturedSource(mms)
-        else:
-            source = NoSource()
-
-        bundle = assemble_bundle(scalar, edge, material, source)
+        bundle = assemble_bundle(scalar, edge, material, mms)
         gauge = build_gauge_graph(mesh, edge, scalar)
         partition = spanning_tree(gauge)
         return BuiltScenario(mesh=mesh, material=material, scalar=scalar,
@@ -143,6 +138,16 @@ def _parse_keyvals(tokens, line, required, optional=()):
         if key not in out:
             raise ConfigError(line, f"missing required key {key}=")
     return out
+
+
+def check_methods(methods, line: int) -> tuple[str, ...]:
+    """The methods as a tuple; each must be known and appear only once."""
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(line, f"unknown method {m!r}; choose from {METHODS}")
+    if len(set(methods)) != len(methods):
+        raise ConfigError(line, f"repeated method in {list(methods)}")
+    return tuple(methods)
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
@@ -211,11 +216,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         elif key == "methods":
             if not tokens:
                 raise ConfigError(lineno, "methods needs at least one entry")
-            for tok in tokens:
-                if tok not in METHODS:
-                    raise ConfigError(lineno, f"unknown method {tok!r}; "
-                                              f"choose from {METHODS}")
-            methods = tuple(tokens)
+            methods = check_methods(tokens, lineno)
         else:
             raise ConfigError(lineno, f"unknown key {key!r}")
 

@@ -116,10 +116,6 @@ class ScalarSpace:
     def n_free(self) -> int:
         return self.free.shape[0]
 
-    @property
-    def entity_count(self) -> int:
-        return self.mesh.n_nodes
-
     def full_vector(self, free_values: np.ndarray) -> np.ndarray:
         out = np.zeros(self.mesh.n_nodes, dtype=complex)
         out[self.free] = free_values
@@ -136,10 +132,6 @@ class EdgeSpace:
     @property
     def n_free(self) -> int:
         return self.free.shape[0]
-
-    @property
-    def entity_count(self) -> int:
-        return self.mesh.n_edges
 
     def full_vector(self, free_values: np.ndarray) -> np.ndarray:
         out = np.zeros(self.mesh.n_edges, dtype=complex)

@@ -91,16 +91,17 @@ def build_eqs_system(bundle: MatrixBundle, omega: float) -> tuple[sp.csr_matrix,
             "the scalar-potential system singular")
     cond = bundle.material.tags.conductor_nodes
     K = _region_rows(cond, bundle.K_kappa(omega), bundle.K_eps)
-    # each source is evaluated only where its rows exist: the charge
-    # density of a conductor may be undefined at omega = 0
-    in_cond = cond[scal.free]
     rhs = np.zeros(scal.n_free, dtype=complex)
-    if in_cond.any():
-        rhs[in_cond] = bundle.source.eqs_rhs(scal, omega)[scal.free[in_cond]]
-    if not in_cond.all():
-        rhs[~in_cond] = bundle.source.charge_vector(scal, omega)[scal.free[~in_cond]]
-    if scal.constrained.size:
-        rhs = rhs - K[scal.free][:, scal.constrained] @ scal.values
+    source = bundle.source
+    if source is not None:
+        # each source is evaluated only where its rows exist: the charge
+        # density of a conductor may be undefined at omega = 0
+        in_cond = cond[scal.free]
+        if in_cond.any():
+            rhs[in_cond] = source.eqs_rhs(scal, omega)[scal.free[in_cond]]
+        if not in_cond.all():
+            rhs[~in_cond] = source.charge_vector(scal, omega)[scal.free[~in_cond]]
+    rhs = rhs - K[scal.free][:, scal.constrained] @ scal.values
     return K[scal.free][:, scal.free].tocsr(), rhs
 
 
@@ -141,9 +142,10 @@ def build_curl_matrix(bundle: MatrixBundle, omega: float) -> sp.csr_matrix:
 
 def build_rhs(bundle: MatrixBundle, omega: float, u_full: np.ndarray) -> np.ndarray:
     """Right-hand side j(u) = j_s - G_kappa u on free edges; u includes the
-    prescribed Dirichlet values."""
-    j = bundle.source.current_vector(bundle.edge, omega) - bundle.G_kappa(omega) @ u_full
-    return j[bundle.edge.free]
+    prescribed Dirichlet values, and j_s is 0 without a source."""
+    source = bundle.source
+    j_s = 0.0 if source is None else source.current_vector(bundle.edge, omega)
+    return (j_s - bundle.G_kappa(omega) @ u_full)[bundle.edge.free]
 
 
 def build_scaled_divergence(bundle: MatrixBundle, omega: float,

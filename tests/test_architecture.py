@@ -48,3 +48,47 @@ def test_private_import_scan_sees_both_forms(tmp_path):
                     "x = solve._probe_bound(m._cells, solve.KAPPA1_EPS_TOL)\n")
     assert _private_imports(path) == ["_equilibrate", "solve._probe_bound",
                                       "m._cells"]
+
+
+# Each module may import only from modules before it in this order.
+LAYERS = ("mesh", "spaces", "assembly", "gauge", "solve", "system", "physics",
+          "scenario", "vtk_io", "cli")
+
+
+def _upward_imports(path: Path) -> list[str]:
+    """Modules that the module at path imports relatively, anywhere in its
+    body (inside a function or under TYPE_CHECKING too), and that do not
+    come before it in LAYERS."""
+    below = LAYERS[:LAYERS.index(path.stem)]
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            found += [n for n in names if n.split(".")[0] not in below]
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in SRC.glob("*.py")} - {"__init__", "__main__"} \
+        == set(LAYERS)
+
+
+def test_modules_import_only_earlier_layers():
+    # an import from a later layer is a cycle waiting to happen, and a
+    # lower layer that needs a higher one's type has its owner in the
+    # wrong place
+    found = {name: names for name in LAYERS
+             if (names := _upward_imports(SRC / f"{name}.py"))}
+    assert found == {}
+
+
+def test_layer_scan_sees_type_checking_and_function_imports(tmp_path):
+    path = tmp_path / "assembly.py"
+    path.write_text("from typing import TYPE_CHECKING\n"
+                    "from .mesh import Mesh\n"
+                    "from . import spaces\n"
+                    "if TYPE_CHECKING:\n"
+                    "    from .physics import ManufacturedCase\n"
+                    "def f():\n"
+                    "    from . import gauge, mesh\n")
+    assert _upward_imports(path) == ["physics", "gauge"]

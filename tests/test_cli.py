@@ -256,6 +256,35 @@ def test_empty_methods_list_rejected_before_building(argv, tmp_path, monkeypatch
     assert built == [] and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", ACADEMIC, "--freqs", "1",
+     "--methods", "tree-cotree,tree-cotree"],
+    ["converge", "--config", MMS0, "--subdivs", "2,4", "--freq", "10",
+     "--methods", "original,tree-cotree,original"],
+])
+def test_repeated_method_rejected_before_building(argv, tmp_path, monkeypatch,
+                                                  capsys):
+    # a repeated method would write duplicate rows, and on converge a nan
+    # rate from two errors at one size
+    built = []
+    monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "repeated method" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+
+
+def test_repeated_method_config_line_exit(tmp_path, capsys):
+    cfg = tmp_path / "repeated.cfg"
+    cfg.write_text(Path(MMS0).read_text() + "\nmethods lagrange lagrange\n")
+    line = len(cfg.read_text().splitlines())
+    out = tmp_path / "out.csv"
+    code = main(["converge", "--config", str(cfg), "--subdivs", "2,4",
+                 "--freq", "10", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    assert f"line {line}: repeated method" in capsys.readouterr().err
+
+
 def test_converge_rejects_size_below_one_before_building(tmp_path, monkeypatch):
     built = []
     monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))

@@ -81,6 +81,24 @@ def test_eqs_rhs_is_lift_only_for_dirichlet_drive(academic_built):
         np.testing.assert_allclose(rhs[rows], lift, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("f", [0.0, 1e3])
+def test_no_source_leaves_only_the_dirichlet_terms(academic_built, f):
+    # without a source object both right-hand sides are exactly the
+    # Dirichlet lift of step one and -G_kappa u of step two
+    bundle, scal = academic_built.bundle, academic_built.scalar
+    assert bundle.source is None
+    omega = FrequencyPoint(f).omega
+    _, rhs = build_eqs_system(bundle, omega)
+    in_cond = bundle.material.tags.conductor_nodes[scal.free]
+    lift = np.empty(scal.n_free, dtype=complex)
+    for op, rows in ((bundle.K_kappa(omega), in_cond), (bundle.K_eps, ~in_cond)):
+        lift[rows] = -op[scal.free[rows]][:, scal.constrained] @ scal.values
+    assert np.array_equal(rhs, lift)
+    u_full, _ = solve_eqs_step(academic_built, omega)
+    assert np.array_equal(build_rhs(bundle, omega, u_full),
+                          -(bundle.G_kappa(omega) @ u_full)[bundle.edge.free])
+
+
 def test_eqs_system_rows_continuous_at_zero_frequency(academic_built):
     # the air rows are divided by i*omega, so every row of the scalar
     # system tends to the same row of the static system
