@@ -210,10 +210,10 @@ class MatrixBundle:
 
     Frequency-dependent systems are scalar combinations of these; free-DOF
     restriction and Dirichlet lifts happen when the per-frequency systems
-    are formed, with their right-hand sides from source.
+    are formed, with their right-hand sides from source.  The bundle is
+    the one owner of the manufactured case; its spaces own the mesh.
     """
 
-    mesh: Mesh
     scalar: ScalarSpace
     edge: EdgeSpace
     material: MaterialField
@@ -248,7 +248,7 @@ def assemble_bundle(scalar: ScalarSpace, edge: EdgeSpace, material: MaterialFiel
     G_sigma = assemble_grad_coupling(scalar, edge, material, "sigma")
     G_eps = assemble_grad_coupling(scalar, edge, material, "eps")
     return MatrixBundle(
-        mesh=scalar.mesh, scalar=scalar, edge=edge, material=material,
+        scalar=scalar, edge=edge, material=material,
         K_sigma=assemble_grad_grad(scalar, material, "sigma"),
         K_eps=assemble_grad_grad(scalar, material, "eps"),
         G_sigma=G_sigma,

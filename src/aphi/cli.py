@@ -57,9 +57,7 @@ def parse_frequencies(spec: str) -> list[float]:
         freqs = [float(t) for t in spec.split(",") if t.strip()]
     if not freqs:
         raise ValueError("empty frequency list")
-    if not all(np.isfinite(f) and f >= 0 for f in freqs):
-        raise ValueError("frequencies must be finite and >= 0")
-    return freqs
+    return [FrequencyPoint(f).f for f in freqs]
 
 
 def method_system(built, omega: float):
@@ -137,12 +135,12 @@ def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
         raise ConfigError(0, f"repeated convergence size in {subdivs}")
     if any(s < 1 for s in subdivs):
         raise ConfigError(0, f"convergence sizes must be >= 1, got {subdivs}")
+    if scenario.source != "manufactured":
+        raise ConfigError(0, "convergence study needs a manufactured source")
     rows = []
     errors: dict[str, list[tuple[int, float]]] = {m: [] for m in methods}
     for s in subdivs:
         built = scenario.with_subdivisions((s, s, s)).build()
-        if built.mms is None:
-            raise ConfigError(0, "convergence study needs a manufactured source")
         for m in methods:
             try:
                 sol = run_two_step(built, f, m)

@@ -3,12 +3,14 @@
 The gauge graph has one vertex per mesh node that is neither an endpoint
 of a constrained edge nor a Dirichlet node of the scalar space; all other
 nodes, or node 0 alone when nothing is constrained, collapse into a single
-virtual root, so every graph is rooted.  A breadth-first spanning tree
-of this graph marks the edge DOFs whose rows in the curl system become
-redundant in the static limit: the tree count equals both the number of
-gauge (divergence-constraint) rows and the kernel dimension of the
-curl-curl matrix on the free edges.  Each tree edge is paired with the
-vertex it reaches, whose divergence row takes the place of its curl row.
+virtual root, so every graph is rooted.  The root is the last vertex, and
+the graph's edges are the free edge DOFs in their free order, so neither
+needs storing.  A breadth-first spanning tree of this graph marks the edge
+DOFs whose rows in the curl system become redundant in the static limit:
+the tree count equals both the number of gauge (divergence-constraint)
+rows and the kernel dimension of the curl-curl matrix on the free edges.
+Each tree edge is paired with the vertex it reaches, whose divergence row
+takes the place of its curl row.
 """
 from __future__ import annotations
 
@@ -28,13 +30,10 @@ class UnsupportedTopologyError(ValueError):
 
 @dataclass(frozen=True)
 class GaugeGraph:
-    """Vertices are the gauge nodes, then the collapsed root."""
+    """Vertices are the gauge nodes, then the root; edges are the free edges."""
 
-    n_vertices: int
-    root: int                      # vertex index of the virtual root, the last
     gauge_nodes: np.ndarray        # mesh node ids owning a vertex, ascending
-    edge_ids: np.ndarray           # global ids of the free edges; index = free position
-    edge_vertices: np.ndarray      # (m, 2) vertex endpoints
+    edge_vertices: np.ndarray      # (n_free, 2) vertex endpoints
 
 
 def build_gauge_graph(mesh: Mesh, edge_space: EdgeSpace,
@@ -54,12 +53,8 @@ def build_gauge_graph(mesh: Mesh, edge_space: EdgeSpace,
     vertex_of_node = np.full(mesh.n_nodes, root, dtype=np.int64)
     vertex_of_node[gauge_nodes] = np.arange(root)
 
-    edge_ids = edge_space.free
-    va = vertex_of_node[mesh.edges[edge_ids, 0]]
-    vb = vertex_of_node[mesh.edges[edge_ids, 1]]
-    return GaugeGraph(n_vertices=root + 1, root=root, gauge_nodes=gauge_nodes,
-                      edge_ids=edge_ids,
-                      edge_vertices=np.stack([va, vb], axis=1))
+    return GaugeGraph(gauge_nodes=gauge_nodes,
+                      edge_vertices=vertex_of_node[mesh.edges[edge_space.free]])
 
 
 @dataclass(frozen=True)
@@ -71,7 +66,6 @@ class TreeCotreePartition:
     stabilized system puts that vertex's divergence row in row tree[i].
     """
 
-    n_free: int
     tree: np.ndarray         # free positions, ascending
     cotree: np.ndarray       # free positions, ascending
     tree_vertex: np.ndarray  # gauge vertex reached by each tree edge
@@ -83,8 +77,8 @@ def spanning_tree(graph: GaugeGraph) -> TreeCotreePartition:
 
     Raises UnsupportedTopologyError if the gauge graph is disconnected.
     """
-    n = graph.n_vertices
-    n_free = graph.edge_ids.shape[0]
+    root = graph.gauge_nodes.size
+    n = root + 1
     # both endpoints collapsed: a self-loop, never a tree edge
     pos = np.flatnonzero(graph.edge_vertices[:, 0] != graph.edge_vertices[:, 1])
     a, b = graph.edge_vertices[pos].T
@@ -94,7 +88,7 @@ def spanning_tree(graph: GaugeGraph) -> TreeCotreePartition:
     order = np.lexsort((np.concatenate([pos, pos]), src))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
     adj = sp.csr_matrix((np.ones(order.size), dst[order], indptr), shape=(n, n))
-    reached, pred = breadth_first_order(adj, graph.root, directed=True,
+    reached, pred = breadth_first_order(adj, root, directed=True,
                                         return_predecessors=True)
     if reached.size != n:
         missing = int(np.setdiff1d(np.arange(n), reached)[0])
@@ -108,6 +102,7 @@ def spanning_tree(graph: GaugeGraph) -> TreeCotreePartition:
     tree_vertex, first = np.unique(child[joins], return_index=True)
     tree_pos = pos[joins][first]
     by_pos = np.argsort(tree_pos)
-    return TreeCotreePartition(n_free=n_free, tree=tree_pos[by_pos],
+    n_free = len(graph.edge_vertices)
+    return TreeCotreePartition(tree=tree_pos[by_pos],
                                cotree=np.setdiff1d(np.arange(n_free), tree_pos),
                                tree_vertex=tree_vertex[by_pos])

@@ -245,31 +245,16 @@ class BoundarySet:
     edges: np.ndarray  # edge ids
 
 
-@dataclass(frozen=True)
-class BoundaryTags:
-    """Per-face-label boundary entity sets plus the union node mask.
+def boundary_entities(mesh: Mesh) -> dict[str, BoundarySet]:
+    """The nodes and edges of each of the six box faces, by face label.
 
     Entities on box edges/corners belong to every adjacent label.
     """
-
-    sets: dict[str, BoundarySet]
-    node_mask: np.ndarray
-
-    def __getitem__(self, label: str) -> BoundarySet:
-        if label not in self.sets:
-            raise KeyError(f"unknown boundary label {label!r}; "
-                           f"known labels: {sorted(self.sets)}")
-        return self.sets[label]
-
-
-def boundary_entities(mesh: Mesh) -> BoundaryTags:
-    """Collect the nodes and edges of the six box faces."""
     nx, ny, nz = mesh.subdivisions
     grid = mesh.node_grid_index(np.arange(mesh.n_nodes))
     edge_mid = grid[mesh.edges[:, 0]] + grid[mesh.edges[:, 1]]  # doubled midpoint
 
     sets = {}
-    node_mask = np.zeros(mesh.n_nodes, dtype=bool)
     limits = {"xmin": (0, 0), "xmax": (0, 2 * nx), "ymin": (1, 0),
               "ymax": (1, 2 * ny), "zmin": (2, 0), "zmax": (2, 2 * nz)}
     for label in FACE_LABELS:
@@ -277,5 +262,4 @@ def boundary_entities(mesh: Mesh) -> BoundaryTags:
         nodes = np.flatnonzero(grid[:, axis] * 2 == value)
         edges = np.flatnonzero(edge_mid[:, axis] == value)
         sets[label] = BoundarySet(nodes=nodes, edges=edges)
-        node_mask[nodes] = True
-    return BoundaryTags(sets=sets, node_mask=node_mask)
+    return sets

@@ -131,10 +131,14 @@ class BuiltScenario:
     bundle: MatrixBundle
     gauge: GaugeGraph
     partition: TreeCotreePartition
-    mms: ManufacturedCase | None = None
     name: str = "scenario"
     _last_excitation: tuple | None = field(default=None, init=False,
                                            repr=False, compare=False)
+
+    @property
+    def mms(self) -> ManufacturedCase | None:
+        """The manufactured case, or None; the bundle owns it."""
+        return self.bundle.source
 
     def excitation(self, omega: float) -> tuple[np.ndarray, SolveReport, np.ndarray]:
         """Step one and the curl right-hand side at omega, which every

@@ -81,7 +81,7 @@ class Scenario:
         partition = spanning_tree(gauge)
         return BuiltScenario(mesh=mesh, material=material, scalar=scalar,
                              edge=edge, bundle=bundle, gauge=gauge,
-                             partition=partition, mms=mms, name=self.name)
+                             partition=partition, name=self.name)
 
     def _manufactured_case(self, material: MaterialField) -> ManufacturedCase:
         sigma = float(material.sigma[0])

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import (LOCAL_EDGE_AXIS, LOCAL_EDGE_TRANSVERSE, NODE_OFFSETS,
-                   BoundaryTags, Mesh)
+                   BoundarySet, Mesh)
 
 # Reference coordinates of local nodes, in {-1, +1}^3.
 _NODE_REF = 2.0 * NODE_OFFSETS - 1.0
@@ -139,11 +139,12 @@ class EdgeSpace:
         return out
 
 
-def build_scalar_space(mesh: Mesh, tags: BoundaryTags, spec: DirichletSpec) -> ScalarSpace:
+def build_scalar_space(mesh: Mesh, faces: dict[str, BoundarySet],
+                       spec: DirichletSpec) -> ScalarSpace:
     """Free/constrained node partition with prescribed values per label."""
     value = {}
     for label, val in spec.scalar:
-        for n in tags[label].nodes:
+        for n in faces[label].nodes:
             value[int(n)] = complex(val)
     constrained = np.array(sorted(value), dtype=np.int64)
     vals = np.array([value[n] for n in constrained], dtype=complex)
@@ -153,11 +154,12 @@ def build_scalar_space(mesh: Mesh, tags: BoundaryTags, spec: DirichletSpec) -> S
     return ScalarSpace(mesh=mesh, free=free, constrained=constrained, values=vals)
 
 
-def build_edge_space(mesh: Mesh, tags: BoundaryTags, spec: DirichletSpec) -> EdgeSpace:
+def build_edge_space(mesh: Mesh, faces: dict[str, BoundarySet],
+                     spec: DirichletSpec) -> EdgeSpace:
     """Free/constrained edge partition; constrained edges carry value 0."""
     mask = np.ones(mesh.n_edges, dtype=bool)
     for label in spec.edge:
-        mask[tags[label].edges] = False
+        mask[faces[label].edges] = False
     free = np.flatnonzero(mask)
     constrained = np.flatnonzero(~mask)
     return EdgeSpace(mesh=mesh, free=free, constrained=constrained)

@@ -113,7 +113,7 @@ def build_eqs_static_limit(bundle: MatrixBundle) -> tuple[sp.csr_matrix, np.ndar
 
 
 def _check_conductor_components(bundle: MatrixBundle) -> None:
-    mesh = bundle.mesh
+    mesh = bundle.scalar.mesh
     tags = bundle.material.tags
     cc = np.flatnonzero(tags.conductor_cells)
     if cc.size == 0:

@@ -32,16 +32,17 @@ def bfs_tree(graph):
     """Queue-based BFS of a gauge graph from its root, with
     neighbours in ascending free-edge position.  Returns the tree edge
     positions, ascending, and the vertex each of them reaches."""
-    adj = [[] for _ in range(graph.n_vertices)]
-    for pos in range(graph.edge_ids.shape[0]):
+    root = graph.gauge_nodes.size  # the vertex after the gauge nodes
+    adj = [[] for _ in range(root + 1)]
+    for pos in range(graph.edge_vertices.shape[0]):
         va, vb = (int(v) for v in graph.edge_vertices[pos])
         if va == vb:
             continue
         adj[va].append((pos, vb))
         adj[vb].append((pos, va))
-    visited = [False] * graph.n_vertices
-    visited[graph.root] = True
-    queue = deque([graph.root])
+    visited = [False] * (root + 1)
+    visited[root] = True
+    queue = deque([root])
     reached = {}
     while queue:
         v = queue.popleft()

@@ -207,7 +207,8 @@ def _interior_weak_div_norm(field, subdivisions, domain):
     edge = build_edge_space(mesh, bt, DirichletSpec())
     D = -assemble_grad_coupling(scal, edge, mat, "eps").T
     a = edge_interpolate(mesh, field, n_gauss=12)
-    interior = np.flatnonzero(~bt.node_mask)
+    on_faces = np.concatenate([face.nodes for face in bt.values()])
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), on_faces)
     return np.linalg.norm((D @ a)[interior]), np.linalg.norm(a)
 
 

@@ -8,7 +8,8 @@ import pytest
 from aphi import cli, scenario, solve
 from aphi.cli import _sweep_row, main, parse_frequencies, run_check, run_convergence
 from aphi.gauge import UnsupportedTopologyError
-from aphi.physics import METHODS, curl_coordinates, curl_system, run_two_step
+from aphi.physics import (METHODS, curl_coordinates, curl_system, hcurl_error,
+                          run_two_step)
 from aphi.scenario import ConfigError, Scenario, academic_scenario, load_scenario
 from aphi.solve import DENSE_SVD_LIMIT, condition_estimate
 from oracles import dense_rank
@@ -78,6 +79,21 @@ def test_sweep_reproducible_bytes(tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_timing_fills_only_wall_ms(tmp_path):
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    args = ["sweep", "--config", ACADEMIC, "--freqs", "0,1e3"]
+    assert main(args + ["--out", str(plain)]) == 0
+    assert main(args + ["--timing", "--out", str(timed)]) == 0
+    header, plain_rows = _read_rows(plain)
+    assert _read_rows(timed)[0] == header
+    timed_rows = _read_rows(timed)[1]
+    assert len(timed_rows) == len(plain_rows) == 6
+    wall = header.index("wall_ms")
+    for p, t in zip(plain_rows, timed_rows):
+        assert t[wall].isdigit()  # a non-negative integer
+        assert t[:wall] + t[wall + 1:] == p[:wall] + p[wall + 1:]
 
 
 def test_singular_sweep_row_above_dense_limit_factors_once(monkeypatch, splu_dtypes):
@@ -298,6 +314,20 @@ def test_converge_rejects_size_below_one_before_building(tmp_path, monkeypatch):
     assert built == [] and not out.exists()
 
 
+def test_converge_rejects_unmanufactured_source_before_building(tmp_path, monkeypatch,
+                                                                 capsys):
+    built = []
+    monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
+    with pytest.raises(ConfigError, match="needs a manufactured source"):
+        run_convergence(load_scenario(ACADEMIC), [2, 4], 10.0, ["tree-cotree"])
+    out = tmp_path / "conv.csv"
+    code = main(["converge", "--config", ACADEMIC, "--subdivs", "2,4",
+                 "--freq", "10", "--methods", "tree-cotree", "--out", str(out)])
+    assert code == 2
+    assert "line 0: convergence study needs a manufactured source" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+
+
 def test_solve_with_vtk(tmp_path, capsys):
     vtk = tmp_path / "out.vtk"
     code = main(["solve", "--config", ACADEMIC, "--freq", "100",
@@ -306,6 +336,16 @@ def test_solve_with_vtk(tmp_path, capsys):
     assert vtk.exists()
     out = capsys.readouterr().out
     assert "delta_D" in out
+
+
+def test_solve_prints_manufactured_hcurl_error(capsys):
+    code = main(["solve", "--config", MMS0, "--subdivs", "4,4,4", "--freq", "10",
+                 "--method", "tree-cotree"])
+    assert code == 0
+    built = load_scenario(MMS0).with_subdivisions((4, 4, 4)).build()
+    sol = run_two_step(built, 10.0, "tree-cotree")
+    err = hcurl_error(built, sol.a, built.mms)
+    assert f"  hcurl_error  = {err:.6e}\n" in capsys.readouterr().out
 
 
 def test_solve_singular_exit(tmp_path, capsys):
@@ -547,12 +587,31 @@ def test_config_error_exit(tmp_path):
     ("region 0 0.10  0.10", "region 0 nan  0.10", "region box numbers must be finite"),
     ("subdivisions  3 3 3", "subdivisions  3 inf 3", "subdivisions numbers must be finite"),
     ("phi xmax 1", "phi xmax nan", "phi value must be finite"),
+    ("domain        0 0.22", "domain        0 x", "bad number in domain"),
+    ("sigma=1 # center", "sigma=1 mu_r # center", "expected key=value, got 'mu_r'"),
+    ("sigma=1 # center", "sigma=1 rho=2 # center", "unknown key 'rho'"),
+    ("sigma=1 # center", "sigma=1 mu_r=x # center", "bad value for mu_r: 'x'"),
+    ("eps_r=1 sigma=1 # center", "eps_r=1 mu_r=1 # center", "missing required key sigma="),
+    ("domain        0 0.22", "domain        0 0", "domain intervals must be nonempty"),
+    ("subdivisions  3 3 3", "subdivisions  3 2.5 3", "subdivisions must be positive integers"),
+    ("eps_r=1 sigma=1 # center", "eps_r=0 sigma=1 # center", "eps_r must be positive"),
+    ("eps_r=1 sigma=1 # center", "eps_r=1 sigma=-1 # center", "sigma must be nonnegative"),
+    ("phi xmax 1", "phi xmax", "phi needs a face label and a value"),
+    ("phi xmax 1", "phi xmax one", "bad phi value 'one'"),
+    ("a_zero all", "a_zero", "a_zero needs at least one face label"),
+    ("source none", "source maybe", "source must be 'none' or 'manufactured'"),
+    ("methods original tree-cotree lagrange", "methods", "methods needs at least one entry"),
 ], ids=["eps_r-nan", "sigma-inf", "mu_r-zero", "mu_r-nan", "domain-inf",
-        "region-box-nan", "subdivisions-inf", "phi-nan"])
+        "region-box-nan", "subdivisions-inf", "phi-nan", "domain-bad-number",
+        "token-without-equals", "unknown-key", "bad-value", "missing-key",
+        "empty-domain-interval", "non-integer-subdivisions", "eps_r-zero",
+        "sigma-negative", "phi-arity", "phi-bad-value", "a_zero-empty",
+        "bad-source", "methods-empty"])
 def test_non_finite_or_zero_material_exit(old, new, message, tmp_path, capsys):
     # the materials used to build and exit 3 as singular (mu_r=0 also made
     # BLAS print an illegal-parameter message), and an infinite subdivision
-    # count crashed with an OverflowError
+    # count crashed with an OverflowError; the cases after phi-nan cover
+    # the rest of the grammar's line errors
     text = Path(ACADEMIC).read_text()
     assert text.count(old) == 1
     lines = text.replace(old, new).splitlines()
@@ -563,6 +622,21 @@ def test_non_finite_or_zero_material_exit(old, new, message, tmp_path, capsys):
                  "--method", "tree-cotree"])
     assert code == 2
     assert f"line {line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, message", [
+    ("subdivisions", "missing required 'subdivisions' line"),
+    ("region", "at least one 'region' line is required"),
+])
+def test_missing_required_line_exit(key, message, tmp_path, capsys):
+    # a missing line has no number of its own: the error names line 0
+    lines = Path(ACADEMIC).read_text().splitlines()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(l for l in lines if not l.startswith(key)))
+    code = main(["solve", "--config", str(cfg), "--freq", "0",
+                 "--method", "tree-cotree"])
+    assert code == 2
+    assert f"line 0: {message}" in capsys.readouterr().err
 
 
 def test_lu_field_follows_the_system(academic_built, splu_dtypes):

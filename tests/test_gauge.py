@@ -28,19 +28,18 @@ def test_graph_all_boundary_constrained_222():
     mesh, scal, edge = _setup((2, 2, 2))
     graph = build_gauge_graph(mesh, edge, scal)
     assert graph.gauge_nodes.shape[0] == 1  # the interior node
-    assert graph.root is not None
-    assert graph.n_vertices == 2
-    assert graph.edge_ids.shape[0] == 6  # candidate edges
+    # the six free edges join the interior node (vertex 0) to the root (1)
+    assert np.array_equal(np.sort(graph.edge_vertices, axis=1), [[0, 1]] * 6)
+    assert graph.edge_vertices.shape[0] == edge.n_free == 6  # candidate edges
 
 
 def test_graph_unconstrained_single_cell():
     mesh, scal, edge = _setup((1, 1, 1), constrain_all=False)
     graph = build_gauge_graph(mesh, edge, scal)
-    # nothing is constrained: node 0 alone collapses into the root
-    assert graph.root == 7
-    assert graph.n_vertices == 8
+    # nothing is constrained: node 0 alone collapses into the root, vertex 7
     assert np.array_equal(graph.gauge_nodes, np.arange(1, 8))
-    assert graph.edge_ids.shape[0] == 12
+    assert np.count_nonzero(graph.edge_vertices == 7) == 3  # node 0's edges
+    assert graph.edge_vertices.shape[0] == edge.n_free == 12
 
 
 def test_graph_region_independent():
@@ -70,9 +69,10 @@ def test_tree_is_acyclic_spanning():
     mesh, scal, edge = _setup((3, 3, 3), constrain_all=False)
     graph = build_gauge_graph(mesh, edge, scal)
     part = spanning_tree(graph)
-    assert part.tree.size == graph.n_vertices - 1
+    n_vertices = graph.gauge_nodes.size + 1
+    assert part.tree.size == n_vertices - 1
     # union-find over tree edges: no cycles, all vertices connected
-    parent = list(range(graph.n_vertices))
+    parent = list(range(n_vertices))
 
     def find(v):
         while parent[v] != v:
@@ -85,7 +85,7 @@ def test_tree_is_acyclic_spanning():
         ra, rb = find(va), find(vb)
         assert ra != rb, "cycle in spanning tree"
         parent[ra] = rb
-    assert len({find(v) for v in range(graph.n_vertices)}) == 1
+    assert len({find(v) for v in range(n_vertices)}) == 1
 
 
 def test_tree_determinism():
@@ -112,9 +112,8 @@ def test_spanning_tree_matches_bfs_oracle(subdivisions, scalar_faces, edge_faces
     assert np.array_equal(part.tree_vertex, reached)
     ends = graph.edge_vertices[part.tree]
     assert np.all((ends[:, 0] == part.tree_vertex) | (ends[:, 1] == part.tree_vertex))
-    start = graph.root if graph.root is not None else 0
-    assert np.array_equal(np.sort(part.tree_vertex),
-                          np.delete(np.arange(graph.n_vertices), start))
+    root = graph.gauge_nodes.size
+    assert np.array_equal(np.sort(part.tree_vertex), np.arange(root))
 
 
 @pytest.mark.parametrize("subdivisions,constrain", [
@@ -154,7 +153,7 @@ def test_full_rank_curl_cotree_block_at_zero_frequency(academic_built):
     W0 = build_curl_matrix(built.bundle, 0.0)
     part = built.partition
     assert dense_rank(W0[part.cotree][:, part.cotree]) == part.cotree.size
-    assert dense_rank(W0) == part.n_free - part.tree.size
+    assert dense_rank(W0) == built.edge.n_free - part.tree.size
 
 
 def test_root_collapse_keeps_graph_connected():
@@ -168,16 +167,14 @@ def test_root_collapse_keeps_graph_connected():
     edge = build_edge_space(mesh, bt, spec)
     # every edge of a (1,1,3) grid lies on the boundary: nothing left free
     graph = build_gauge_graph(mesh, edge, scal)
-    assert graph.edge_ids.size == 0
-    assert graph.n_vertices == 1  # just the root
+    assert graph.edge_vertices.shape == (0, 2)
+    assert graph.gauge_nodes.size == 0  # just the root
 
 
 def test_disconnected_graph_raises():
     # the connectivity guard itself, on a hand-built rooted split graph
     from aphi.gauge import GaugeGraph
-    graph = GaugeGraph(n_vertices=2, root=1,
-                       gauge_nodes=np.array([0]),
-                       edge_ids=np.array([], dtype=np.int64),
+    graph = GaugeGraph(gauge_nodes=np.array([0]),
                        edge_vertices=np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(UnsupportedTopologyError):
         spanning_tree(graph)

@@ -257,6 +257,19 @@ def test_derived_fields_conduction_vanishes_in_air(mms_built_sigma0):
     assert np.all(flds.J_m() == 0)
 
 
+def test_derived_fields_carry_the_manufactured_source_current(mms_built_sigma0):
+    built = mms_built_sigma0
+    assert built.mms is built.bundle.source  # the bundle owns the case
+    sol = run_two_step(built, 10.0, "tree-cotree")
+    lo, hi = np.array(built.mesh.extents).T
+    pts = lo + (hi - lo) * np.random.default_rng(7).uniform(size=(8, 3))
+    flds = DerivedFields(built, sol, pts)
+    want = built.mms.J_s(pts, sol.frequency.omega)
+    assert np.abs(want).max() > 0
+    assert np.array_equal(flds.J_source(), want)
+    assert np.array_equal(flds.J_total(), flds.J_e() + flds.J_m() + flds.J_source())
+
+
 def test_derived_fields_decompositions_sum(academic_built):
     sol = run_two_step(academic_built, 50.0, "tree-cotree")
     flds = DerivedFields(academic_built, sol, academic_built.mesh.cell_centroids()[:6])
