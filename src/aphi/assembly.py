@@ -1,9 +1,11 @@
 """Global sparse matrices, and load vectors of the source densities given.
 
-All cells of a box mesh share one geometry, so the unit-weight element
-matrices are computed once per mesh and scattered with per-cell material
-weights.  Assembly order is fixed (cell-major), and duplicate entries are
-summed in canonical CSR order, so repeated runs produce identical arrays.
+All cells of a box mesh share one geometry, so assemble_bundle computes
+the four unit-weight element matrices once and scatters all seven weighted
+matrices of the bundle from them with per-cell material weights;
+assemble_mass is the one single-matrix assembler, for any weight (a complex
+one included).  Assembly order is fixed (cell-major), and duplicate entries
+are summed in canonical CSR order, so repeated runs produce identical arrays.
 
 Source moments use the same shared geometry: the basis, weighted by the
 Jacobian and the quadrature weights, is formed once, and the cells are
@@ -61,7 +63,7 @@ class MaterialField:
             raise MaterialError("eps and nu must be positive everywhere")
         if not np.all(self.sigma >= 0):
             raise MaterialError("sigma must be nonnegative")
-        if np.any(self.sigma[self.tags.air_cells] != 0):
+        if np.any(self.sigma[~self.tags.conductor_cells] != 0):
             raise MaterialError("sigma must vanish on air cells")
         if np.any(self.sigma[self.tags.conductor_cells] == 0):
             raise MaterialError("conductor cells must have sigma > 0")
@@ -104,15 +106,6 @@ def element_matrices(spacing: np.ndarray) -> dict[str, np.ndarray]:
     return {"K": K, "M": M, "C": Cc, "G": G}
 
 
-def _resolve_weight(mat: MaterialField, weight) -> np.ndarray:
-    if not isinstance(weight, str):
-        return np.asarray(weight)
-    try:
-        return getattr(mat, weight)
-    except AttributeError:
-        raise ValueError(f"unknown material weight {weight!r}") from None
-
-
 def _assemble_cells(w: np.ndarray, elem: np.ndarray, rows: np.ndarray,
                     cols: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
     """Sum w[c] * elem[i, j] into entry (rows[c, i], cols[c, j]) over all
@@ -126,39 +119,14 @@ def _assemble_cells(w: np.ndarray, elem: np.ndarray, rows: np.ndarray,
     return m
 
 
-def assemble_grad_grad(space: ScalarSpace, mat: MaterialField, weight) -> sp.csr_matrix:
-    """Weighted stiffness matrix int w grad N_j . grad N_i over all nodes."""
-    mesh = space.mesh
-    return _assemble_cells(_resolve_weight(mat, weight),
-                           element_matrices(mesh.spacing)["K"],
-                           mesh.cells, mesh.cells, (mesh.n_nodes, mesh.n_nodes))
-
-
 def assemble_mass(space: EdgeSpace, mat: MaterialField, weight) -> sp.csr_matrix:
-    """Weighted edge mass matrix int w w_j . w_i over all edges."""
+    """Weighted edge mass matrix int w w_j . w_i over all edges; weight is a
+    per-cell array or the name of a field of mat."""
     mesh = space.mesh
-    return _assemble_cells(_resolve_weight(mat, weight),
-                           element_matrices(mesh.spacing)["M"],
+    w = getattr(mat, weight) if isinstance(weight, str) else np.asarray(weight)
+    return _assemble_cells(w, element_matrices(mesh.spacing)["M"],
                            mesh.cell_edges, mesh.cell_edges,
                            (mesh.n_edges, mesh.n_edges))
-
-
-def assemble_curl_curl(space: EdgeSpace, mat: MaterialField) -> sp.csr_matrix:
-    """Reluctivity-weighted curl-curl matrix over all edges."""
-    mesh = space.mesh
-    return _assemble_cells(mat.nu, element_matrices(mesh.spacing)["C"],
-                           mesh.cell_edges, mesh.cell_edges,
-                           (mesh.n_edges, mesh.n_edges))
-
-
-def assemble_grad_coupling(scalar: ScalarSpace, edge: EdgeSpace,
-                           mat: MaterialField, weight) -> sp.csr_matrix:
-    """Coupling G (n_edges x n_nodes) with G[i, j] = int w grad N_j . w_i."""
-    mesh = scalar.mesh
-    return _assemble_cells(_resolve_weight(mat, weight),
-                           element_matrices(mesh.spacing)["G"],
-                           mesh.cell_edges, mesh.cells,
-                           (mesh.n_edges, mesh.n_nodes))
 
 
 def _source_moments(mesh: Mesh, source: Callable, basis: np.ndarray,
@@ -245,18 +213,22 @@ class MatrixBundle:
 
 def assemble_bundle(scalar: ScalarSpace, edge: EdgeSpace, material: MaterialField,
                     source: object = None) -> MatrixBundle:
-    G_sigma = assemble_grad_coupling(scalar, edge, material, "sigma")
-    G_eps = assemble_grad_coupling(scalar, edge, material, "eps")
+    """All seven weighted matrices from one set of element matrices: K, G and
+    M weighted by sigma and by eps, and the curl-curl matrix by nu."""
+    mesh = scalar.mesh
+    elem = element_matrices(mesh.spacing)
+    nodes, edges = mesh.cells, mesh.cell_edges
+    n, e = mesh.n_nodes, mesh.n_edges
+    G_sigma = _assemble_cells(material.sigma, elem["G"], edges, nodes, (e, n))
+    G_eps = _assemble_cells(material.eps, elem["G"], edges, nodes, (e, n))
     return MatrixBundle(
         scalar=scalar, edge=edge, material=material,
-        K_sigma=assemble_grad_grad(scalar, material, "sigma"),
-        K_eps=assemble_grad_grad(scalar, material, "eps"),
-        G_sigma=G_sigma,
-        G_eps=G_eps,
-        M_sigma=assemble_mass(edge, material, "sigma"),
-        M_eps=assemble_mass(edge, material, "eps"),
-        C_nu=assemble_curl_curl(edge, material),
-        D_sigma=(-G_sigma).T.tocsr(),
-        D_eps=(-G_eps).T.tocsr(),
-        source=source,
-    )
+        K_sigma=_assemble_cells(material.sigma, elem["K"], nodes, nodes, (n, n)),
+        K_eps=_assemble_cells(material.eps, elem["K"], nodes, nodes, (n, n)),
+        G_sigma=G_sigma, G_eps=G_eps,
+        M_sigma=_assemble_cells(material.sigma, elem["M"], edges, edges, (e, e)),
+        M_eps=_assemble_cells(material.eps, elem["M"], edges, edges, (e, e)),
+        C_nu=_assemble_cells(material.nu, elem["C"], edges, edges, (e, e)),
+        # D last: held during the larger M and C scatters it raises peak memory
+        D_sigma=(-G_sigma).T.tocsr(), D_eps=(-G_eps).T.tocsr(),
+        source=source)

@@ -92,7 +92,7 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
             est = sol.condition
         except SingularMatrixError:
             if want_cond and eqs_solved and n_dofs > DENSE_SVD_LIMIT:
-                est = ConditionEstimate(np.inf, "power-iteration", 0, singular=True)
+                est = ConditionEstimate(np.inf, "power-iteration", 0)
             elif want_cond:
                 est = condition_estimate(curl_system(built, omega, method)[0],
                                          coords=coords)

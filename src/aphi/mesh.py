@@ -192,10 +192,6 @@ class RegionTags:
     conductor_nodes: np.ndarray   # bool (n_nodes,)
     conductor_edges: np.ndarray   # bool (n_edges,)
 
-    @property
-    def air_cells(self) -> np.ndarray:
-        return ~self.conductor_cells
-
 
 def match_cells(mesh: Mesh, boxes: Sequence[Box]) -> np.ndarray:
     """Index of the last box containing each cell centroid.

@@ -11,8 +11,10 @@ Scenarios are described in a flat, line-oriented key-value format:
     source        none | manufactured
     methods       <method> [<method> ...]
 
-Faces are xmin/xmax/ymin/ymax/zmin/zmax.  Region lines are ordered; the
-last box containing a cell centroid wins.  Cells with sigma > 0 are tagged
+Faces are xmin/xmax/ymin/ymax/zmin/zmax.  Domain, subdivisions, source
+and methods lines appear at most once, and each key at most once in a
+region line.  Region lines are ordered; the last box containing a cell
+centroid wins.  Cells with sigma > 0 are tagged
 conductor.  The manufactured source requires uniform vacuum-like materials
 and the fixed trigonometric-case domain.
 """
@@ -128,6 +130,8 @@ def _parse_keyvals(tokens, line, required, optional=()):
         key, _, val = tok.partition("=")
         if key not in required and key not in optional:
             raise ConfigError(line, f"unknown key {key!r}")
+        if key in out:
+            raise ConfigError(line, f"repeated key {key!r}")
         try:
             out[key] = float(val)
         except ValueError:
@@ -150,6 +154,10 @@ def check_methods(methods, line: int) -> tuple[str, ...]:
     return tuple(methods)
 
 
+# Keys of at most one line each; region, phi and a_zero lines accumulate.
+_SINGLE_LINES = ("domain", "subdivisions", "source", "methods")
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     """Parse the key-value scenario format; errors carry line numbers."""
     extents = None
@@ -159,6 +167,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     a_zero: list[str] = []
     source = "none"
     methods: tuple[str, ...] | None = None
+    seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -219,6 +228,10 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
             methods = check_methods(tokens, lineno)
         else:
             raise ConfigError(lineno, f"unknown key {key!r}")
+        # a valid line that would silently replace an earlier one
+        if key in _SINGLE_LINES and key in seen:
+            raise ConfigError(lineno, f"repeated {key!r} line; it may appear once")
+        seen.add(key)
 
     if extents is None:
         raise ConfigError(0, "missing required 'domain' line")

@@ -349,11 +349,14 @@ class ConditionEstimate:
     value: float
     method: str            # "dense-svd" or "power-iteration"
     iterations: int
-    singular: bool
 
     def __post_init__(self):
-        if not self.singular and self.value < 1.0 - 1e-9:
+        if self.value < 1.0 - 1e-9:
             raise AssertionError("condition estimate below 1")  # pragma: no cover
+
+    @property
+    def singular(self) -> bool:
+        return self.value == np.inf
 
 
 def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
@@ -374,25 +377,22 @@ def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
         raise ValueError("condition estimate needs a square matrix")
     if n <= DENSE_SVD_LIMIT:
         s = np.linalg.svd(A.toarray(), compute_uv=False)
-        if s[-1] == 0.0:
-            return ConditionEstimate(value=np.inf, method="dense-svd",
-                                     iterations=0, singular=True)
-        return ConditionEstimate(value=float(s[0] / s[-1]), method="dense-svd",
-                                 iterations=0, singular=False)
+        return ConditionEstimate(value=float(s[0] / s[-1]) if s[-1] else np.inf,
+                                 method="dense-svd", iterations=0)
 
     if fac is None:
         try:
             fac = Factorization(A, coords)
         except SingularMatrixError:
             return ConditionEstimate(value=np.inf, method="power-iteration",
-                                     iterations=0, singular=True)
+                                     iterations=0)
     rng = np.random.default_rng(0)
     AH = A.conj().T
     smax, iters = _power_norm(lambda v: AH @ (A @ v), rng, n)
     inv_norm, inv_iters = _power_norm(lambda v: fac.solve_adjoint(fac.solve(v)), rng, n)
     smin = 1.0 / inv_norm
     return ConditionEstimate(value=float(smax / smin), method="power-iteration",
-                             iterations=iters + inv_iters, singular=False)
+                             iterations=iters + inv_iters)
 
 
 def _power_norm(apply, rng: np.random.Generator, n: int) -> tuple[float, int]:

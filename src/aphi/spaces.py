@@ -2,9 +2,10 @@
 
 The scalar space is H1-conforming with one DOF per mesh node, the edge
 space H(curl)-conforming with one DOF per mesh edge (the circulation along
-the edge, oriented low node to high node).  Basis evaluation maps the
-reference cell [-1,1]^3 to the physical box cell; edge functions use the
-covariant transform so tangential traces and circulations are preserved.
+the edge, oriented low node to high node).  Bases are evaluated at points
+of the reference cell [-1,1]^3 and returned for the physical box cell; edge
+functions use the covariant transform so tangential traces and circulations
+are preserved.
 """
 from __future__ import annotations
 
@@ -30,8 +31,9 @@ def tensor_quadrature(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def scalar_shape(ref_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trilinear shape functions: values (q, 8) and reference gradients (q, 8, 3)."""
+def physical_scalar_basis(spacing: np.ndarray, ref_pts: np.ndarray):
+    """Trilinear shape functions at reference points of a cell of the given
+    spacing: values (q, 8) and physical gradients (q, 8, 3)."""
     pts = np.atleast_2d(ref_pts)
     q = pts.shape[0]
     vals = np.empty((q, 8))
@@ -43,15 +45,17 @@ def scalar_shape(ref_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         grads[:, l, 0] = 0.125 * s[0] * f[1] * f[2]
         grads[:, l, 1] = 0.125 * s[1] * f[0] * f[2]
         grads[:, l, 2] = 0.125 * s[2] * f[0] * f[1]
-    return vals, grads
+    return vals, grads * (2.0 / np.asarray(spacing))[None, None, :]
 
 
-def edge_shape(ref_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest-order edge functions: values (q, 12, 3), reference curls (q, 12, 3).
+def physical_edge_basis(spacing: np.ndarray, ref_pts: np.ndarray):
+    """Lowest-order edge functions at reference points of a cell of the
+    given spacing: values (q, 12, 3) and curls (q, 12, 3), both physical.
 
-    Each function points along its edge axis; its circulation along the own
-    edge is 1 and 0 along every other edge.
+    Each function runs along +axis like the global edge it belongs to; its
+    circulation along the own edge is 1 and 0 along every other edge.
     """
+    h = np.asarray(spacing, dtype=float)
     pts = np.atleast_2d(ref_pts)
     q = pts.shape[0]
     vals = np.zeros((q, 12, 3))
@@ -63,35 +67,18 @@ def edge_shape(ref_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f1 = 1 + s1 * pts[:, t1]
         f2 = 1 + s2 * pts[:, t2]
         vals[:, m, axis] = 0.125 * f1 * f2
-        # curl of f(t1,t2) e_axis: d/dt2 * e_t1-ish with cyclic signs
-        # computed explicitly from the cross-product structure
-        e = np.zeros(3)
-        e[axis] = 1.0
-        # partial derivatives of the scalar factor
+        # curl(f e) = grad f x e for the unit axis vector e, written out as a
+        # cross product so that the sign of every zero it yields stays fixed
+        e = np.eye(3)[axis]
         d = np.zeros((q, 3))
         d[:, t1] = 0.125 * s1 * f2
         d[:, t2] = 0.125 * s2 * f1
-        # curl(f e) = grad f x e
         curls[:, m, 0] = d[:, 1] * e[2] - d[:, 2] * e[1]
         curls[:, m, 1] = d[:, 2] * e[0] - d[:, 0] * e[2]
         curls[:, m, 2] = d[:, 0] * e[1] - d[:, 1] * e[0]
-    return vals, curls
-
-
-def physical_scalar_basis(spacing: np.ndarray, ref_pts: np.ndarray):
-    """Shape values and physical gradients for a cell of the given spacing."""
-    vals, grads = scalar_shape(ref_pts)
-    return vals, grads * (2.0 / np.asarray(spacing))[None, None, :]
-
-
-def physical_edge_basis(spacing: np.ndarray, ref_pts: np.ndarray):
-    """Edge function values and curls in physical coordinates, each running
-    along +axis like the global edge it belongs to."""
-    h = np.asarray(spacing, dtype=float)
-    vals, curls = edge_shape(ref_pts)
-    vals = vals * (2.0 / h)[None, None, :]
-    scale = np.array([4.0 / (h[1] * h[2]), 4.0 / (h[0] * h[2]), 4.0 / (h[0] * h[1])])
-    curls = curls * scale[None, None, :]
+    # in place: a scaled copy would add a (q, 12, 3) array to peak memory
+    vals *= 2.0 / h
+    curls *= np.array([4.0 / (h[1] * h[2]), 4.0 / (h[0] * h[2]), 4.0 / (h[0] * h[1])])
     return vals, curls
 
 

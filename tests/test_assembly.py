@@ -3,9 +3,8 @@ import pytest
 
 from aphi import assembly
 from aphi.assembly import (MaterialError, MaterialField, assemble_bundle,
-                           assemble_charge_vector, assemble_curl_curl,
-                           assemble_current_vector, assemble_grad_coupling,
-                           assemble_grad_grad, assemble_mass)
+                           assemble_charge_vector, assemble_current_vector,
+                           assemble_mass)
 from aphi.mesh import (AIR, CONDUCTOR, Box, boundary_entities, build_box_mesh,
                        tag_regions)
 from aphi.physics import ManufacturedCase
@@ -76,7 +75,7 @@ def test_stiffness_unit_cell_diagonal_third():
     # trilinear stiffness on the unit cube: diagonal entries 1/3, checked
     # against a 4^3 Gauss oracle of |grad N_l|^2
     mesh, bt, tags, mat, scal, edge = _uniform_setup((1, 1, 1))
-    K = assemble_grad_grad(scal, mat, "eps").toarray()
+    K = assemble_bundle(scal, edge, mat).K_eps.toarray()
     assert np.allclose(np.diag(K), 1.0 / 3.0, atol=1e-14)
 
     for l in range(3):
@@ -89,14 +88,14 @@ def test_stiffness_unit_cell_diagonal_third():
 
 
 def test_stiffness_constant_nullvector():
-    _, _, _, mat, scal, _ = _uniform_setup((2, 2, 2))
-    K = assemble_grad_grad(scal, mat, "eps")
+    _, _, _, mat, scal, edge = _uniform_setup((2, 2, 2))
+    K = assemble_bundle(scal, edge, mat).K_eps
     assert np.max(np.abs(K @ np.ones(K.shape[0]))) < 1e-13 * abs(K).max()
 
 
 def test_sigma_stiffness_zero_air_rows():
-    mesh, _, tags, mat, scal, _ = _two_region_setup()
-    K = assemble_grad_grad(scal, mat, "sigma")
+    mesh, _, tags, mat, scal, edge = _two_region_setup()
+    K = assemble_bundle(scal, edge, mat).K_sigma
     air_nodes = ~tags.conductor_nodes
     assert abs(K[air_nodes]).max() == 0.0
     assert abs(K[tags.conductor_nodes]).max() > 0.0
@@ -104,7 +103,7 @@ def test_sigma_stiffness_zero_air_rows():
 
 def test_grad_coupling_equals_mass_times_incidence():
     mesh, _, _, mat, scal, edge = _uniform_setup((2, 2, 2))
-    G = assemble_grad_coupling(scal, edge, mat, "eps")
+    G = assemble_bundle(scal, edge, mat).G_eps
     M = assemble_mass(edge, mat, "eps")
     P = gradient_incidence(mesh)
     diff = abs(G - M @ P).max()
@@ -115,7 +114,7 @@ def test_grad_coupling_equals_mass_times_incidence():
 
 def test_sigma_coupling_zero_air_columns():
     mesh, _, tags, mat, scal, edge = _two_region_setup()
-    G = assemble_grad_coupling(scal, edge, mat, "sigma").tocsc()
+    G = assemble_bundle(scal, edge, mat).G_sigma.tocsc()
     air_nodes = ~tags.conductor_nodes
     assert abs(G[:, air_nodes]).max() == 0.0
 
@@ -155,15 +154,15 @@ def test_mass_quadratic_form_matches_fine_quadrature(rng):
 
 def test_curl_curl_annihilates_gradients():
     mesh, _, _, mat, scal, edge = _uniform_setup((2, 2, 2))
-    C = assemble_curl_curl(edge, mat)
+    C = assemble_bundle(scal, edge, mat).C_nu
     P = gradient_incidence(mesh)
     assert abs(C @ P).max() < 1e-12 * abs(C).max()
 
 
 def test_curl_curl_rank_single_cell():
     # kernel = gradients: rank = 12 - (8 - 1) = 5
-    _, _, _, mat, _, edge = _uniform_setup((1, 1, 1))
-    C = assemble_curl_curl(edge, mat)
+    _, _, _, mat, scal, edge = _uniform_setup((1, 1, 1))
+    C = assemble_bundle(scal, edge, mat).C_nu
     assert dense_rank(C) == 5
 
 
@@ -174,8 +173,9 @@ def test_curl_curl_rank_constrained_222():
     whole = Box(lo=(0, 0, 0), hi=(1, 1, 1))
     tags = tag_regions(mesh, [(whole, AIR)])
     mat = MaterialField.uniform(mesh, tags, sigma=0.0, eps=1.0, nu=1.0)
+    scal = build_scalar_space(mesh, bt, DirichletSpec())
     edge = build_edge_space(mesh, bt, DirichletSpec(edge=FACE_LABELS))
-    C = assemble_curl_curl(edge, mat)
+    C = assemble_bundle(scal, edge, mat).C_nu
     C_free = C[edge.free][:, edge.free]
     assert C_free.shape == (6, 6)
     assert dense_rank(C_free) == 5  # n_w - one interior node
@@ -183,8 +183,8 @@ def test_curl_curl_rank_constrained_222():
 
 def test_weak_divergence_is_minus_coupling_transpose():
     _, _, _, mat, scal, edge = _uniform_setup((2, 2, 2))
-    D = assemble_bundle(scal, edge, mat).D_eps
-    G = assemble_grad_coupling(scal, edge, mat, "eps")
+    bundle = assemble_bundle(scal, edge, mat)
+    D, G = bundle.D_eps, bundle.G_eps
     assert abs(D + G.T).max() < 1e-14 * abs(G).max()
 
 
@@ -205,7 +205,7 @@ def _interior_weak_div_norm(field, subdivisions, domain):
     mat = MaterialField.uniform(mesh, tags, sigma=0.0, eps=1.0, nu=1.0)
     scal = build_scalar_space(mesh, bt, DirichletSpec())
     edge = build_edge_space(mesh, bt, DirichletSpec())
-    D = -assemble_grad_coupling(scal, edge, mat, "eps").T
+    D = assemble_bundle(scal, edge, mat).D_eps
     a = edge_interpolate(mesh, field, n_gauss=12)
     on_faces = np.concatenate([face.nodes for face in bt.values()])
     interior = np.setdiff1d(np.arange(mesh.n_nodes), on_faces)
@@ -329,8 +329,19 @@ def test_kappa_mass_block_structure():
 
 def test_assembly_deterministic():
     _, _, _, mat, scal, edge = _two_region_setup()
-    A = assemble_grad_coupling(scal, edge, mat, "eps")
-    B = assemble_grad_coupling(scal, edge, mat, "eps")
+    A = assemble_bundle(scal, edge, mat).G_eps
+    B = assemble_bundle(scal, edge, mat).G_eps
     assert np.array_equal(A.data, B.data)
     assert np.array_equal(A.indices, B.indices)
     assert np.array_equal(A.indptr, B.indptr)
+
+
+def test_bundle_integrates_the_element_matrices_once(monkeypatch):
+    # all seven weighted matrices scatter from one set of element matrices
+    _, _, _, mat, scal, edge = _two_region_setup()
+    calls = []
+    real = assembly.element_matrices
+    monkeypatch.setattr(assembly, "element_matrices",
+                        lambda spacing: calls.append(spacing) or real(spacing))
+    assemble_bundle(scal, edge, mat)
+    assert len(calls) == 1

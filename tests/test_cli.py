@@ -601,12 +601,13 @@ def test_config_error_exit(tmp_path):
     ("a_zero all", "a_zero", "a_zero needs at least one face label"),
     ("source none", "source maybe", "source must be 'none' or 'manufactured'"),
     ("methods original tree-cotree lagrange", "methods", "methods needs at least one entry"),
+    ("eps_r=1 sigma=1 # center", "eps_r=1 sigma=1 eps_r=4 # center", "repeated key 'eps_r'"),
 ], ids=["eps_r-nan", "sigma-inf", "mu_r-zero", "mu_r-nan", "domain-inf",
         "region-box-nan", "subdivisions-inf", "phi-nan", "domain-bad-number",
         "token-without-equals", "unknown-key", "bad-value", "missing-key",
         "empty-domain-interval", "non-integer-subdivisions", "eps_r-zero",
         "sigma-negative", "phi-arity", "phi-bad-value", "a_zero-empty",
-        "bad-source", "methods-empty"])
+        "bad-source", "methods-empty", "repeated-key"])
 def test_non_finite_or_zero_material_exit(old, new, message, tmp_path, capsys):
     # the materials used to build and exit 3 as singular (mu_r=0 also made
     # BLAS print an illegal-parameter message), and an infinite subdivision
@@ -637,6 +638,26 @@ def test_missing_required_line_exit(key, message, tmp_path, capsys):
                  "--method", "tree-cotree"])
     assert code == 2
     assert f"line 0: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["domain", "subdivisions", "source", "methods"])
+def test_repeated_line_exit(key, tmp_path, capsys):
+    # a second line of these keys used to replace the first without a word
+    lines = Path(ACADEMIC).read_text().splitlines()
+    lines.append(next(l for l in lines if l.startswith(key)))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines))
+    code = main(["solve", "--config", str(cfg), "--freq", "0",
+                 "--method", "tree-cotree"])
+    assert code == 2
+    assert f"line {len(lines)}: repeated '{key}' line" in capsys.readouterr().err
+
+
+def test_region_phi_and_a_zero_lines_repeat():
+    text = Path(ACADEMIC).read_text() + "\nphi ymin 0\na_zero xmin\n"
+    sc = scenario.parse_scenario(text)
+    assert len(sc.regions) == 6 and len(sc.phi_bcs) == 3
+    assert sc.phi_bcs[-1] == ("ymin", 0j)
 
 
 def test_lu_field_follows_the_system(academic_built, splu_dtypes):

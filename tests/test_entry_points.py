@@ -1,0 +1,46 @@
+"""Smoke tests of the entry points a user runs: `python -m aphi` and the
+study scripts, each in its own interpreter from a plain checkout."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# the CSV column lines the README documents
+SWEEP_HEADER = "f_hz,method,cond_estimate,cond_method,delta_D,rel_residual,n_dofs,wall_ms"
+CONVERGE_HEADER = "s_h,method,hcurl_error,rate"
+
+
+def _run(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _columns(path):
+    comment, header = path.read_text().splitlines()[:2]
+    assert comment.startswith("# aphi ")
+    return header
+
+
+def test_module_check_passes():
+    proc = _run("-m", "aphi", "check", "--config", "configs/academic.cfg")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(l.startswith(("INFO ", "PASS ")) for l in lines)
+    assert any(l.startswith("PASS ") for l in lines)
+
+
+def test_stability_script_writes_sweep_csv(tmp_path):
+    proc = _run("scripts/run_stability_study.py", "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert _columns(tmp_path / "academic_stability.csv") == SWEEP_HEADER
+
+
+def test_convergence_script_writes_one_csv_per_regime(tmp_path):
+    proc = _run("scripts/run_convergence_study.py", "--outdir", str(tmp_path),
+                "--subdivs", "2,3")
+    assert proc.returncode == 0, proc.stderr
+    for name in ("convergence_sigma0_f1e6.csv", "convergence_sigma0_f10.csv",
+                 "convergence_sigma6e7_f10.csv"):
+        assert _columns(tmp_path / name) == CONVERGE_HEADER

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aphi.assembly import MaterialField, assemble_curl_curl
+from aphi.assembly import MaterialField, assemble_bundle
 from aphi.gauge import (UnsupportedTopologyError, build_gauge_graph,
                         spanning_tree)
 from aphi.mesh import (AIR, FACE_LABELS, Box, boundary_entities,
@@ -126,7 +126,7 @@ def test_tree_count_matches_curl_kernel(subdivisions, constrain):
     whole = Box(lo=(0, 0, 0), hi=(1, 1, 1))
     mat = MaterialField.uniform(mesh, tag_regions(mesh, [(whole, AIR)]),
                                 sigma=0.0, eps=1.0, nu=1.0)
-    C = assemble_curl_curl(edge, mat)[edge.free][:, edge.free]
+    C = assemble_bundle(scal, edge, mat).C_nu[edge.free][:, edge.free]
     kernel = edge.n_free - dense_rank(C)
     assert part.tree.size == kernel
 
@@ -140,7 +140,7 @@ def test_cotree_block_nonsingular():
         whole = Box(lo=(0, 0, 0), hi=(1, 1, 1))
         mat = MaterialField.uniform(mesh, tag_regions(mesh, [(whole, AIR)]),
                                     sigma=0.0, eps=1.0, nu=1.0)
-        C = assemble_curl_curl(edge, mat)[edge.free][:, edge.free].tocsr()
+        C = assemble_bundle(scal, edge, mat).C_nu[edge.free][:, edge.free].tocsr()
         RR = C[part.cotree][:, part.cotree]
         assert dense_rank(RR) == part.cotree.size
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aphi import solve
-from aphi.assembly import MaterialField, assemble_curl_curl
+from aphi.assembly import MaterialField, assemble_bundle
 from aphi.mesh import (AIR, FACE_LABELS, Box, boundary_entities,
                        build_box_mesh, tag_regions)
 from aphi.physics import METHODS, curl_coordinates, curl_system, run_two_step
@@ -17,7 +17,7 @@ from aphi.solve import (KAPPA1_EPS_TOL, ND_LEAF, RESIDUAL_TOL, Factorization,
                         InaccurateSolveError, SingularMatrixError,
                         condition_estimate, nested_dissection,
                         sparse_lu_solve)
-from aphi.spaces import DirichletSpec, build_edge_space
+from aphi.spaces import DirichletSpec, build_edge_space, build_scalar_space
 from oracles import dense_condition
 
 
@@ -347,11 +347,12 @@ def test_singular_curl_matrix_detected():
     # the static curl system on the all-constrained cube is rank-deficient
     mesh = build_box_mesh(((0, 1),) * 3, (2, 2, 2))
     bt = boundary_entities(mesh)
+    scal = build_scalar_space(mesh, bt, DirichletSpec())
     edge = build_edge_space(mesh, bt, DirichletSpec(edge=FACE_LABELS))
     whole = Box(lo=(0, 0, 0), hi=(1, 1, 1))
     mat = MaterialField.uniform(mesh, tag_regions(mesh, [(whole, AIR)]),
                                 sigma=0.0, eps=1.0, nu=1.0)
-    C = assemble_curl_curl(edge, mat)[edge.free][:, edge.free]
+    C = assemble_bundle(scal, edge, mat).C_nu[edge.free][:, edge.free]
     rng = np.random.default_rng(3)
     with pytest.raises(SingularMatrixError):
         sparse_lu_solve(C.astype(complex), rng.standard_normal(edge.n_free))
