@@ -4,8 +4,13 @@ All cells of a box mesh share one geometry, so assemble_bundle computes
 the four unit-weight element matrices once and scatters all seven weighted
 matrices of the bundle from them with per-cell material weights;
 assemble_mass is the one single-matrix assembler, for any weight (a complex
-one included).  Assembly order is fixed (cell-major), and duplicate entries
-are summed in canonical CSR order, so repeated runs produce identical arrays.
+one included).  Only the nonzero element entries of the cells with nonzero
+weight are scattered: the edge functions of perpendicular edges of a box
+cell are orthogonal, so two thirds of the edge-mass entries are exact zeros,
+and sigma vanishes outside the conductors, so the sigma-weighted matrices
+are conductor-supported.  Every returned matrix is canonical CSR, and the
+scatter order is fixed (cell-major), so repeated runs produce identical
+arrays.
 
 Source moments use the same shared geometry: the basis, weighted by the
 Jacobian and the quadrature weights, is formed once, and the cells are
@@ -108,15 +113,18 @@ def element_matrices(spacing: np.ndarray) -> dict[str, np.ndarray]:
 
 def _assemble_cells(w: np.ndarray, elem: np.ndarray, rows: np.ndarray,
                     cols: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
-    """Sum w[c] * elem[i, j] into entry (rows[c, i], cols[c, j]) over all
-    cells c, cell-major, with duplicates summed in canonical CSR order."""
-    vals = w[:, None, None] * elem[None, :, :]
-    r = np.repeat(rows, cols.shape[1], axis=1)
-    c = np.tile(cols, (1, rows.shape[1]))
-    m = sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape).tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return m
+    """Sum w[c] * elem[i, j] into entry (rows[c, i], cols[c, j]), cell-major,
+    over the cells c with w[c] != 0 and the entries with elem[i, j] != 0;
+    the COO-to-CSR conversion sums the duplicates and sorts the indices."""
+    cells = np.flatnonzero(w)
+    li, lj = np.nonzero(elem)
+    # indices in scipy's index dtype, so that it does not copy them down
+    big = max(*shape, cells.size * li.size) > np.iinfo(np.int32).max
+    idx = np.int64 if big else np.int32
+    vals = w[cells, None] * elem[li, lj]
+    r = rows.astype(idx)[cells][:, li]
+    c = cols.astype(idx)[cells][:, lj]
+    return sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape).tocsr()
 
 
 def assemble_mass(space: EdgeSpace, mat: MaterialField, weight) -> sp.csr_matrix:
@@ -176,6 +184,9 @@ def assemble_current_vector(edge: EdgeSpace, current: Callable) -> np.ndarray:
 class MatrixBundle:
     """All frequency-independent matrices of one scenario, full entity size.
 
+    Each holds only the nonzero element entries of the cells with nonzero
+    weight, so K_sigma, G_sigma, M_sigma and D_sigma have entries only on
+    the nodes and edges of conductor cells (none without a conductor).
     Frequency-dependent systems are scalar combinations of these; free-DOF
     restriction and Dirichlet lifts happen when the per-frequency systems
     are formed, with their right-hand sides from source.  The bundle is

@@ -100,6 +100,10 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
     if est is not None:
         cond_cell = _num(est.value)
         cond_method_cell = est.method
+        if not est.converged:
+            print(f"condition estimate at {_num(f)} Hz, {method}: a power "
+                  "iteration stopped at its iteration cap unconverged",
+                  file=sys.stderr)
     if "delta_D" in quantities:
         delta_cell = "singular" if sol is None else _num(sol.delta_D)
     if "solve_residual" in quantities:

@@ -245,6 +245,7 @@ class Factorization:
                                   scaled.indices, scaled.indptr), shape=scaled.shape)
         del scaled, data  # freed before the LU is built
         self._dtype = lu_input.dtype
+        norm1 = spla.norm(lu_input, 1)
         try:
             self._lu = spla.splu(lu_input, permc_spec="NATURAL",
                                  diag_pivot_thresh=DIAG_PIVOT_THRESH)
@@ -252,11 +253,12 @@ class Factorization:
             if single:
                 return False
             raise SingularMatrixError(str(exc)) from exc
+        del lu_input  # not held beside the LU while its inverse is estimated
         # t=1 is deterministic; t >= 2 draws from numpy's global RNG
         dtype = float if self._dtype.kind == "f" else complex
-        inv = spla.LinearOperator(lu_input.shape, matvec=self._lu_solve, dtype=dtype,
+        inv = spla.LinearOperator(self.A.shape, matvec=self._lu_solve, dtype=dtype,
                                   rmatvec=lambda b: self._lu_solve(b, adjoint=True))
-        self.kappa1 = float(spla.norm(lu_input, 1) * spla.onenormest(inv, t=1))
+        self.kappa1 = float(norm1 * spla.onenormest(inv, t=1))
         eps_kappa = self.kappa1 * np.finfo(self._dtype).eps
         if single and not eps_kappa <= SINGLE_KAPPA1_EPS_TOL:
             self._lu = None  # freed before the double LU is built
@@ -349,6 +351,7 @@ class ConditionEstimate:
     value: float
     method: str            # "dense-svd" or "power-iteration"
     iterations: int
+    converged: bool = True  # False: a power run stopped at _POWER_MAX_ITERS
 
     def __post_init__(self):
         if self.value < 1.0 - 1e-9:
@@ -387,17 +390,19 @@ def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
             return ConditionEstimate(value=np.inf, method="power-iteration",
                                      iterations=0)
     rng = np.random.default_rng(0)
-    AH = A.conj().T
-    smax, iters = _power_norm(lambda v: AH @ (A @ v), rng, n)
-    inv_norm, inv_iters = _power_norm(lambda v: fac.solve_adjoint(fac.solve(v)), rng, n)
+    # A^H w as conj(A^T conj(w)): no conjugated copy of A
+    smax, iters, ok = _power_norm(lambda v: np.conj(A.T @ np.conj(A @ v)), rng, n)
+    inv_norm, inv_iters, inv_ok = _power_norm(
+        lambda v: fac.solve_adjoint(fac.solve(v)), rng, n)
     smin = 1.0 / inv_norm
     return ConditionEstimate(value=float(smax / smin), method="power-iteration",
-                             iterations=iters + inv_iters)
+                             iterations=iters + inv_iters, converged=ok and inv_ok)
 
 
-def _power_norm(apply, rng: np.random.Generator, n: int) -> tuple[float, int]:
+def _power_norm(apply, rng: np.random.Generator, n: int) -> tuple[float, int, bool]:
     """2-norm of the operator B from power iteration on apply = B^H B,
-    started from a random complex vector; returns (norm, iterations)."""
+    started from a random complex vector; returns (norm, iterations,
+    whether two successive estimates met _POWER_RTOL before the cap)."""
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     est = 0.0
@@ -407,6 +412,6 @@ def _power_norm(apply, rng: np.random.Generator, n: int) -> tuple[float, int]:
         new = np.sqrt(nw)
         v = w / nw
         if abs(new - est) <= _POWER_RTOL * max(new, 1e-300):
-            return new, it
+            return new, it, True
         est = new
-    return est, _POWER_MAX_ITERS
+    return est, _POWER_MAX_ITERS, False

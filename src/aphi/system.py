@@ -137,7 +137,7 @@ def build_curl_matrix(bundle: MatrixBundle, omega: float) -> sp.csr_matrix:
     symmetric; rank-deficient by the tree count at omega = 0)."""
     fe = bundle.edge.free
     W = bundle.C_nu + 1j * omega * bundle.M_sigma - omega ** 2 * bundle.M_eps
-    return W.tocsr()[fe][:, fe].tocsr().astype(complex)
+    return W[fe][:, fe]  # complex CSR: the i*omega term makes it complex
 
 
 def build_rhs(bundle: MatrixBundle, omega: float, u_full: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ differences) and never calls the code paths it is used to check.
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def brute_force_edges(subdivisions):
@@ -53,6 +54,19 @@ def bfs_tree(graph):
                 queue.append(other)
     tree = sorted(reached)
     return np.array(tree, dtype=np.int64), np.array([reached[p] for p in tree], dtype=np.int64)
+
+
+def full_scatter(w, elem, rows, cols, shape):
+    """Sum w[c] * elem[i, j] into entry (rows[c, i], cols[c, j]) over every
+    cell and every element entry, zero weights and zero entries included,
+    so the result stores every zero that the pattern of the cells holds."""
+    vals = w[:, None, None] * elem[None, :, :]
+    r = np.repeat(rows, cols.shape[1], axis=1)
+    c = np.tile(cols, (1, rows.shape[1]))
+    m = sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape).tocsr()
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
 
 
 def brute_force_faces(cells):

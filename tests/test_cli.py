@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aphi import cli, scenario, solve
+from aphi import cli, physics, scenario, solve
 from aphi.cli import _sweep_row, main, parse_frequencies, run_check, run_convergence
 from aphi.gauge import UnsupportedTopologyError
 from aphi.physics import (METHODS, curl_coordinates, curl_system, hcurl_error,
@@ -215,6 +215,28 @@ def test_sweep_condition_trend(tmp_path):
     assert cond[("0.001", "original")] > 1e3 * cond[("1000", "original")]
     assert cond[("0.001", "tree-cotree")] < 1e4 * cond[("1000", "tree-cotree")]
     assert all(r[3] == "dense-svd" for r in rows)
+
+
+def test_sweep_reports_each_capped_estimate_on_stderr(tmp_path, monkeypatch, capsys):
+    # at a cap of 2 steps no power run meets the 1e-6 test; the CSV is the
+    # one written when every estimate counts as converged
+    monkeypatch.setattr("aphi.solve.DENSE_SVD_LIMIT", 10)
+    monkeypatch.setattr("aphi.solve._POWER_MAX_ITERS", 2)
+    args = ["sweep", "--config", ACADEMIC, "--freqs", "1e-3,1e3",
+            "--methods", "tree-cotree,lagrange", "--quantities", "condition"]
+    capped, forced = tmp_path / "capped.csv", tmp_path / "forced.csv"
+    assert main(args + ["--out", str(capped)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    _, rows = _read_rows(capped)
+    assert all(r[3] == "power-iteration" for r in rows)
+    assert [line.split(":")[0] for line in lines] == \
+        [f"condition estimate at {r[0]} Hz, {r[1]}" for r in rows]
+    real = physics.condition_estimate
+    monkeypatch.setattr(physics, "condition_estimate",
+                        lambda *a, **k: replace(real(*a, **k), converged=True))
+    assert main(args + ["--out", str(forced)]) == 0
+    assert capsys.readouterr().err == ""
+    assert forced.read_bytes() == capped.read_bytes()
 
 
 def test_sweep_delta_trend(tmp_path):

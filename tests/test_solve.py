@@ -399,6 +399,26 @@ def test_condition_power_iteration_matches_dense(rng, monkeypatch):
     assert abs(est.value - dense) / dense < 0.05
 
 
+def test_condition_power_iteration_reports_the_cap(monkeypatch):
+    # the 1D Laplacian's largest singular values crowd together, so its
+    # sigma_max estimate still moves by more than 1e-6 per step at the cap
+    monkeypatch.setattr("aphi.solve.DENSE_SVD_LIMIT", 10)
+    n = 50
+    A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1]).tocsr()
+    capped = condition_estimate(A)
+    assert capped.method == "power-iteration" and not capped.converged
+    assert capped.iterations > solve._POWER_MAX_ITERS
+    dense = dense_condition(A)
+    assert abs(capped.value - dense) < 1e-3 * dense  # the last iterate's value
+    # well separated singular values: both runs meet the test
+    d = np.full(n, 0.5)
+    d[0] = 1.0
+    fast = condition_estimate(sp.diags(d).tocsr())
+    assert fast.converged and fast.iterations < solve._POWER_MAX_ITERS
+    assert fast.value == pytest.approx(2.0, rel=1e-6)
+
+
 def test_condition_singular_flagged():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     est = condition_estimate(A)
