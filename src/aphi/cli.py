@@ -4,21 +4,23 @@ solves with VTK export, and the structural invariant check.
 Exit codes: 0 success, 1 a failed structural invariant (check), 2
 configuration error (or a system with no free unknowns), 3 singular matrix
 or inaccurate solve (solve.InaccurateSolveError) on a method listed as
-required, 4 I/O failure.  Output files are byte-identical across runs at
-a fixed BLAS thread count; wall-clock columns are zero unless --timing is
-given.
+required, 4 I/O failure (an output path that cannot be written is
+refused before anything is computed).  Output files are byte-identical
+across runs at a fixed BLAS thread count; wall-clock columns are zero
+unless --timing is given.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
 import numpy as np
 
 from .mesh import match_cells
-from .physics import (METHODS, curl_coordinates, curl_system, hcurl_error,
-                      run_two_step)
+from .physics import (METHODS, curl_coordinates, curl_system, excitation,
+                      hcurl_error, run_two_step)
 from .scenario import ConfigError, Scenario, check_methods, load_scenario
 from .solve import (DENSE_SVD_LIMIT, ConditionEstimate, Factorization,
                     SingularMatrixError, condition_estimate)
@@ -41,7 +43,7 @@ def _num(x: float) -> str:
         return "nan"
     if np.isinf(x):
         return "inf"
-    return f"{x:.12g}"
+    return f"{x + 0.0:.12g}"  # + 0.0 writes a negative zero as 0
 
 
 def parse_frequencies(spec: str) -> list[float]:
@@ -65,37 +67,33 @@ def method_system(built, omega: float):
     return {m: curl_system(built, omega, m)[0] for m in METHODS}
 
 
-def _sweep_row(built, f: float, method: str, quantities: set[str],
-               timing: bool) -> tuple[str, bool]:
-    """One CSV row from one solve; the condition estimate reuses its LU.
-
-    A singular solve counts as singular only when a solve quantity is
-    asked for.  When step one succeeded, the curl system failed the
-    kappa_1 * eps test of its Factorization, either by the gradient probe
-    of an original system, before any LU, or by its LU; above the dense
-    limit that is the estimator's own singularity test, so the estimate is
-    written as infinite without a further factorization.  Otherwise it is
-    made on the system alone.
+def _sweep_row(built, f: float, exc, method: str,
+               quantities: set[str]) -> tuple[str, bool]:
+    """One CSV row up to wall_ms, from one solve on the Excitation exc of f
+    (None when step one failed or nothing is asked); the condition
+    estimate reuses its LU.  A singular solve counts as singular only when
+    a solve quantity is asked for.  When step one succeeded, the curl
+    system failed the kappa_1 * eps test of its Factorization, either by
+    the gradient probe of an original system, before any LU, or by its LU;
+    above the dense limit that is the estimator's own singularity test, so
+    the estimate is written as infinite without a further factorization.
+    Otherwise it is made on the system alone.
     """
-    t0 = time.perf_counter()
     want_cond = "condition" in quantities
     coords = curl_coordinates(built, method)
     n_dofs = coords.shape[0]
     omega = FrequencyPoint(f).omega
     sol = est = None
-    if quantities:
-        eqs_solved = False
+    if exc is not None:
         try:
-            built.excitation(omega)
-            eqs_solved = True
-            sol = run_two_step(built, f, method, condition=want_cond)
+            sol = run_two_step(built, exc, method, condition=want_cond)
             est = sol.condition
         except SingularMatrixError:
-            if want_cond and eqs_solved and n_dofs > DENSE_SVD_LIMIT:
+            if want_cond and n_dofs > DENSE_SVD_LIMIT:
                 est = ConditionEstimate(np.inf, "power-iteration", 0)
-            elif want_cond:
-                est = condition_estimate(curl_system(built, omega, method)[0],
-                                         coords=coords)
+    if want_cond and est is None:
+        est = condition_estimate(curl_system(built, omega, method)[0],
+                                 coords=coords)
     cond_cell = cond_method_cell = delta_cell = resid_cell = ""
     if est is not None:
         cond_cell = _num(est.value)
@@ -108,9 +106,8 @@ def _sweep_row(built, f: float, method: str, quantities: set[str],
         delta_cell = "singular" if sol is None else _num(sol.delta_D)
     if "solve_residual" in quantities:
         resid_cell = "singular" if sol is None else _num(sol.curl_report.rel_residual)
-    wall_ms = int(round(1000 * (time.perf_counter() - t0))) if timing else 0
     row = f"{_num(f)},{method},{cond_cell},{cond_method_cell}," \
-          f"{delta_cell},{resid_cell},{n_dofs},{wall_ms}"
+          f"{delta_cell},{resid_cell},{n_dofs}"
     return row, sol is None and bool(quantities & SOLVE_QUANTITIES)
 
 
@@ -121,10 +118,17 @@ def run_sweep(scenario: Scenario, freqs: list[float], methods: list[str],
     built = scenario.build()
     rows = []
     singular_methods: set[str] = set()
+    t0 = time.perf_counter()  # a frequency's first row times its step one
     for f in freqs:
+        try:  # step one, shared by the methods of f
+            exc = excitation(built, f) if quantities else None
+        except SingularMatrixError:  # every row of f is singular
+            exc = None
         for m in methods:
-            row, singular = _sweep_row(built, f, m, quantities, timing)
-            rows.append(row)
+            row, singular = _sweep_row(built, f, exc, m, quantities)
+            wall_ms = int(round(1000 * (time.perf_counter() - t0))) if timing else 0
+            t0 = time.perf_counter()
+            rows.append(f"{row},{wall_ms}")
             if singular:
                 singular_methods.add(m)
     return rows, singular_methods
@@ -145,9 +149,14 @@ def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
     errors: dict[str, list[tuple[int, float]]] = {m: [] for m in methods}
     for s in subdivs:
         built = scenario.with_subdivisions((s, s, s)).build()
+        try:
+            exc = excitation(built, f)  # step one, shared by the methods
+        except SingularMatrixError:
+            rows += [f"{s},{m},singular," for m in methods]
+            continue
         for m in methods:
             try:
-                sol = run_two_step(built, f, m)
+                sol = run_two_step(built, exc, m)
                 err = hcurl_error(built, sol.a, built.mms)
             except SingularMatrixError:
                 err = None
@@ -255,6 +264,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_unwritable(path: str | None) -> None:
+    """Raise OSError for an output path that is a directory or whose
+    directory is missing or not writable, before anything is computed."""
+    if path is None:
+        return
+    path = os.path.abspath(path)  # "" names the working directory
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path!r}: it is a directory")
+    directory = os.path.dirname(path)
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise OSError(f"cannot write {path!r}: directory {directory!r} is "
+                      "missing or not writable")
+
+
 def _load(args) -> Scenario:
     scenario = load_scenario(args.config)
     if getattr(args, "subdivs", None):
@@ -287,6 +310,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command in ("solve", "converge"):
         FrequencyPoint(args.freq)  # rejects a bad --freq before loading
+    _refuse_unwritable(getattr(args, "out", getattr(args, "vtk", None)))
     if args.command == "sweep":
         scenario = _load(args)
         methods = _methods(args, scenario)

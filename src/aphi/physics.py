@@ -15,7 +15,7 @@ construction and are never probed.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -132,29 +132,11 @@ class BuiltScenario:
     gauge: GaugeGraph
     partition: TreeCotreePartition
     name: str = "scenario"
-    _last_excitation: tuple | None = field(default=None, init=False,
-                                           repr=False, compare=False)
 
     @property
     def mms(self) -> ManufacturedCase | None:
         """The manufactured case, or None; the bundle owns it."""
         return self.bundle.source
-
-    def excitation(self, omega: float) -> tuple[np.ndarray, SolveReport, np.ndarray]:
-        """Step one and the curl right-hand side at omega, which every
-        method shares: (u_full, eqs_report, j_free), all arrays read-only.
-
-        Computed on first use and kept for the last omega only; a step that
-        raises keeps nothing, so it raises again on the next call.
-        """
-        if self._last_excitation is None or self._last_excitation[0] != omega:
-            u_full, report = solve_eqs_step(self, omega)
-            j_free = build_rhs(self.bundle, omega, u_full)
-            for arr in (u_full, report.x, j_free):
-                arr.flags.writeable = False
-            object.__setattr__(self, "_last_excitation",
-                               (omega, (u_full, report, j_free)))
-        return self._last_excitation[1]
 
 
 @dataclass(frozen=True)
@@ -178,6 +160,21 @@ def solve_eqs_step(built: BuiltScenario, omega: float) -> tuple[np.ndarray, Solv
         K, rhs = build_eqs_system(built.bundle, omega)
     rep = sparse_lu_solve(K, rhs, built.mesh.nodes[built.scalar.free])
     return built.scalar.full_vector(rep.x), rep
+
+
+Excitation = namedtuple("Excitation", "frequency u eqs_report j_free")
+
+
+def excitation(built: BuiltScenario, frequency: FrequencyPoint | float) -> Excitation:
+    """Step one and the curl right-hand side on the free edges, which every
+    curl method at this frequency shares; the arrays are read-only."""
+    if not isinstance(frequency, FrequencyPoint):
+        frequency = FrequencyPoint(float(frequency))
+    u_full, report = solve_eqs_step(built, frequency.omega)
+    j_free = build_rhs(built.bundle, frequency.omega, u_full)
+    for arr in (u_full, report.x, j_free):
+        arr.flags.writeable = False
+    return Excitation(frequency, u_full, report, j_free)
 
 
 def curl_system(built: BuiltScenario, omega: float, method: str,
@@ -227,26 +224,27 @@ def curl_coordinates(built: BuiltScenario, method: str) -> np.ndarray:
     return mid
 
 
-def run_two_step(built: BuiltScenario, frequency: FrequencyPoint | float,
+def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | float,
                  method: str, condition: bool = False) -> Solution:
     """Solve both steps for one frequency with the selected curl variant.
 
-    Step one and the curl right-hand side come from built.excitation, so
-    methods solved at the same omega share them.  The curl system is
-    factored in mixed precision (see solve.Factorization), except with
-    condition=True: the 2-norm condition estimate of the curl system is
-    then computed on the double LU that solved it and stored on the
-    Solution.
+    Step one and the curl right-hand side come from an Excitation, which
+    the sweep and convergence loops share among the methods of one
+    frequency; given a frequency, the call solves its own.  The curl
+    system is factored in mixed precision (see solve.Factorization),
+    except with condition=True: the 2-norm condition estimate of the curl
+    system is then computed on the double LU that solved it and stored on
+    the Solution.
 
     Propagates SingularMatrixError: expected for the original variant at
     low frequency, where the gradient probe usually proves it before any
     LU, and raised by step one without a scalar Dirichlet node or, as
     StaticSingularityError, for a floating conductor at 0 Hz.
     """
-    if not isinstance(frequency, FrequencyPoint):
-        frequency = FrequencyPoint(float(frequency))
+    if not isinstance(frequency, Excitation):
+        frequency = excitation(built, frequency)
+    frequency, u_full, eqs_report, j_free = frequency
     omega = frequency.omega
-    u_full, eqs_report, j_free = built.excitation(omega)
 
     A, b = curl_system(built, omega, method, j_free)
     probe = gradient_probe(built) if method == "original" else None

@@ -1,5 +1,7 @@
 """Module boundaries inside the aphi package, read from the source."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "aphi"
@@ -92,3 +94,49 @@ def test_layer_scan_sees_type_checking_and_function_imports(tmp_path):
                     "def f():\n"
                     "    from . import gauge, mesh\n")
     assert _upward_imports(path) == ["physics", "gauge"]
+
+
+def _setattr_bypasses(path: Path) -> list[int]:
+    """Lines of the module at path that call object.__setattr__, the way
+    round a frozen dataclass."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "object.__setattr__"]
+
+
+def test_no_frozen_dataclass_is_written_after_construction():
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := _setattr_bypasses(path))}
+    assert found == {}
+
+
+def test_setattr_scan_sees_the_bypass(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(self):\n"
+                    "    setattr(self, 'a', 1)\n"
+                    "    object.__setattr__(self, 'b', 2)\n")
+    assert _setattr_bypasses(path) == [3]
+
+
+def _bench_spans():
+    """bench/spans.py, loaded by path (it imports only the standard library)."""
+    path = SRC.parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_patch_targets_exist():
+    # the traced benchmark patches these names in place, so a rename would
+    # break only a traced run
+    spans = _bench_spans()
+    for mod_name, fn_name, *_ in spans.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(mod_name), fn_name)), \
+            (mod_name, fn_name)
+    for mod_name, cls_name, meth, *_ in spans.METHODS:
+        cls = getattr(importlib.import_module(mod_name), cls_name)
+        assert meth in cls.__dict__, (mod_name, cls_name, meth)
+    assert hasattr(importlib.import_module("aphi.solve"), "spla")
+    # bench/checks.py forms each method's system through it
+    assert callable(importlib.import_module("aphi.cli").method_system)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from aphi import cli, physics, scenario, solve
-from aphi.cli import _sweep_row, main, parse_frequencies, run_check, run_convergence
+from aphi.cli import (_num, _sweep_row, main, parse_frequencies, run_check,
+                      run_convergence)
 from aphi.gauge import UnsupportedTopologyError
-from aphi.physics import (METHODS, curl_coordinates, curl_system, hcurl_error,
-                          run_two_step)
+from aphi.physics import (METHODS, curl_coordinates, curl_system, excitation,
+                          hcurl_error, run_two_step)
 from aphi.scenario import ConfigError, Scenario, academic_scenario, load_scenario
 from aphi.solve import DENSE_SVD_LIMIT, condition_estimate
 from oracles import dense_rank
@@ -108,10 +109,10 @@ def test_singular_sweep_row_above_dense_limit_factors_once(monkeypatch, splu_dty
 
     monkeypatch.setattr(solve, "Factorization", Counted)
     monkeypatch.setattr("aphi.physics.Factorization", Counted)
-    row, singular = _sweep_row(built, 0.0, "original",
-                               {"condition", "delta_D", "solve_residual"}, False)
+    row, singular = _sweep_row(built, 0.0, excitation(built, 0.0), "original",
+                               {"condition", "delta_D", "solve_residual"})
     assert singular
-    assert row == f"0,original,inf,power-iteration,singular,singular,{built.edge.n_free},0"
+    assert row == f"0,original,inf,power-iteration,singular,singular,{built.edge.n_free}"
     # one LU, of the EQS system: the gradient probe proves the curl system
     # singular inside its Factorization without an LU, and the estimate
     # adds none
@@ -692,26 +693,27 @@ def test_lu_field_follows_the_system(academic_built, splu_dtypes):
     assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.float32)}
     splu_dtypes.clear()
     built = load_scenario(MMS6E7).with_subdivisions((4, 4, 4)).build()
-    built.excitation(2 * np.pi * 10.0)
+    exc = excitation(built, 10.0)
     assert splu_dtypes == [np.dtype(np.float32)]  # the EQS step
     splu_dtypes.clear()
     for method in METHODS:
-        run_two_step(built, 10.0, method)
+        run_two_step(built, exc, method)
     assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.complex64)}
     splu_dtypes.clear()
+    exc0 = excitation(academic_built, 0.0)
     for method in ("tree-cotree", "lagrange"):
-        run_two_step(academic_built, 0.0, method)
+        run_two_step(academic_built, exc0, method)
     assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.float32)}
     # the singular original system (no air gauge node for the probe at
     # 3^3) is judged by the double LU once the single one is refused
     splu_dtypes.clear()
     with pytest.raises(solve.SingularMatrixError, match="kappa_1 \\* eps"):
-        run_two_step(academic_built, 0.0, "original")
+        run_two_step(academic_built, exc0, "original")
     assert splu_dtypes == [np.dtype(np.float32), np.dtype(np.float64)]
     # a condition estimate asks for the double LU
     splu_dtypes.clear()
-    run_two_step(academic_built, 0.0, "tree-cotree", condition=True)
-    run_two_step(built, 10.0, "tree-cotree", condition=True)
+    run_two_step(academic_built, exc0, "tree-cotree", condition=True)
+    run_two_step(built, exc, "tree-cotree", condition=True)
     assert splu_dtypes == [np.dtype(np.float64), np.dtype(np.complex128)]
 
 
@@ -720,6 +722,38 @@ def test_io_error_exit(tmp_path):
                  "--methods", "tree-cotree",
                  "--out", str(tmp_path / "no" / "such" / "dir.csv")])
     assert code == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", ACADEMIC, "--freqs", "0,1,1e3", "--out", "{out}"],
+    ["converge", "--config", MMS0, "--subdivs", "2,3", "--freq", "10",
+     "--out", "{out}"],
+    ["solve", "--config", ACADEMIC, "--freq", "1", "--method", "tree-cotree",
+     "--vtk", "{out}"],
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "empty"])
+def test_unwritable_output_refused_before_building(tmp_path, monkeypatch, capsys,
+                                                   argv, where):
+    built = []
+    monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
+    out = {"missing directory": tmp_path / "no" / "x.out", "directory": tmp_path,
+           "empty": ""}[where]
+    assert main([a.format(out=out) for a in argv]) == 4
+    captured = capsys.readouterr()
+    assert built == [] and captured.out == ""
+    assert "I/O error: cannot write" in captured.err
+
+
+def test_negative_zero_frequency_written_as_zero(tmp_path):
+    assert _num(-0.0) == _num(0.0) == "0"
+    assert _num(-1e-300) == "-1e-300" and _num(-2.5) == "-2.5"
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", ACADEMIC, "--freqs=-0,0",
+                 "--methods", "tree-cotree", "--quantities", "delta_D",
+                 "--subdivs", "3,3,3", "--out", str(out)]) == 0
+    _, rows = _read_rows(out)
+    assert [r[0] for r in rows] == ["0", "0"]
+    assert rows[0] == rows[1]
 
 
 def test_unknown_quantity_rejected(tmp_path):

@@ -8,10 +8,12 @@ import pytest
 
 import aphi
 from aphi import physics, solve
+from aphi.cli import run_convergence, run_sweep
 from aphi.mesh import FACE_LABELS, Box
 from aphi.physics import (METHODS, DerivedFields, ManufacturedCase,
-                          curl_coordinates, curl_system, gauge_residual,
-                          gradient_probe, hcurl_error, run_two_step)
+                          curl_coordinates, curl_system, excitation,
+                          gauge_residual, gradient_probe, hcurl_error,
+                          run_two_step)
 from aphi.scenario import (RegionSpec, Scenario, academic_scenario, load_scenario,
                            mms_scenario)
 from aphi.solve import (KAPPA1_EPS_TOL, SINGLE_KAPPA1_EPS_TOL,
@@ -440,16 +442,15 @@ def test_probe_proven_system_is_never_factored(splu_dtypes):
     # to the constant 0.2 (the dense value is 0.727), and 0.782 at 8^3
     for n, low in ((4, 0.22), (8, 0.78)):
         built = mms_scenario(0.0, (n, n, n)).build()
-        omega = 2 * np.pi * 10.0
-        built.excitation(omega)
-        A = curl_system(built, omega, "original")[0]
+        exc = excitation(built, 10.0)
+        A = curl_system(built, exc.frequency.omega, "original")[0]
         bound = _gradient_probe_bound(built, A)
         assert bound * EPS >= low > KAPPA1_EPS_TOL
         if n == 4:
             assert bound < _dense_kappa1(A) / 3
         splu_dtypes.clear()
         with pytest.raises(SingularMatrixError, match="gradient probe"):
-            run_two_step(built, 10.0, "original")
+            run_two_step(built, exc, "original")
         assert splu_dtypes == []
 
 
@@ -474,13 +475,13 @@ def test_gradient_probe_skipped_without_air_gauge_node(monkeypatch, splu_dtypes)
 
 def test_gradient_probe_at_0hz_raises_without_warning(splu_dtypes):
     built = mms_scenario(0.0, (4, 4, 4)).build()
-    built.excitation(0.0)
+    exc = excitation(built, 0.0)
     splu_dtypes.clear()
     A = curl_system(built, 0.0, "original")[0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrixError, match="gradient probe"):
-            run_two_step(built, 0.0, "original")
+            run_two_step(built, exc, "original")
         # A_s x is the curl of a gradient, at rounding level ...
         assert _gradient_probe_bound(built, A) * EPS > 1.0
         # ... or exactly zero, where the bound is infinite
@@ -499,13 +500,12 @@ def test_probe_bound_skips_a_hopeless_single_factor(academic_11, f, curl_dtypes,
                                                     splu_dtypes):
     # the probe bound times eps_single reads about 4e6, 4 and 4e-6: a
     # single LU of the first two would only be refused by its own kappa_1
-    omega = 2 * np.pi * f
-    academic_11.excitation(omega)
-    A = curl_system(academic_11, omega, "original")[0]
+    exc = excitation(academic_11, f)
+    A = curl_system(academic_11, exc.frequency.omega, "original")[0]
     bound = _gradient_probe_bound(academic_11, A)
     assert (bound * np.finfo(np.float32).eps > SINGLE_KAPPA1_EPS_TOL) == (f < 1e9)
     splu_dtypes.clear()
-    run_two_step(academic_11, f, "original")
+    run_two_step(academic_11, exc, "original")
     assert splu_dtypes == curl_dtypes
 
 
@@ -521,14 +521,14 @@ def test_probed_factorization_equilibrates_once(monkeypatch, mms_built_sigma0):
         if "_equilibrate" in vars(module):
             monkeypatch.setattr(module, "_equilibrate",
                                 lambda A: calls.append(A.shape) or equilibrate(A))
-    mms_built_sigma0.excitation(2 * np.pi * 10.0)  # step one, uncounted
+    exc = excitation(mms_built_sigma0, 10.0)  # step one, uncounted
     calls.clear()
     with pytest.raises(SingularMatrixError, match="gradient probe"):
-        run_two_step(mms_built_sigma0, 10.0, "original")
+        run_two_step(mms_built_sigma0, exc, "original")
     assert len(calls) == 1
-    mms_built_sigma0.excitation(2 * np.pi * 1e6)
+    exc = excitation(mms_built_sigma0, 1e6)
     calls.clear()
-    run_two_step(mms_built_sigma0, 1e6, "original")  # probed, then factored
+    run_two_step(mms_built_sigma0, exc, "original")  # probed, then factored
     assert len(calls) == 1
 
 
@@ -536,10 +536,9 @@ def test_probed_factorization_equilibrates_once(monkeypatch, mms_built_sigma0):
 @pytest.mark.parametrize("method", METHODS)
 def test_curl_solution_matches_dense_solve(n, method):
     built = academic_scenario((n, n, n)).build()
-    f = 1e9  # well conditioned for every method (kappa2 below 1e4)
-    omega = 2 * np.pi * f
-    sol = run_two_step(built, f, method)
-    A, b = curl_system(built, omega, method, built.excitation(omega)[2])
+    exc = excitation(built, 1e9)  # well conditioned for every method (kappa2 below 1e4)
+    sol = run_two_step(built, exc, method)
+    A, b = curl_system(built, exc.frequency.omega, method, exc.j_free)
     x_dense = np.linalg.solve(A.toarray(), b)
     x = sol.a[built.edge.free]
     if sol.lam is not None:
@@ -570,47 +569,61 @@ def _count_eqs_solves(monkeypatch):
     return calls
 
 
-def test_excitation_solved_once_per_frequency(monkeypatch):
+def _floating_conductor_scenario():
+    # the inner conductor touches no phi face: singular at 0 Hz
+    return Scenario(
+        extents=((0, 1),) * 3, subdivisions=(3, 3, 3),
+        regions=(RegionSpec(box=Box(lo=(0, 0, 0), hi=(1, 1, 1)), eps_r=1.0, sigma=0.0),
+                 RegionSpec(box=Box(lo=(0.3, 0.3, 0.3), hi=(0.7, 0.7, 0.7)),
+                            eps_r=1.0, sigma=1.0)),
+        phi_bcs=(("xmin", 0.0), ("xmax", 1.0)), a_zero=FACE_LABELS)
+
+
+def test_step_one_solved_once_per_frequency_and_size(monkeypatch):
     calls = _count_eqs_solves(monkeypatch)
-    built = academic_scenario((3, 3, 3)).build()
-    assert calls == []  # nothing is solved while building
-    sols = {m: run_two_step(built, 1e3, m) for m in METHODS}
-    assert len(calls) == 1
+    rows, singular = run_sweep(academic_scenario((3, 3, 3)), [1.0, 1e3],
+                               list(METHODS), {"delta_D", "solve_residual"})
+    assert len(rows) == 6 and not singular
+    assert calls == [2 * np.pi * 1.0, 2 * np.pi * 1e3]
+    calls.clear()
+    rows = run_convergence(mms_scenario(0.0, (2, 2, 2)), [2, 3], 10.0, list(METHODS))
+    assert len(rows) == 6
+    assert calls == [2 * np.pi * 10.0] * 2
+    # a failed step one is attempted once and makes every row singular
+    calls.clear()
+    rows, singular = run_sweep(_floating_conductor_scenario(), [0.0], list(METHODS),
+                               {"delta_D", "solve_residual"})
+    assert calls == [0.0]
+    assert singular == set(METHODS)
+    assert [r.split(",")[4:6] for r in rows] == [["singular", "singular"]] * 3
+
+
+def test_shared_excitation_gives_the_fresh_solution(academic_built):
+    exc = excitation(academic_built, 1e3)
     for m in METHODS:
+        sol = run_two_step(academic_built, exc, m)
         fresh = run_two_step(academic_scenario((3, 3, 3)).build(), 1e3, m)
-        sol = sols[m]
         assert np.array_equal(sol.u, fresh.u) and np.array_equal(sol.a, fresh.a)
         assert (sol.lam is None) == (fresh.lam is None)
         if sol.lam is not None:
             assert np.array_equal(sol.lam, fresh.lam)
         assert sol.delta_D == fresh.delta_D
         assert sol.curl_report.rel_residual == fresh.curl_report.rel_residual
-    # the last frequency only is kept
-    before = len(calls)
-    run_two_step(built, 1.0, "tree-cotree")
-    run_two_step(built, 1e3, "tree-cotree")
-    assert len(calls) == before + 2
+        assert sol.frequency == fresh.frequency
 
 
 def test_excitation_arrays_are_read_only(academic_built):
-    omega = 2 * np.pi * 1e3
-    u_full, report, j_free = academic_built.excitation(omega)
-    for arr in (u_full, report.x, j_free):
+    exc = excitation(academic_built, 1e3)
+    for arr in (exc.u, exc.eqs_report.x, exc.j_free):
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    sol = run_two_step(academic_built, 1e3, "tree-cotree")
-    assert sol.u is u_full and sol.eqs_report is report
+    sol = run_two_step(academic_built, exc, "tree-cotree")
+    assert sol.u is exc.u and sol.eqs_report is exc.eqs_report
 
 
 def test_excitation_failure_is_raised_for_every_method(monkeypatch):
     calls = _count_eqs_solves(monkeypatch)
-    scenario = Scenario(
-        extents=((0, 1),) * 3, subdivisions=(3, 3, 3),
-        regions=(RegionSpec(box=Box(lo=(0, 0, 0), hi=(1, 1, 1)), eps_r=1.0, sigma=0.0),
-                 RegionSpec(box=Box(lo=(0.3, 0.3, 0.3), hi=(0.7, 0.7, 0.7)),
-                            eps_r=1.0, sigma=1.0)),
-        phi_bcs=(("xmin", 0.0), ("xmax", 1.0)), a_zero=FACE_LABELS)
-    built = scenario.build()
+    built = _floating_conductor_scenario().build()
     for m in METHODS:
         with pytest.raises(StaticSingularityError):
             run_two_step(built, 0.0, m)
