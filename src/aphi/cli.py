@@ -47,7 +47,8 @@ def _num(x: float) -> str:
 
 
 def parse_frequencies(spec: str) -> list[float]:
-    """Comma list of Hz values, or 'logspace:<start_exp>,<stop_exp>,<num>'."""
+    """Comma list of Hz values, or 'logspace:<start_exp>,<stop_exp>,<num>';
+    a repeated frequency would only repeat rows, so it is refused."""
     if spec.startswith("logspace:"):
         parts = spec[len("logspace:"):].split(",")
         if len(parts) != 3:
@@ -59,7 +60,10 @@ def parse_frequencies(spec: str) -> list[float]:
         freqs = [float(t) for t in spec.split(",") if t.strip()]
     if not freqs:
         raise ValueError("empty frequency list")
-    return [FrequencyPoint(f).f for f in freqs]
+    freqs = [FrequencyPoint(f).f for f in freqs]
+    if len(set(freqs)) != len(freqs):  # -0 and 0 compare equal
+        raise ConfigError(0, f"repeated sweep frequency in {spec!r}")
+    return freqs
 
 
 def method_system(built, omega: float):

@@ -3,6 +3,12 @@
 Hexahedra are written as unstructured-grid cell type 12; complex fields
 are split into _re/_im vector arrays.  Coordinates are printed with 17
 significant digits so parsing the file back reproduces them bit for bit.
+
+Most blocks repeat their values: the lowest-order curl is constant per
+cell, the currents are zero in air, and a box grid has few distinct
+coordinates.  So each distinct value of a block is formatted once and the
+rows are assembled from those strings, unless the block's values are
+mostly distinct; the file is the same either way.
 """
 from __future__ import annotations
 
@@ -14,7 +20,6 @@ from .mesh import Mesh, build_box_mesh
 from .physics import BuiltScenario, DerivedFields, Solution
 
 VTK_HEXAHEDRON = 12
-_XYZ = "%.17g %.17g %.17g\n"
 
 _FIELD_EVALUATORS = (
     ("B", "B"), ("E", "E"), ("D", "D_total"), ("J", "J_total"),
@@ -22,35 +27,68 @@ _FIELD_EVALUATORS = (
 )
 
 
-def _rows(row_fmt: str, arr: np.ndarray) -> str:
-    """One %-format over the flattened array, row_fmt repeated per row."""
-    return (row_fmt * arr.shape[0]) % tuple(np.ravel(arr).tolist())
+def _distinct_strings(values: np.ndarray, value_fmt: str) -> tuple[str, ...] | None:
+    """value_fmt of each value of a 1D float64 or integer array, formatted
+    once per distinct value; None when more than half of the values are
+    distinct, since then the sort and the assembly cost more than they
+    save over formatting every value.
+
+    Values are keyed by their bits (a float64 viewed as int64), so -0.0
+    and 0.0, or two NaN payloads, are formatted apart.
+    """
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    if 2 * distinct.size > values.size:
+        return None
+    text = ((value_fmt + "\n") * distinct.size
+            % tuple(distinct.view(values.dtype).tolist())).split("\n")
+    return tuple(np.array(text, dtype=object)[inverse].tolist())
+
+
+def _rows(arr: np.ndarray, value_fmt: str, lead: str = "") -> str:
+    """The rows of a 2D float64 or integer array: lead, then the row's
+    values in value_fmt separated by spaces.  Built by one %-format, over
+    the strings of _distinct_strings or, where it declines, over the
+    values themselves."""
+    values = np.ravel(arr)
+    row = lead + " ".join(["%s"] * arr.shape[1]) + "\n"
+    strings = _distinct_strings(values, value_fmt)
+    if strings is None:
+        return (row.replace("%s", value_fmt) * arr.shape[0]) % tuple(values.tolist())
+    return (row * arr.shape[0]) % strings
 
 
 def write_vtk(path, mesh: Mesh, point_data: Mapping[str, np.ndarray] | None = None,
               title: str = "aphi export") -> None:
-    """Write the mesh and optional per-node vector arrays (real valued)."""
+    """Write the mesh and optional per-node vector arrays, each real valued
+    (a complex or non-numeric array is refused by name) and written
+    through float64."""
     point_data = dict(point_data or {})
     for name, arr in point_data.items():
+        arr = np.asarray(arr)
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"field {name!r} must be real numbers, got dtype {arr.dtype}")
         if arr.shape != (mesh.n_nodes, 3):
             raise ValueError(f"field {name!r} must have shape ({mesh.n_nodes}, 3), "
                              f"got {arr.shape}")
+        # %.17g prints any real through a double, so the cast keeps the text
+        point_data[name] = arr.astype(np.float64, copy=False)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
         fh.write(title.replace("\n", " ")[:255] + "\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_nodes} double\n")
-        fh.write(_rows(_XYZ, mesh.nodes))
+        fh.write(_rows(mesh.nodes, "%.17g"))
         fh.write(f"CELLS {mesh.n_cells} {mesh.n_cells * 9}\n")
-        fh.write(_rows("8" + " %d" * 8 + "\n", mesh.cells))
+        fh.write(_rows(mesh.cells, "%d", lead="8 "))
         fh.write(f"CELL_TYPES {mesh.n_cells}\n")
         fh.write(f"{VTK_HEXAHEDRON}\n" * mesh.n_cells)
         if point_data:
             fh.write(f"POINT_DATA {mesh.n_nodes}\n")
             for name, arr in point_data.items():
                 fh.write(f"VECTORS {name} double\n")
-                fh.write(_rows(_XYZ, arr))
+                fh.write(_rows(arr, "%.17g"))
 
 
 def export_vtk(path, built: BuiltScenario, solution: Solution,

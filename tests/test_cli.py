@@ -748,12 +748,24 @@ def test_negative_zero_frequency_written_as_zero(tmp_path):
     assert _num(-0.0) == _num(0.0) == "0"
     assert _num(-1e-300) == "-1e-300" and _num(-2.5) == "-2.5"
     out = tmp_path / "s.csv"
-    assert main(["sweep", "--config", ACADEMIC, "--freqs=-0,0",
+    assert main(["sweep", "--config", ACADEMIC, "--freqs=-0",
                  "--methods", "tree-cotree", "--quantities", "delta_D",
                  "--subdivs", "3,3,3", "--out", str(out)]) == 0
     _, rows = _read_rows(out)
-    assert [r[0] for r in rows] == ["0", "0"]
-    assert rows[0] == rows[1]
+    assert [r[0] for r in rows] == ["0"]
+
+
+@pytest.mark.parametrize("freqs", ["1,1", "-0,0", "0,1e3,0", "logspace:0,0,3"])
+def test_repeated_frequency_rejected_before_building(freqs, tmp_path, monkeypatch,
+                                                     capsys):
+    # a repeated frequency would write duplicate rows and solve step one again
+    built = []
+    monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", ACADEMIC, f"--freqs={freqs}",
+                 "--out", str(out)]) == 2
+    assert f"repeated sweep frequency in {freqs!r}" in capsys.readouterr().err
+    assert built == [] and not out.exists()
 
 
 def test_unknown_quantity_rejected(tmp_path):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aphi import physics
 from aphi.mesh import Mesh, build_box_mesh
-from aphi.physics import run_two_step
-from aphi.vtk_io import export_vtk, write_vtk
+from aphi.physics import DerivedFields, run_two_step
+from aphi.vtk_io import _FIELD_EVALUATORS, _distinct_strings, export_vtk, write_vtk
 from oracles import read_vtk_points
+
+SPECIAL_VALUES = (-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e-300)
 
 
 def test_mesh_only_file_structure(tmp_path):
@@ -57,6 +61,92 @@ def test_write_matches_per_row_formatting(tmp_path):
     path = tmp_path / "f.vtk"
     write_vtk(path, mesh, point_data, title="t")
     assert path.read_text() == _loop_written_vtk(mesh, point_data, "t")
+
+
+def test_few_distinct_values_match_per_row_formatting(tmp_path):
+    mesh = build_box_mesh(((-1e-3, 0.22), (0, 1 / 3), (0, np.pi)), (3, 2, 2))
+    rng = np.random.default_rng(11)
+    pool = np.array(SPECIAL_VALUES + (1.0, -2.5))
+    vals = pool[rng.integers(pool.size, size=(mesh.n_nodes, 3))]
+    vals[0] = (-0.0, 0.0, np.nan)
+    # a second NaN bit pattern, which formats the same as the first
+    vals[1, 0] = (np.array(np.nan).view(np.int64) ^ 1).view(np.float64)
+    assert _distinct_strings(np.ravel(vals), "%.17g") is not None
+    point_data = {"J_re": vals, "J_im": np.zeros_like(vals)}
+    path = tmp_path / "f.vtk"
+    write_vtk(path, mesh, point_data, title="t")
+    assert path.read_text() == _loop_written_vtk(mesh, point_data, "t")
+
+
+def test_distinct_strings_declines_mostly_distinct_values():
+    assert _distinct_strings(np.arange(10.0), "%.17g") is None
+    assert _distinct_strings(np.array([1.0, 2.0, 1.0, 1.0]), "%.17g") is not None
+    assert _distinct_strings(np.array([-0.0, 0.0, 0.0, -0.0]), "%.17g") == ("-0", "0", "0", "-0")
+    assert _distinct_strings(np.array([7, 7, 3, 7]), "%d") == ("7", "7", "3", "7")
+
+
+@given(st.tuples(*[st.integers(1, 3)] * 3), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_value_pools_match_per_row_formatting(tmp_path_factory, subdivs, share, seed):
+    # the distinct share spans both sides of the one-half guard, for the
+    # vectors from the drawn share and for CELLS from the mesh's shape
+    mesh = build_box_mesh(((0, 0.3), (-1, 1), (0, 1e-3)), subdivs)
+    rng = np.random.default_rng(seed)
+    n_values = 3 * mesh.n_nodes
+    n_pool = max(1, round(share * n_values))
+    bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=n_pool,
+                        dtype=np.int64, endpoint=True)
+    pool = np.concatenate([SPECIAL_VALUES, bits.view(np.float64)])[rng.permutation(n_pool)]
+    vals = pool[rng.permutation(np.arange(n_values) % n_pool)].reshape(-1, 3)
+    point_data = {"B_re": vals, "B_im": np.sign(vals)}
+    path = tmp_path_factory.mktemp("pool") / "f.vtk"
+    write_vtk(path, mesh, point_data, title="t")
+    assert path.read_text() == _loop_written_vtk(mesh, point_data, "t")
+
+
+@pytest.mark.parametrize("subdivs, distinct_path", [((1, 1, 1), False),
+                                                     ((2, 2, 1), False),
+                                                     ((3, 2, 1), True),
+                                                     ((4, 3, 2), True)])
+def test_cells_block_matches_per_row_formatting(tmp_path, subdivs, distinct_path):
+    mesh = build_box_mesh(((0, 1), (0, 1), (0, 1)), subdivs)
+    assert (_distinct_strings(np.ravel(mesh.cells), "%d") is not None) == distinct_path
+    path = tmp_path / "m.vtk"
+    write_vtk(path, mesh, title="t")
+    expected = _loop_written_vtk(mesh, {}, "t")
+    assert path.read_text() == expected[:expected.index("POINT_DATA")]
+
+
+def test_export_matches_per_row_formatting(tmp_path, academic_built):
+    sol = run_two_step(academic_built, 100.0, "tree-cotree")
+    path = tmp_path / "f.vtk"
+    export_vtk(path, academic_built, sol, density=2)
+    sample = build_box_mesh(academic_built.mesh.extents,
+                            [2 * n for n in academic_built.mesh.subdivisions])
+    flds = DerivedFields(academic_built, sol, sample.nodes)
+    point_data = {}
+    for name, attr in _FIELD_EVALUATORS:
+        values = getattr(flds, attr)()
+        point_data[f"{name}_re"], point_data[f"{name}_im"] = values.real, values.imag
+    title = f"{academic_built.name} f=100Hz tree-cotree"
+    assert path.read_text() == _loop_written_vtk(sample, point_data, title)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((8, 3), complex), np.full((8, 3), "0"),
+                                 np.zeros((8, 3), object)])
+def test_non_real_field_refused_by_name(tmp_path, bad):
+    mesh = build_box_mesh(((0, 1), (0, 1), (0, 1)), (1, 1, 1))
+    with pytest.raises(ValueError, match="'E_re'"):
+        write_vtk(tmp_path / "bad.vtk", mesh, {"B_re": np.zeros((8, 3)), "E_re": bad})
+
+
+def test_float32_field_written_as_its_float64_values(tmp_path):
+    mesh = build_box_mesh(((0, 1), (0, 1), (0, 1)), (2, 1, 1))
+    vals = np.tile(np.array([-0.0, 0.0, 0.1], np.float32), (mesh.n_nodes, 1))
+    path = tmp_path / "f.vtk"
+    write_vtk(path, mesh, {"B_re": vals}, title="t")
+    assert path.read_text() == _loop_written_vtk(mesh, {"B_re": vals.astype(np.float64)}, "t")
+    assert "-0 0 0.10000000149011612\n" in path.read_text()
 
 
 def test_field_export_lengths_and_names(tmp_path, academic_built):
