@@ -7,8 +7,7 @@ significant digits so parsing the file back reproduces them bit for bit.
 Most blocks repeat their values: the lowest-order curl is constant per
 cell, the currents are zero in air, and a box grid has few distinct
 coordinates.  So each distinct value of a block is formatted once and the
-rows are assembled from those strings, unless the block's values are
-mostly distinct; the file is the same either way.
+rows are assembled from those strings.
 """
 from __future__ import annotations
 
@@ -27,35 +26,21 @@ _FIELD_EVALUATORS = (
 )
 
 
-def _distinct_strings(values: np.ndarray, value_fmt: str) -> tuple[str, ...] | None:
-    """value_fmt of each value of a 1D float64 or integer array, formatted
-    once per distinct value; None when more than half of the values are
-    distinct, since then the sort and the assembly cost more than they
-    save over formatting every value.
-
-    Values are keyed by their bits (a float64 viewed as int64), so -0.0
-    and 0.0, or two NaN payloads, are formatted apart.
-    """
-    keys = values.view(np.int64) if values.dtype == np.float64 else values
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    if 2 * distinct.size > values.size:
-        return None
-    text = ((value_fmt + "\n") * distinct.size
-            % tuple(distinct.view(values.dtype).tolist())).split("\n")
-    return tuple(np.array(text, dtype=object)[inverse].tolist())
-
-
 def _rows(arr: np.ndarray, value_fmt: str, lead: str = "") -> str:
     """The rows of a 2D float64 or integer array: lead, then the row's
-    values in value_fmt separated by spaces.  Built by one %-format, over
-    the strings of _distinct_strings or, where it declines, over the
-    values themselves."""
+    values in value_fmt separated by spaces.
+
+    Each distinct value is formatted once, keyed by its bits (a float64
+    viewed as int64), so -0.0 and 0.0, or two NaN payloads, are formatted
+    apart; the rows are then built by one %-format over those strings.
+    """
     values = np.ravel(arr)
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = ((value_fmt + "\n") * distinct.size
+            % tuple(distinct.view(values.dtype).tolist())).split("\n")
     row = lead + " ".join(["%s"] * arr.shape[1]) + "\n"
-    strings = _distinct_strings(values, value_fmt)
-    if strings is None:
-        return (row.replace("%s", value_fmt) * arr.shape[0]) % tuple(values.tolist())
-    return (row * arr.shape[0]) % strings
+    return (row * arr.shape[0]) % tuple(np.array(text, dtype=object)[inverse].tolist())
 
 
 def write_vtk(path, mesh: Mesh, point_data: Mapping[str, np.ndarray] | None = None,

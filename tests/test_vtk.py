@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from aphi import physics
 from aphi.mesh import Mesh, build_box_mesh
 from aphi.physics import DerivedFields, run_two_step
-from aphi.vtk_io import _FIELD_EVALUATORS, _distinct_strings, export_vtk, write_vtk
+from aphi.vtk_io import _FIELD_EVALUATORS, export_vtk, write_vtk
 from oracles import read_vtk_points
 
 SPECIAL_VALUES = (-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e-300)
@@ -71,25 +71,16 @@ def test_few_distinct_values_match_per_row_formatting(tmp_path):
     vals[0] = (-0.0, 0.0, np.nan)
     # a second NaN bit pattern, which formats the same as the first
     vals[1, 0] = (np.array(np.nan).view(np.int64) ^ 1).view(np.float64)
-    assert _distinct_strings(np.ravel(vals), "%.17g") is not None
     point_data = {"J_re": vals, "J_im": np.zeros_like(vals)}
     path = tmp_path / "f.vtk"
     write_vtk(path, mesh, point_data, title="t")
     assert path.read_text() == _loop_written_vtk(mesh, point_data, "t")
 
 
-def test_distinct_strings_declines_mostly_distinct_values():
-    assert _distinct_strings(np.arange(10.0), "%.17g") is None
-    assert _distinct_strings(np.array([1.0, 2.0, 1.0, 1.0]), "%.17g") is not None
-    assert _distinct_strings(np.array([-0.0, 0.0, 0.0, -0.0]), "%.17g") == ("-0", "0", "0", "-0")
-    assert _distinct_strings(np.array([7, 7, 3, 7]), "%d") == ("7", "7", "3", "7")
-
-
 @given(st.tuples(*[st.integers(1, 3)] * 3), st.floats(0.0, 1.0),
        st.integers(0, 2**32 - 1))
 def test_value_pools_match_per_row_formatting(tmp_path_factory, subdivs, share, seed):
-    # the distinct share spans both sides of the one-half guard, for the
-    # vectors from the drawn share and for CELLS from the mesh's shape
+    # the distinct share of the vectors runs from one value to all distinct
     mesh = build_box_mesh(((0, 0.3), (-1, 1), (0, 1e-3)), subdivs)
     rng = np.random.default_rng(seed)
     n_values = 3 * mesh.n_nodes
@@ -104,13 +95,9 @@ def test_value_pools_match_per_row_formatting(tmp_path_factory, subdivs, share, 
     assert path.read_text() == _loop_written_vtk(mesh, point_data, "t")
 
 
-@pytest.mark.parametrize("subdivs, distinct_path", [((1, 1, 1), False),
-                                                     ((2, 2, 1), False),
-                                                     ((3, 2, 1), True),
-                                                     ((4, 3, 2), True)])
-def test_cells_block_matches_per_row_formatting(tmp_path, subdivs, distinct_path):
+@pytest.mark.parametrize("subdivs", [(1, 1, 1), (2, 2, 1), (3, 2, 1), (4, 3, 2)])
+def test_cells_block_matches_per_row_formatting(tmp_path, subdivs):
     mesh = build_box_mesh(((0, 1), (0, 1), (0, 1)), subdivs)
-    assert (_distinct_strings(np.ravel(mesh.cells), "%d") is not None) == distinct_path
     path = tmp_path / "m.vtk"
     write_vtk(path, mesh, title="t")
     expected = _loop_written_vtk(mesh, {}, "t")
