@@ -2,7 +2,8 @@
 solves with VTK export, and the structural invariant check.
 
 Exit codes: 0 success, 1 a failed structural invariant (check), 2
-configuration error (or a system with no free unknowns), 3 singular matrix
+configuration error (or a system with no free unknowns, or a gauged method
+whose tree cannot span the static curl kernel), 3 singular matrix
 or inaccurate solve (solve.InaccurateSolveError) on a method listed as
 required, 4 I/O failure (an output path that cannot be written is
 refused before anything is computed).  Output files are byte-identical
@@ -18,12 +19,14 @@ import time
 
 import numpy as np
 
+from .gauge import curl_kernel_dimension
 from .mesh import match_cells
 from .physics import (METHODS, curl_coordinates, curl_system, excitation,
                       hcurl_error, run_two_step)
 from .scenario import ConfigError, Scenario, check_methods, load_scenario
 from .solve import (DENSE_SVD_LIMIT, ConditionEstimate, Factorization,
-                    SingularMatrixError, condition_estimate)
+                    InaccurateSolveError, SingularMatrixError,
+                    condition_estimate)
 from .system import FrequencyPoint
 from .vtk_io import export_vtk
 
@@ -81,7 +84,8 @@ def _sweep_row(built, f: float, exc, method: str,
     the gradient probe of an original system, before any LU, or by its LU;
     above the dense limit that is the estimator's own singularity test, so
     the estimate is written as infinite without a further factorization.
-    Otherwise it is made on the system alone.
+    Otherwise, and for a solve whose LU passed that test but whose residual
+    failed checked_solve's check, it is made on the system alone.
     """
     want_cond = "condition" in quantities
     coords = curl_coordinates(built, method)
@@ -92,6 +96,8 @@ def _sweep_row(built, f: float, exc, method: str,
         try:
             sol = run_two_step(built, exc, method, condition=want_cond)
             est = sol.condition
+        except InaccurateSolveError:  # its LU passed the kappa_1 * eps test
+            pass
         except SingularMatrixError:
             if want_cond and n_dofs > DENSE_SVD_LIMIT:
                 est = ConditionEstimate(np.inf, "power-iteration", 0)
@@ -176,16 +182,6 @@ def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
     return rows
 
 
-def _factors(A, coords) -> bool:
-    """A passes Factorization's kappa_1 * eps test; empty A is nonsingular."""
-    if A.shape[0]:
-        try:
-            Factorization(A, coords)
-        except SingularMatrixError:
-            return False
-    return True
-
-
 def run_check(built) -> list[tuple[str, bool]]:
     """Structural invariants of one built scenario (see the check command)."""
     from .spaces import gradient_incidence
@@ -195,8 +191,8 @@ def run_check(built) -> list[tuple[str, bool]]:
     P = gradient_incidence(built.mesh)
     curl_grad = abs(bundle.C_nu @ P).max()
     scale = max(abs(bundle.C_nu).max(), 1.0)
-    results.append((f"curl o grad = 0 (max |C_nu P| = {curl_grad:.2e})",
-                    curl_grad <= 1e-12 * scale))
+    grad_ok = curl_grad <= 1e-12 * scale
+    results.append((f"curl o grad = 0 (max |C_nu P| = {curl_grad:.2e})", grad_ok))
     for name in ("K_sigma", "K_eps", "M_sigma", "M_eps", "C_nu"):
         A = getattr(bundle, name)
         asym = abs(A - A.T).max()
@@ -205,20 +201,24 @@ def run_check(built) -> list[tuple[str, bool]]:
     air_edges = ~built.material.tags.conductor_edges
     m_sigma_air = abs(bundle.M_sigma[air_edges]).max() if air_edges.any() else 0.0
     results.append(("M_sigma vanishes on air rows", m_sigma_air == 0.0))
-    # The kernel of the free curl matrix has dimension |tree| (Manges &
-    # Cendes): a nonsingular cotree block gives rank >= |cotree|, and the
-    # gradients G of the vertices the tree edges reach are |tree| kernel
-    # vectors, independent when G[tree] is nonsingular.
-    fw, tree, cotree = built.edge.free, built.partition.tree, built.partition.cotree
-    C_free = bundle.C_nu[fw][:, fw]
-    mid = curl_coordinates(built, "original")
-    cotree_ok = _factors(C_free[cotree][:, cotree], mid[cotree])
-    G = P[fw][:, built.gauge.gauge_nodes[built.partition.tree_vertex]]
-    curl_G = np.abs((C_free @ G).data).max(initial=0.0)
-    kernel_ok = (cotree_ok and curl_G <= 1e-12 * scale
-                 and _factors(G[tree], mid[tree]))
-    results.append((f"tree count {tree.size} = curl kernel "
-                     f"(max |C P_g| = {curl_G:.2e})", kernel_ok))
+    # The tree spans the free curl kernel (Manges & Cendes) when it pairs
+    # each gauge vertex with one edge, its count is the kernel's dimension,
+    # and the cotree block is nonsingular: then the tree edges form a
+    # spanning tree, and the gauge vertices' gradients span the kernel.
+    part = built.partition
+    cotree = built.edge.free[part.cotree]
+    cotree_ok = True
+    if cotree.size:  # an empty block is nonsingular
+        try:
+            Factorization(bundle.C_nu[cotree][:, cotree],
+                          curl_coordinates(built, "original")[part.cotree])
+        except SingularMatrixError:
+            cotree_ok = False
+    kernel = curl_kernel_dimension(built.mesh, built.edge)
+    paired = np.array_equal(np.sort(part.tree_vertex),
+                            np.arange(built.gauge.gauge_nodes.size))
+    kernel_ok = cotree_ok and grad_ok and paired and part.tree.size == kernel
+    results.append((f"tree count {part.tree.size} = curl kernel {kernel}", kernel_ok))
     results.append(("cotree block of the static curl matrix has full rank",
                     cotree_ok))
     return results

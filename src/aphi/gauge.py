@@ -7,10 +7,16 @@ virtual root, so every graph is rooted.  The root is the last vertex, and
 the graph's edges are the free edge DOFs in their free order, so neither
 needs storing.  A breadth-first spanning tree of this graph marks the edge
 DOFs whose rows in the curl system become redundant in the static limit:
-the tree count equals both the number of gauge (divergence-constraint)
-rows and the kernel dimension of the curl-curl matrix on the free edges.
+the tree count equals the number of gauge (divergence-constraint) rows.
 Each tree edge is paired with the vertex it reaches, whose divergence row
 takes the place of its curl row.
+
+The static curl kernel on the free edges holds the gradients of potentials
+constant on each piece of the constrained edges (curl_kernel_dimension).
+The tree count equals its dimension only when every scalar Dirichlet node
+lies on a constrained edge and those edges form one piece; otherwise the
+gauged systems stay singular.  node_components also serves the
+floating-conductor check, so the package's graph searches all live here.
 """
 from __future__ import annotations
 
@@ -18,14 +24,30 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .mesh import Mesh
 from .spaces import EdgeSpace, ScalarSpace
 
 
 class UnsupportedTopologyError(ValueError):
-    """The gauge graph is disconnected (domain not simply handled)."""
+    """The gauge cannot span the static curl kernel: its graph is
+    disconnected, or its tree count differs from curl_kernel_dimension (a
+    scalar Dirichlet node off the constrained edges, or constrained edges
+    in more than one piece)."""
+
+
+def node_components(mesh: Mesh, edges: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, label per node) of the components that the given edges (ids
+    or a mask) join; a node on none of them is a component by itself."""
+    a, b = mesh.edges[edges].T
+    adj = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(mesh.n_nodes,) * 2)
+    return connected_components(adj, directed=False)
+
+
+def curl_kernel_dimension(mesh: Mesh, edge_space: EdgeSpace) -> int:
+    """One potential per constrained-edge component, less the constant."""
+    return int(node_components(mesh, edge_space.constrained)[0]) - 1
 
 
 @dataclass(frozen=True)

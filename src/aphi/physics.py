@@ -9,8 +9,8 @@ trigonometric case, the only source, fills both steps' right-hand sides.
 Discrete gradients are the kernel of the curl, and in air only
 omega^2 M_eps holds them, so run_two_step hands solve.Factorization one
 such gradient (gradient_probe) with an original system, which can then
-be proven singular before any LU; the gauged variants are full rank by
-construction and are never probed.
+be proven singular before any LU; the gauged variants, refused where the
+tree cannot span the kernel (curl_system), are never probed.
 """
 from __future__ import annotations
 
@@ -24,7 +24,8 @@ from scipy.constants import epsilon_0, mu_0
 
 from .assembly import (MatrixBundle, MaterialField, assemble_charge_vector,
                        assemble_current_vector)
-from .gauge import GaugeGraph, TreeCotreePartition
+from .gauge import (GaugeGraph, TreeCotreePartition, UnsupportedTopologyError,
+                    curl_kernel_dimension)
 from .mesh import Mesh
 from .solve import (ConditionEstimate, Factorization, SolveReport,
                     condition_estimate, sparse_lu_solve)
@@ -183,10 +184,19 @@ def curl_system(built: BuiltScenario, omega: float, method: str,
 
     j is the curl right-hand side on the free edges (zero if omitted).  x
     is the free-edge vector, followed for lagrange by the multipliers; its
-    unknowns are placed by curl_coordinates.
+    unknowns are placed by curl_coordinates.  A gauged method raises
+    UnsupportedTopologyError when its tree count differs from the static
+    curl kernel's dimension, since that system is then singular.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if method != "original":
+        kernel = curl_kernel_dimension(built.mesh, built.edge)
+        if built.partition.tree.size != kernel:
+            raise UnsupportedTopologyError(
+                f"{method}: {built.partition.tree.size} tree edges cannot span "
+                f"a static curl kernel of dimension {kernel}; every phi face "
+                "must be an a_zero face, and the a_zero faces one piece")
     W = build_curl_matrix(built.bundle, omega)
     if j is None:
         j = np.zeros(W.shape[0], dtype=complex)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .assembly import MatrixBundle
-from .gauge import GaugeGraph, TreeCotreePartition
+from .gauge import GaugeGraph, TreeCotreePartition, node_components
 from .solve import SingularMatrixError
 
 DEFAULT_SIGMA_ART = 1e-6
@@ -113,23 +112,13 @@ def build_eqs_static_limit(bundle: MatrixBundle) -> tuple[sp.csr_matrix, np.ndar
 
 
 def _check_conductor_components(bundle: MatrixBundle) -> None:
-    mesh = bundle.scalar.mesh
+    """Raise for the first conductor component with no Dirichlet node."""
     tags = bundle.material.tags
-    cc = np.flatnonzero(tags.conductor_cells)
-    if cc.size == 0:
-        return
-    eids = np.unique(mesh.cell_edges[cc].ravel())
-    a, b = mesh.edges[eids, 0], mesh.edges[eids, 1]
-    n = mesh.n_nodes
-    adj = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
-    ncomp, labels = connected_components(adj, directed=False)
-    constrained = np.zeros(n, dtype=bool)
-    constrained[bundle.scalar.constrained] = True
-    conductor_nodes = np.flatnonzero(tags.conductor_nodes)
-    for comp in np.unique(labels[conductor_nodes]):
-        members = np.flatnonzero((labels == comp) & tags.conductor_nodes)
-        if not constrained[members].any():
-            raise StaticSingularityError(int(members.min()))
+    labels = node_components(bundle.scalar.mesh, tags.conductor_edges)[1]
+    floating = np.setdiff1d(labels[tags.conductor_nodes],
+                            labels[bundle.scalar.constrained])
+    if floating.size:  # a conductor component holds conductor nodes only
+        raise StaticSingularityError(int(np.flatnonzero(labels == floating[0])[0]))
 
 
 def build_curl_matrix(bundle: MatrixBundle, omega: float) -> sp.csr_matrix:

@@ -56,6 +56,33 @@ def bfs_tree(graph):
     return np.array(tree, dtype=np.int64), np.array([reached[p] for p in tree], dtype=np.int64)
 
 
+def floating_conductor_node(mesh, conductor_cells, dirichlet_nodes):
+    """The lowest node of the first component, joined by the edges of the
+    conductor cells and taken in order of lowest node, that holds no
+    Dirichlet node; None when every component holds one."""
+    adj = {}
+    for cell in np.flatnonzero(conductor_cells):
+        for e in mesh.cell_edges[cell]:
+            a, b = (int(v) for v in mesh.edges[e])
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+    fixed = {int(n) for n in dirichlet_nodes}
+    seen = set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        component, queue = {start}, deque([start])
+        while queue:
+            for other in adj[queue.popleft()]:
+                if other not in component:
+                    component.add(other)
+                    queue.append(other)
+        seen |= component
+        if not component & fixed:
+            return start
+    return None
+
+
 def full_scatter(w, elem, rows, cols, shape):
     """Sum w[c] * elem[i, j] into entry (rows[c, i], cols[c, j]) over every
     cell and every element entry, zero weights and zero entries included,

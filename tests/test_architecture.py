@@ -140,3 +140,25 @@ def test_benchmark_patch_targets_exist():
     assert hasattr(importlib.import_module("aphi.solve"), "spla")
     # bench/checks.py forms each method's system through it
     assert callable(importlib.import_module("aphi.cli").method_system)
+
+
+def _csgraph_importers() -> list[str]:
+    """Modules of the package that import from scipy.sparse.csgraph."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(n.startswith("scipy.sparse.csgraph") for n in names):
+                found.add(path.stem)
+    return sorted(found)
+
+
+def test_only_gauge_searches_graphs():
+    # one module owns the package's graph searches (the gauge's spanning
+    # tree and node components), so a second search is not written by hand
+    assert _csgraph_importers() == ["gauge"]

@@ -4,14 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from aphi import cli, physics, scenario, solve
 from aphi.cli import (_num, _sweep_row, main, parse_frequencies, run_check,
                       run_convergence)
-from aphi.gauge import UnsupportedTopologyError
+from aphi.gauge import UnsupportedTopologyError, curl_kernel_dimension
+from aphi.mesh import FACE_LABELS
 from aphi.physics import (METHODS, curl_coordinates, curl_system, excitation,
                           hcurl_error, run_two_step)
-from aphi.scenario import ConfigError, Scenario, academic_scenario, load_scenario
+from aphi.scenario import (ConfigError, Scenario, academic_scenario, load_scenario,
+                           parse_scenario)
 from aphi.solve import DENSE_SVD_LIMIT, condition_estimate
 from oracles import dense_rank
 
@@ -475,6 +479,122 @@ def test_check_rank_verdicts_match_dense_oracle(config, size, tmp_path):
     assert verdicts == dense == {"tree count": True, "cotree block": True}
     verdicts, dense = _rank_verdicts(_move_tree_edge_to_cotree(built))
     assert verdicts == dense == {"tree count": False, "cotree block": False}
+
+
+# phi on two faces, a_zero on a third: 40 phi nodes lie on no a_zero edge,
+# so the tree (60 edges) cannot span the static curl kernel (100)
+UNSPANNED = """\
+domain        0 1  0 1  0 1
+subdivisions  4 4 4
+region 0 1  0 1  0 1  eps_r=1 sigma=0
+phi xmin 0
+phi xmax 1
+a_zero zmin
+source none
+"""
+
+
+@pytest.fixture
+def unspanned_config(tmp_path):
+    cfg = tmp_path / "unspanned.cfg"
+    cfg.write_text(UNSPANNED)
+    return cfg
+
+
+def test_unspanned_gauge_refused_before_any_curl_lu(unspanned_config, monkeypatch,
+                                                    capsys):
+    factored = []
+    real = physics.Factorization
+    monkeypatch.setattr(physics, "Factorization",
+                        lambda *a, **k: factored.append(a) or real(*a, **k))
+    code = main(["solve", "--config", str(unspanned_config), "--freq", "1e3",
+                 "--method", "tree-cotree"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "60 tree edges cannot span a static curl kernel of dimension 100" in err
+    assert "every phi face must be an a_zero face" in err
+    assert factored == []
+
+
+def test_unspanned_gauge_original_still_solves(unspanned_config):
+    assert main(["solve", "--config", str(unspanned_config), "--freq", "1e6",
+                 "--method", "original"]) == 0
+
+
+def test_unspanned_gauge_sweep_refused_without_csv(unspanned_config, tmp_path,
+                                                   capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", str(unspanned_config), "--freqs", "1",
+                 "--methods", "original,tree-cotree", "--out", str(out)])
+    assert code == 2
+    assert "static curl kernel" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_factors_once_and_counts_the_kernel(academic_built, unspanned_config,
+                                                  monkeypatch):
+    factored = []
+    real = cli.Factorization
+    monkeypatch.setattr(cli, "Factorization",
+                        lambda *a, **k: factored.append(a) or real(*a, **k))
+    for built, ok in ((academic_built, True),
+                      (load_scenario(unspanned_config).build(), False)):
+        factored.clear()
+        kernel = curl_kernel_dimension(built.mesh, built.edge)
+        lines = dict(run_check(built))
+        assert len(factored) == 1
+        assert lines[f"tree count {built.partition.tree.size} = curl kernel "
+                     f"{kernel}"] is ok
+    assert (built.partition.tree.size, kernel) == (60, 100)
+
+
+def test_sweep_row_failing_residual_check_estimates_condition(unspanned_config,
+                                                              monkeypatch, tmp_path):
+    # the original system at 1e3 Hz passes the kappa_1 * eps test but not
+    # the residual check; its row reads the estimate on the system alone
+    monkeypatch.setattr(solve, "DENSE_SVD_LIMIT", 100)
+    monkeypatch.setattr(cli, "DENSE_SVD_LIMIT", 100)
+    built = load_scenario(unspanned_config).build()
+    with pytest.raises(solve.InaccurateSolveError):
+        run_two_step(built, 1e3, "original", condition=True)
+    est = condition_estimate(curl_system(built, 2 * np.pi * 1e3, "original")[0],
+                             coords=curl_coordinates(built, "original"))
+    assert np.isfinite(est.value)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", str(unspanned_config), "--freqs", "1e3",
+                 "--methods", "original", "--out", str(out)])
+    assert code == 0
+    _, rows = _read_rows(out)
+    assert rows == [["1000", "original", _num(est.value), "power-iteration",
+                     "singular", "singular", "260", "0"]]
+
+
+@given(st.sampled_from([(2, 2, 2), (3, 3, 3), (2, 3, 2)]),
+       st.lists(st.sampled_from(FACE_LABELS), unique=True),
+       st.lists(st.sampled_from(FACE_LABELS), unique=True))
+@example((2, 2, 2), ["xmin", "xmax"], list(FACE_LABELS))  # spanned
+@example((3, 3, 3), ["xmin", "xmax"], ["zmin"])  # a phi node off a_zero
+@example((2, 3, 2), [], ["xmin", "xmax"])  # a_zero in two pieces
+def test_kernel_count_matches_dense_rank(subdivisions, phi_faces, a_zero_faces):
+    # the count, the refusal and the check's verdicts all agree with a
+    # dense rank of the free static curl matrix
+    built = replace(parse_scenario(UNSPANNED), subdivisions=subdivisions,
+                    phi_bcs=tuple((face, float(i)) for i, face in enumerate(phi_faces)),
+                    a_zero=tuple(a_zero_faces)).build()
+    fw = built.edge.free
+    kernel = curl_kernel_dimension(built.mesh, built.edge)
+    assert kernel == fw.size - dense_rank(built.bundle.C_nu[fw][:, fw])
+    spanned = built.partition.tree.size == kernel
+    for method in ("tree-cotree", "lagrange"):
+        try:
+            curl_system(built, 1.0, method)
+            refused = False
+        except UnsupportedTopologyError:
+            refused = True
+        assert refused is not spanned, method
+    curl_system(built, 1.0, "original")
+    verdicts, dense = _rank_verdicts(built)
+    assert verdicts == dense
 
 
 @pytest.mark.parametrize("sigma", [0, 1])

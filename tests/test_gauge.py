@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from aphi.assembly import MaterialField, assemble_bundle
 from aphi.gauge import (UnsupportedTopologyError, build_gauge_graph,
-                        spanning_tree)
+                        node_components, spanning_tree)
 from aphi.mesh import (AIR, FACE_LABELS, Box, boundary_entities,
                        build_box_mesh, tag_regions)
 from aphi.spaces import DirichletSpec, build_edge_space, build_scalar_space
@@ -178,3 +178,18 @@ def test_disconnected_graph_raises():
                        edge_vertices=np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(UnsupportedTopologyError):
         spanning_tree(graph)
+
+
+def test_node_components_counts_lone_nodes():
+    # one edge of a single cell joins two of its eight nodes; the other six
+    # are components by themselves, whether edges come as ids or a mask
+    mesh, _, _ = _setup((1, 1, 1))
+    a, b = mesh.edges[3]
+    mask = np.zeros(mesh.n_edges, dtype=bool)
+    mask[3] = True
+    for edges in (np.array([3]), mask):
+        count, labels = node_components(mesh, edges)
+        assert count == 7
+        assert labels[a] == labels[b]
+        assert np.unique(np.delete(labels, [a, b])).size == 6
+

@@ -1,18 +1,24 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.constants import epsilon_0
 
 from aphi.scenario import Scenario, RegionSpec, academic_scenario, mms_scenario
-from aphi.mesh import Box, FACE_LABELS
+from aphi.mesh import (Box, FACE_LABELS, boundary_entities, build_box_mesh,
+                       derive_entity_tags)
 from aphi.physics import run_two_step, solve_eqs_step
 from aphi.solve import sparse_lu_solve
-from aphi.spaces import gradient_incidence
+from aphi.spaces import DirichletSpec, build_scalar_space, gradient_incidence
 from aphi.system import (FrequencyPoint, ScalingFactors, StaticSingularityError,
-                         build_curl_matrix, build_eqs_static_limit,
-                         build_eqs_system, build_lagrange_system, build_rhs,
+                         _check_conductor_components, build_curl_matrix,
+                         build_eqs_static_limit, build_eqs_system,
+                         build_lagrange_system, build_rhs,
                          build_scaled_divergence, build_stabilized_system,
                          kappa_divergence, scaling_factors)
-from oracles import dense_rank
+from oracles import dense_rank, floating_conductor_node
 
 
 def test_frequency_point():
@@ -168,6 +174,24 @@ def test_floating_conductor_raises():
     assert built.material.tags.conductor_cells.sum() == 1
     with pytest.raises(StaticSingularityError):
         build_eqs_static_limit(built.bundle)
+
+
+@given(st.lists(st.booleans(), min_size=27, max_size=27),
+       st.lists(st.sampled_from(FACE_LABELS), unique=True))
+@example([i in (13, 26) for i in range(27)], [])  # two floating: node 21 named
+def test_floating_conductor_check_matches_loop_oracle(conductor_cells, phi_faces):
+    mesh = build_box_mesh(((0, 1),) * 3, (3, 3, 3))
+    tags = derive_entity_tags(mesh, np.array(conductor_cells))
+    scalar = build_scalar_space(mesh, boundary_entities(mesh), DirichletSpec(
+        scalar=tuple((face, 0.0) for face in phi_faces)))
+    bundle = SimpleNamespace(scalar=scalar, material=SimpleNamespace(tags=tags))
+    expected = floating_conductor_node(mesh, tags.conductor_cells, scalar.constrained)
+    if expected is None:
+        _check_conductor_components(bundle)
+    else:
+        with pytest.raises(StaticSingularityError) as err:
+            _check_conductor_components(bundle)
+        assert err.value.component_node == expected
 
 
 def test_curl_matrix_static_rank_deficiency(academic_built):
