@@ -12,22 +12,20 @@ are conductor-supported.  Every returned matrix is canonical CSR, and the
 scatter order is fixed (cell-major), so repeated runs produce identical
 arrays.
 
-Source moments use the same shared geometry: the basis, weighted by the
-Jacobian and the quadrature weights, is formed once, and the cells are
-walked in fixed blocks.  Each block makes one source call on its 343
-quadrature points per cell, laid out coordinate-major so that every
-coordinate column is contiguous, and one matrix product with the weighted
-basis, so the temporaries stay bounded by the block and not by the mesh.
+A source is given per component as terms coef * fx(x) * fy(y) * fz(z).
+A box cell's basis functions are products of one factor per axis, so the
+order-7 tensor rule gives a term's moments as products of three Gauss
+sums over each axis's cell rows (sum factorization, Orszag 1980).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, RegionTags
+from .mesh import (LOCAL_EDGE_AXIS, LOCAL_EDGE_TRANSVERSE, NODE_OFFSETS, Mesh,
+                   RegionTags)
 from .spaces import (EdgeSpace, ScalarSpace, physical_edge_basis,
                      physical_scalar_basis, tensor_quadrature)
 
@@ -38,8 +36,6 @@ _QUAD_ORDER = 2  # exact for all bilinear forms on affine box cells
 # the largest entry (order 6: 2e-12), so the current-charge compatibility
 # identity holds at assembly accuracy, not at quadrature-error level.
 _SOURCE_QUAD_ORDER = 7
-# Cells per source call: bounds the temporaries, keeps each product large.
-_SOURCE_CHUNK_CELLS = 256
 
 
 class MaterialError(ValueError):
@@ -137,47 +133,42 @@ def assemble_mass(space: EdgeSpace, mat: MaterialField, weight) -> sp.csr_matrix
                            (mesh.n_edges, mesh.n_edges))
 
 
-def _source_moments(mesh: Mesh, source: Callable, basis: np.ndarray,
-                    dofs: np.ndarray, n: int) -> np.ndarray:
-    """Load vector of n entries: int source . phi_l of each cell into dofs[cell, l].
-
-    basis is the local basis at the source quadrature points, (q, c, nloc)
-    with c = 1 for a scalar and c = 3 for a vector source.  Cells go in
-    blocks of _SOURCE_CHUNK_CELLS: one source call per block on its points,
-    coordinate-major, then one matrix product with the weighted basis.
-    """
-    pts, wts = tensor_quadrature(_SOURCE_QUAD_ORDER)
-    h = mesh.spacing
-    nloc = basis.shape[2]
-    Bq = (h.prod() / 8.0 * wts[:, None, None] * basis).reshape(-1, nloc)
-    # C-ordered (3, n) operands, so each block's sum is coordinate-major
-    offsets = np.ascontiguousarray(((pts + 1.0) * (0.5 * h)).T)
-    origins = np.ascontiguousarray(mesh.cell_origins().T)
-    moments = []
-    for start in range(0, mesh.n_cells, _SOURCE_CHUNK_CELLS):
-        block = origins[:, start:start + _SOURCE_CHUNK_CELLS]
-        points = (block[:, :, None] + offsets[:, None, :]).reshape(3, -1).T
-        vals = np.asarray(source(points)).reshape(block.shape[1], -1)
-        moments.append(vals @ Bq)
-    contrib = np.concatenate(moments)
-    out = np.zeros(n, dtype=contrib.dtype)
-    np.add.at(out, dofs, contrib)
-    return out.astype(complex)
+def _cell_moments(mesh: Mesh, terms, signs: np.ndarray) -> np.ndarray:
+    """(n_cells, len(signs)) moments of the terms (coef, fx, fy, fz) against
+    the functions prod_a (1 + s_a xi_a) / 8 of each cell, one row s of
+    signs per function: per term, coef times one Gauss sum per axis."""
+    xi, w = np.polynomial.legendre.leggauss(_SOURCE_QUAD_ORDER)
+    h, n = mesh.spacing, mesh.subdivisions
+    pts = [np.linspace(*mesh.extents[a], n[a] + 1)[:-1, None]
+           + (xi + 1.0) * (0.5 * h[a]) for a in range(3)]  # points of each cell row
+    basis = [w[:, None] * (1.0 + np.outer(xi, signs[:, a])) for a in range(3)]
+    total = np.zeros(n[::-1] + (len(signs),))
+    for c, *factors in terms:
+        sx, sy, sz = (f(p) @ b for f, p, b in zip(factors, pts, basis))
+        total = total + c * np.einsum("il,jl,kl->kjil", sx, sy, sz)
+    return h.prod() / 64.0 * total.reshape(mesh.n_cells, -1)
 
 
-def assemble_charge_vector(scalar: ScalarSpace, rho: Callable) -> np.ndarray:
-    """Load vector q[i] = int rho N_i over all nodes."""
+def assemble_charge_vector(scalar: ScalarSpace, rho) -> np.ndarray:
+    """Load vector q[i] = int rho N_i over all nodes; rho is a tuple of
+    terms (coef, fx, fy, fz)."""
     mesh = scalar.mesh
-    N, _ = physical_scalar_basis(mesh.spacing, tensor_quadrature(_SOURCE_QUAD_ORDER)[0])
-    return _source_moments(mesh, rho, N[:, None, :], mesh.cells, mesh.n_nodes)
+    out = np.zeros(mesh.n_nodes, dtype=complex)
+    np.add.at(out, mesh.cells, _cell_moments(mesh, rho, 2.0 * NODE_OFFSETS - 1.0))
+    return out
 
 
-def assemble_current_vector(edge: EdgeSpace, current: Callable) -> np.ndarray:
-    """Load vector j[i] = int J . w_i over all edges."""
+def assemble_current_vector(edge: EdgeSpace, current) -> np.ndarray:
+    """Load vector j[i] = int J . w_i over all edges; current holds one tuple
+    of terms per component, and J_a meets only the functions along axis a."""
     mesh = edge.mesh
-    W, _ = physical_edge_basis(mesh.spacing, tensor_quadrature(_SOURCE_QUAD_ORDER)[0])
-    return _source_moments(mesh, current, W.transpose(0, 2, 1), mesh.cell_edges,
-                           mesh.n_edges)
+    out = np.zeros(mesh.n_edges, dtype=complex)
+    for a in range(3):
+        m = LOCAL_EDGE_AXIS == a
+        signs = np.insert(LOCAL_EDGE_TRANSVERSE[m], a, 0.0, axis=1)
+        np.add.at(out, mesh.cell_edges[:, m],
+                  2.0 / mesh.spacing[a] * _cell_moments(mesh, current[a], signs))
+    return out
 
 
 @dataclass(frozen=True)

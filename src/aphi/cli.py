@@ -22,7 +22,7 @@ import numpy as np
 from .gauge import curl_kernel_dimension
 from .mesh import match_cells
 from .physics import (METHODS, curl_coordinates, curl_system, excitation,
-                      hcurl_error, run_two_step)
+                      hcurl_error, refuse_unspanned_gauge, run_two_step)
 from .scenario import ConfigError, Scenario, check_methods, load_scenario
 from .solve import (DENSE_SVD_LIMIT, ConditionEstimate, Factorization,
                     InaccurateSolveError, SingularMatrixError,
@@ -77,15 +77,15 @@ def method_system(built, omega: float):
 def _sweep_row(built, f: float, exc, method: str,
                quantities: set[str]) -> tuple[str, bool]:
     """One CSV row up to wall_ms, from one solve on the Excitation exc of f
-    (None when step one failed or nothing is asked); the condition
-    estimate reuses its LU.  A singular solve counts as singular only when
-    a solve quantity is asked for.  When step one succeeded, the curl
-    system failed the kappa_1 * eps test of its Factorization, either by
-    the gradient probe of an original system, before any LU, or by its LU;
-    above the dense limit that is the estimator's own singularity test, so
+    (None when step one failed or nothing is asked).  A singular solve
+    counts as singular only when a solve quantity is asked for.  The
+    condition estimate reuses the solve's LU, also when its residual failed
+    checked_solve's check (the InaccurateSolveError carries it).  A curl
+    system that failed the kappa_1 * eps test of its Factorization, by the
+    gradient probe of an original system before any LU or by its LU, has
+    failed the estimator's own singularity test above the dense limit, so
     the estimate is written as infinite without a further factorization.
-    Otherwise, and for a solve whose LU passed that test but whose residual
-    failed checked_solve's check, it is made on the system alone.
+    Otherwise it is made on the system alone.
     """
     want_cond = "condition" in quantities
     coords = curl_coordinates(built, method)
@@ -96,8 +96,8 @@ def _sweep_row(built, f: float, exc, method: str,
         try:
             sol = run_two_step(built, exc, method, condition=want_cond)
             est = sol.condition
-        except InaccurateSolveError:  # its LU passed the kappa_1 * eps test
-            pass
+        except InaccurateSolveError as err:  # its LU passed the kappa_1 * eps test
+            est = err.condition
         except SingularMatrixError:
             if want_cond and n_dofs > DENSE_SVD_LIMIT:
                 est = ConditionEstimate(np.inf, "power-iteration", 0)
@@ -126,6 +126,7 @@ def run_sweep(scenario: Scenario, freqs: list[float], methods: list[str],
     """One CSV row per (frequency, method); singular solves are recorded,
     never raised.  Returns (rows, methods that hit a singular solve)."""
     built = scenario.build()
+    refuse_unspanned_gauge(built, methods)
     rows = []
     singular_methods: set[str] = set()
     t0 = time.perf_counter()  # a frequency's first row times its step one
@@ -159,6 +160,7 @@ def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
     errors: dict[str, list[tuple[int, float]]] = {m: [] for m in methods}
     for s in subdivs:
         built = scenario.with_subdivisions((s, s, s)).build()
+        refuse_unspanned_gauge(built, methods)
         try:
             exc = excitation(built, f)  # step one, shared by the methods
         except SingularMatrixError:
@@ -355,6 +357,7 @@ def _dispatch(args) -> int:
             raise ConfigError(0, f"--density must be >= 1, got {args.density}")
         scenario = _load(args)
         built = scenario.build()
+        refuse_unspanned_gauge(built, (args.method,))
         try:
             sol = run_two_step(built, args.freq, args.method)
         except SingularMatrixError as exc:

@@ -10,7 +10,7 @@ Discrete gradients are the kernel of the curl, and in air only
 omega^2 M_eps holds them, so run_two_step hands solve.Factorization one
 such gradient (gradient_probe) with an original system, which can then
 be proven singular before any LU; the gauged variants, refused where the
-tree cannot span the kernel (curl_system), are never probed.
+tree cannot span the kernel (refuse_unspanned_gauge), are never probed.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from numpy import cos, sin
 from scipy.constants import epsilon_0, mu_0
 
 from .assembly import (MatrixBundle, MaterialField, assemble_charge_vector,
@@ -27,8 +28,8 @@ from .assembly import (MatrixBundle, MaterialField, assemble_charge_vector,
 from .gauge import (GaugeGraph, TreeCotreePartition, UnsupportedTopologyError,
                     curl_kernel_dimension)
 from .mesh import Mesh
-from .solve import (ConditionEstimate, Factorization, SolveReport,
-                    condition_estimate, sparse_lu_solve)
+from .solve import (ConditionEstimate, Factorization, InaccurateSolveError,
+                    SolveReport, condition_estimate, sparse_lu_solve)
 from .spaces import (EdgeSpace, ScalarSpace, gradient_incidence,
                      physical_edge_basis, physical_scalar_basis,
                      tensor_quadrature)
@@ -42,6 +43,13 @@ METHODS = ("original", "tree-cotree", "lagrange")
 _ERROR_QUAD_ORDER = 3  # one order above assembly quadrature
 
 
+def _field(table, points: np.ndarray) -> np.ndarray:
+    """The components of a term table at points, as (n, components)."""
+    x, y, z = np.atleast_2d(points).T
+    return np.stack([sum((c * (fx(x) * fy(y) * fz(z)) for c, fx, fy, fz in terms),
+                         np.zeros_like(x)) for terms in table], axis=1)
+
+
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Closed-form trigonometric solution on the box (pi/2, 3pi/2)^3.
@@ -50,6 +58,9 @@ class ManufacturedCase:
     trace on the boundary, and satisfies curl(curl A) = 3A; the scalar
     potential vanishes on the boundary.  Uniform materials keep the complex
     conductivity constant so the implicit divergence gauge holds exactly.
+    Each field is stated once, as one tuple per component of terms (coef,
+    fx, fy, fz), each coef * fx(x) * fy(y) * fz(z), read at points and by
+    assembly's per-axis sums.
     """
 
     sigma: float = 0.0
@@ -57,68 +68,64 @@ class ManufacturedCase:
     nu: float = 1.0 / mu_0
 
     domain = ((np.pi / 2, 3 * np.pi / 2),) * 3
+    phi_terms = ((1.0, cos, cos, cos),)
+    A_terms = (((1.0, sin, cos, cos),), ((-2.0, cos, sin, cos),), ((1.0, cos, cos, sin),))
+    grad_phi_terms = (((-1.0, sin, cos, cos),), ((-1.0, cos, sin, cos),),
+                      ((-1.0, cos, cos, sin),))
+    curl_A_terms = (((-3.0, cos, sin, sin),), (), ((3.0, sin, sin, cos),))
 
     def kappa(self, omega: float) -> complex:
         return self.sigma + 1j * omega * self.eps
 
     def A(self, points: np.ndarray) -> np.ndarray:
-        x, y, z = np.atleast_2d(points).T
-        return np.stack([np.sin(x) * np.cos(y) * np.cos(z),
-                         -2.0 * np.cos(x) * np.sin(y) * np.cos(z),
-                         np.cos(x) * np.cos(y) * np.sin(z)], axis=1)
+        return _field(self.A_terms, points)
 
     def phi(self, points: np.ndarray) -> np.ndarray:
-        x, y, z = np.atleast_2d(points).T
-        return np.cos(x) * np.cos(y) * np.cos(z)
+        return _field((self.phi_terms,), points)[:, 0]
 
     def grad_phi(self, points: np.ndarray) -> np.ndarray:
-        x, y, z = np.atleast_2d(points).T
-        return np.stack([-np.sin(x) * np.cos(y) * np.cos(z),
-                         -np.cos(x) * np.sin(y) * np.cos(z),
-                         -np.cos(x) * np.cos(y) * np.sin(z)], axis=1)
+        return _field(self.grad_phi_terms, points)
 
     def curl_A(self, points: np.ndarray) -> np.ndarray:
-        x, y, z = np.atleast_2d(points).T
-        return 3.0 * np.stack([-np.cos(x) * np.sin(y) * np.sin(z),
-                               np.zeros_like(x),
-                               np.sin(x) * np.sin(y) * np.cos(z)], axis=1)
+        return _field(self.curl_A_terms, points)
 
     def curl_curl_A(self, points: np.ndarray) -> np.ndarray:
         return 3.0 * self.A(points)
 
-    def J_s(self, points: np.ndarray, omega: float) -> np.ndarray:
-        """(3 nu + i omega kappa) A + kappa grad phi, with the six sines and
-        cosines shared by both terms (same products as A and grad_phi)."""
-        x, y, z = np.atleast_2d(points).T
-        sx, sy, sz = np.sin(x), np.sin(y), np.sin(z)
-        cx, cy, cz = np.cos(x), np.cos(y), np.cos(z)
-        A = np.stack([sx * cy * cz, -2.0 * cx * sy * cz, cx * cy * sz], axis=1)
-        grad_phi = np.stack([-sx * cy * cz, -cx * sy * cz, -cx * cy * sz], axis=1)
+    def _current(self, omega: float, A: np.ndarray, grad_phi: np.ndarray) -> np.ndarray:
+        """J_s = (3 nu + i omega kappa) A + kappa grad phi, at points or moments."""
         k = self.kappa(omega)
         return (3.0 * self.nu + 1j * omega * k) * A + k * grad_phi
 
-    def rho_s(self, points: np.ndarray, omega: float) -> np.ndarray:
+    def J_s(self, points: np.ndarray, omega: float) -> np.ndarray:
+        return self._current(omega, self.A(points), self.grad_phi(points))
+
+    def _charge(self, omega: float, phi: np.ndarray) -> np.ndarray:
+        """rho_s from phi, at points or moments."""
         if self.sigma == 0.0:
-            return 3.0 * self.eps * self.phi(points)
+            return 3.0 * self.eps * phi
         if omega == 0.0:
             raise ValueError("charge density undefined at omega = 0 for sigma > 0; "
                              "run the static check without the manufactured charge")
-        return 3.0 * self.kappa(omega) * self.phi(points) / (1j * omega)
+        return 3.0 * self.kappa(omega) * phi / (1j * omega)
+
+    def rho_s(self, points: np.ndarray, omega: float) -> np.ndarray:
+        return self._charge(omega, self.phi(points))
 
     def eqs_rhs(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
         """i*omega*q_s over all nodes (the scalar system's conductor rows),
         from the finite 3*kappa*phi, so it stays finite as omega -> 0."""
-        k = self.kappa(omega)
-        return assemble_charge_vector(scalar, lambda p: 3.0 * k * self.phi(p))
+        return 3.0 * self.kappa(omega) * assemble_charge_vector(scalar, self.phi_terms)
 
     def charge_vector(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
         """q_s over all nodes (the scalar system's air rows); raises where
         rho_s is undefined, so it is not called without air rows."""
-        return assemble_charge_vector(scalar, lambda p: self.rho_s(p, omega))
+        return self._charge(omega, assemble_charge_vector(scalar, self.phi_terms))
 
     def current_vector(self, edge: EdgeSpace, omega: float) -> np.ndarray:
         """j_s over all edges."""
-        return assemble_current_vector(edge, lambda p: self.J_s(p, omega))
+        return self._current(omega, assemble_current_vector(edge, self.A_terms),
+                             assemble_current_vector(edge, self.grad_phi_terms))
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,22 @@ def excitation(built: BuiltScenario, frequency: FrequencyPoint | float) -> Excit
     return Excitation(frequency, u_full, report, j_free)
 
 
+def refuse_unspanned_gauge(built: BuiltScenario, methods) -> None:
+    """Raise UnsupportedTopologyError when a gauged method is among methods
+    and the tree count differs from the static curl kernel's dimension,
+    since that method's system is then singular; the commands call it
+    before any step-one solve."""
+    gauged = [m for m in methods if m != "original"]
+    if not gauged:
+        return
+    kernel = curl_kernel_dimension(built.mesh, built.edge)
+    if built.partition.tree.size != kernel:
+        raise UnsupportedTopologyError(
+            f"{gauged[0]}: {built.partition.tree.size} tree edges cannot span "
+            f"a static curl kernel of dimension {kernel}; every phi face "
+            "must be an a_zero face, and the a_zero faces one piece")
+
+
 def curl_system(built: BuiltScenario, omega: float, method: str,
                 j: np.ndarray | None = None) -> tuple[sp.csr_matrix, np.ndarray]:
     """The curl system A x = b of one method at one frequency.
@@ -185,18 +208,11 @@ def curl_system(built: BuiltScenario, omega: float, method: str,
     j is the curl right-hand side on the free edges (zero if omitted).  x
     is the free-edge vector, followed for lagrange by the multipliers; its
     unknowns are placed by curl_coordinates.  A gauged method raises
-    UnsupportedTopologyError when its tree count differs from the static
-    curl kernel's dimension, since that system is then singular.
+    UnsupportedTopologyError where refuse_unspanned_gauge does.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    if method != "original":
-        kernel = curl_kernel_dimension(built.mesh, built.edge)
-        if built.partition.tree.size != kernel:
-            raise UnsupportedTopologyError(
-                f"{method}: {built.partition.tree.size} tree edges cannot span "
-                f"a static curl kernel of dimension {kernel}; every phi face "
-                "must be an a_zero face, and the a_zero faces one piece")
+    refuse_unspanned_gauge(built, (method,))
     W = build_curl_matrix(built.bundle, omega)
     if j is None:
         j = np.zeros(W.shape[0], dtype=complex)
@@ -243,8 +259,9 @@ def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | 
     frequency; given a frequency, the call solves its own.  The curl
     system is factored in mixed precision (see solve.Factorization),
     except with condition=True: the 2-norm condition estimate of the curl
-    system is then computed on the double LU that solved it and stored on
-    the Solution.
+    system is then computed on its double LU, before the solve, and stored
+    on the Solution, or on the InaccurateSolveError when the solve fails
+    its residual check, so that no caller factors the system again.
 
     Propagates SingularMatrixError: expected for the original variant at
     low frequency, where the gradient probe usually proves it before any
@@ -260,8 +277,12 @@ def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | 
     probe = gradient_probe(built) if method == "original" else None
     fac = Factorization(A, curl_coordinates(built, method), mixed=not condition,
                         probe=probe)
-    rep = fac.checked_solve(b)
     est = condition_estimate(A, fac=fac) if condition else None
+    try:
+        rep = fac.checked_solve(b)
+    except InaccurateSolveError as exc:
+        exc.condition = est
+        raise
     n_free = built.edge.n_free
     a_free = rep.x[:n_free]
     lam = rep.x[n_free:] if method == "lagrange" else None

@@ -78,7 +78,10 @@ class SingularMatrixError(RuntimeError):
 
 class InaccurateSolveError(SingularMatrixError):
     """A solve whose relative residual stays above RESIDUAL_TOL after one
-    step of iterative refinement."""
+    step of iterative refinement.  condition is the system's estimate made
+    on the same LU, when the caller asked for one."""
+
+    condition = None
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,48 @@ def source_moments(mesh, source, kind, order=10):
     return out
 
 
+def polynomial_moments(mesh, source, kind):
+    """Load vector of a source whose terms (coef, px, py, pz) have
+    numpy.polynomial factors, from exact antiderivatives cell by cell.
+
+    kind "scalar": source is a tuple of terms and q[i] = int rho N_i; kind
+    "edge": one tuple per component and j[i] = int J . w_i.  The basis is
+    read from the node coordinates alone: N_i is the product of the 1D
+    hats that are 1 at node i, and w_i is t_i / h along edge i times the
+    hats that are 1 on the edge's two transverse lines.
+    """
+    h = mesh.spacing
+
+    def integral(p, a, lo, at=None):
+        # int over [lo, lo + h_a] of p, times the hat that is 1 at `at`
+        hi = lo + h[a]
+        if at is not None:
+            x = type(p).identity(domain=p.domain, window=p.window)
+            other = hi if at == lo else lo
+            p = p * (x - other) / (at - other)
+        F = p.integ()
+        return F(hi) - F(lo)
+
+    out = np.zeros(mesh.n_nodes if kind == "scalar" else mesh.n_edges, dtype=complex)
+    for cell in range(mesh.n_cells):
+        lo = mesh.nodes[mesh.cells[cell]].min(axis=0)
+        if kind == "scalar":
+            for node in mesh.cells[cell]:
+                at = mesh.nodes[node]
+                for coef, *ps in source:
+                    out[node] += coef * np.prod([integral(ps[a], a, lo[a], at[a])
+                                                 for a in range(3)])
+            continue
+        for e in mesh.cell_edges[cell]:
+            start, end = mesh.nodes[mesh.edges[e]]
+            axis = int(np.argmax(end - start))
+            for coef, *ps in source[axis]:
+                out[e] += coef * np.prod([integral(ps[a], a, lo[a]) / h[a] if a == axis
+                                          else integral(ps[a], a, lo[a], start[a])
+                                          for a in range(3)])
+    return out
+
+
 def hcurl_error(built, a_full, case):
     """physics.hcurl_error with the discrete field and its curl at the
     quadrature points formed by one unoptimized einsum each."""

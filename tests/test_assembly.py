@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from aphi import assembly
 from aphi.assembly import (MaterialError, MaterialField, assemble_bundle,
@@ -19,7 +21,7 @@ from aphi.spaces import (DirichletSpec, build_edge_space, build_scalar_space,
 from aphi.scenario import load_scenario
 from aphi.system import build_curl_matrix
 from oracles import (dense_rank, edge_interpolate, full_scatter, min_eig_sym,
-                     source_moments, volume_quadrature)
+                     polynomial_moments, source_moments, volume_quadrature)
 
 UNIT = ((0, 1), (0, 1), (0, 1))
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -242,24 +244,29 @@ def test_weak_divergence_of_divergence_free_interpolants():
     assert fine < 0.5 * coarse
 
 
+def _term_values(terms, p):
+    """A tuple of terms (coef, fx, fy, fz) summed at (n, 3) points."""
+    return sum(c * fx(p[:, 0]) * fy(p[:, 1]) * fz(p[:, 2]) for c, fx, fy, fz in terms)
+
+
 def test_charge_vector_zero_source():
     _, _, _, mat, scal, _ = _uniform_setup((2, 2, 2))
-    q = assemble_charge_vector(scal, lambda p: np.zeros(p.shape[0]))
-    assert np.all(q == 0)
+    for rho in ((), ((0.0, np.exp, np.cos, np.sin),)):
+        q = assemble_charge_vector(scal, rho)
+        assert np.all(q == 0)
 
 
 def test_current_vector_gradient_source_matches_incidence(rng):
-    # J = grad of a nodal function g: moments equal M_1 P g
+    # J = grad g of a global trilinear g = sum c[p] x^p0 y^p1 z^p2, which
+    # lies in the nodal space: its moments equal M_1 P g
     mesh, _, _, mat, scal, edge = _uniform_setup((2, 2, 2))
-    g = rng.standard_normal(mesh.n_nodes)
-
-    def grad_g(pts):
-        out = np.zeros((pts.shape[0], 3))
-        cells, refs = mesh.locate_points(pts)
-        for i, (c, r) in enumerate(zip(cells, refs)):
-            _, (grads,) = physical_scalar_basis(mesh.spacing, r)
-            out[i] = g[mesh.cells[c]] @ grads
-        return out
+    c = rng.standard_normal((2, 2, 2))
+    powers = list(itertools.product((0, 1), repeat=3))
+    g = sum(c[p] * np.prod(mesh.nodes ** np.array(p), axis=1) for p in powers)
+    monomial = (np.ones_like, lambda t: t)  # t^0, t^1
+    grad_g = [tuple((c[p], *(monomial[p[t] - (t == ax)] for t in range(3)))
+                    for p in powers if p[ax])
+              for ax in range(3)]
 
     j = assemble_current_vector(edge, grad_g)
     M = assemble_mass(edge, mat, np.ones(mesh.n_cells))
@@ -271,47 +278,65 @@ def test_current_vector_gradient_source_matches_incidence(rng):
 def test_current_vector_constant_field_unit_cell():
     # closed form: int e_z . w_i over the unit cell = 1/4 for each z-edge
     _, _, _, mat, _, edge = _uniform_setup((1, 1, 1))
-    e_z = np.array([0.0, 0.0, 1.0])
-    j = assemble_current_vector(edge, lambda p: np.tile(e_z, (p.shape[0], 1)))
+    one = np.ones_like
+    j = assemble_current_vector(edge, ((), (), ((1.0, one, one, one),)))
     expected = np.zeros(12)
     expected[8:] = 0.25
     assert np.allclose(j.real, expected, atol=1e-13)
 
 
 def test_source_moments_match_whole_mesh_oracle():
-    # 7^3 = 343 cells span more than one block and end in a partial one
+    # separable, non-trigonometric factors with complex coefficients, at
+    # the assembly's order: the per-axis sums give the tensor rule's moments
     mesh, _, _, _, scal, edge = _uniform_setup((7, 7, 7),
                                                extents=((0, 1), (0, 2), (-1, 1)))
-    chunk = assembly._SOURCE_CHUNK_CELLS
-    assert chunk < mesh.n_cells and mesh.n_cells % chunk
-    seen = []
-
-    def watched(f):
-        def call(p):
-            seen.append(p.shape[0])
-            assert all(p[:, i].flags.c_contiguous for i in range(3))
-            return f(p)
-        return call
-
-    def rho(p):
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        return np.exp(1j * (x * y + z)) * (1.0 + x * y * z)
-
-    def current(p):
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        return np.stack([np.sin(x * y) + 1j * z, np.exp(x + y * z),
-                         1j * (x - y) * np.cos(z * x)], axis=1)
-
+    rho = ((1.0 + 2.0j, np.exp, lambda t: 1.0 + t ** 2, np.cosh),
+           (-0.5j, lambda t: t, np.exp, lambda t: 1.0 / (2.0 + t)))
+    current = (((1.0, np.exp, np.sqrt, lambda t: t ** 3),),
+               ((2.0j, lambda t: 1.0 / (1.0 + t), np.ones_like, np.exp),
+                (-1.0, np.cosh, np.exp, np.ones_like)),
+               ((0.5 - 1.0j, lambda t: t * t, lambda t: t - 1.0, np.tanh),))
     order = assembly._SOURCE_QUAD_ORDER
-    for got, ref in ((assemble_charge_vector(scal, watched(rho)),
-                      source_moments(mesh, rho, "scalar", order)),
-                     (assemble_current_vector(edge, watched(current)),
-                      source_moments(mesh, current, "edge", order))):
+    for got, ref in ((assemble_charge_vector(scal, rho),
+                      source_moments(mesh, lambda p: _term_values(rho, p), "scalar",
+                                     order)),
+                     (assemble_current_vector(edge, current),
+                      source_moments(mesh, lambda p: np.stack(
+                          [_term_values(t, p) for t in current], axis=1), "edge", order))):
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
-    # 7^3 points per cell; one call per block and never more than a block
-    assert max(seen) == chunk * 7 ** 3
-    assert len(seen) == 2 * -(-mesh.n_cells // chunk)
-    assert sum(seen) == 2 * mesh.n_cells * 7 ** 3
+
+
+_box_axis = st.tuples(st.integers(1, 4), st.floats(0.3, 3.0), st.floats(-5.0, 5.0))
+_coefs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=13)  # degree <= 12
+
+
+@given(st.tuples(_box_axis, _box_axis, _box_axis),
+       st.lists(st.tuples(st.integers(0, 3), st.complex_numbers(
+           max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+           _coefs, _coefs, _coefs), min_size=1, max_size=4))
+def test_source_moments_exact_for_polynomials(axes, raw_terms):
+    # order 7 is exact to degree 13: a degree-12 factor times the linear
+    # basis factor.  Each term goes to the charge (component 3) or to one
+    # current component, and the oracle integrates each cell in closed form.
+    n = tuple(k for k, _, _ in axes)
+    extents = tuple((o, o + k * h) for k, h, o in axes)
+    mesh, _, _, _, scal, edge = _uniform_setup(n, extents=extents)
+    terms = [(k, (c, *(Polynomial(cf, domain=extents[a]) for a, cf in enumerate(cfs))))
+             for k, c, *cfs in raw_terms]
+    rho = tuple(t for k, t in terms if k == 3)
+    current = tuple(tuple(t for k, t in terms if k == a) for a in range(3))
+    got = {"scalar": assemble_charge_vector(scal, rho),
+           "edge": assemble_current_vector(edge, current)}
+    ref = {kind: np.zeros_like(v) for kind, v in got.items()}
+    scale = {kind: 0.0 for kind in got}  # no cancellation between terms counts
+    for k, t in terms:
+        kind = "scalar" if k == 3 else "edge"
+        alone = polynomial_moments(mesh, (t,) if k == 3 else tuple(
+            (t,) if a == k else () for a in range(3)), kind)
+        ref[kind] += alone
+        scale[kind] += np.abs(alone).max()
+    for kind in got:
+        assert np.abs(got[kind] - ref[kind]).max() <= 1e-12 * scale[kind], kind
 
 
 def test_symmetry_invariants():

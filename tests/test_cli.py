@@ -531,6 +531,41 @@ def test_unspanned_gauge_sweep_refused_without_csv(unspanned_config, tmp_path,
     assert not out.exists()
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Record each call of owner.name, which still runs."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_unspanned_gauge_refused_before_step_one(unspanned_config, monkeypatch,
+                                                 tmp_path, capsys):
+    # refused up front: no step-one solve, no LU, and no original row first
+    mms = tmp_path / "unspanned_mms.cfg"
+    mms.write_text(Path(MMS0).read_text().replace("phi all 0", "phi xmin 0\nphi xmax 0")
+                   .replace("a_zero all", "a_zero zmin"))
+    built = load_scenario(mms).build()
+    assert built.partition.tree.size != curl_kernel_dimension(built.mesh, built.edge)
+    eqs_solves = _count_calls(monkeypatch, physics, "solve_eqs_step")
+    factored = _count_calls(monkeypatch, solve.Factorization, "__init__")
+    out = tmp_path / "out.csv"
+    for argv in (["solve", "--config", str(unspanned_config), "--freq", "1e3",
+                  "--method", "tree-cotree"],
+                 ["sweep", "--config", str(unspanned_config), "--freqs", "1",
+                  "--methods", "original,tree-cotree", "--out", str(out)],
+                 ["converge", "--config", str(mms), "--subdivs", "2,3", "--freq", "10",
+                  "--methods", "original,lagrange", "--out", str(out)]):
+        assert main(argv) == 2, argv[0]
+        assert "static curl kernel" in capsys.readouterr().err
+        assert (eqs_solves, factored) == ([], []), argv[0]
+        assert not out.exists()
+
+
 def test_check_factors_once_and_counts_the_kernel(academic_built, unspanned_config,
                                                   monkeypatch):
     factored = []
@@ -561,12 +596,15 @@ def test_sweep_row_failing_residual_check_estimates_condition(unspanned_config,
                              coords=curl_coordinates(built, "original"))
     assert np.isfinite(est.value)
     out = tmp_path / "sweep.csv"
+    factored = _count_calls(monkeypatch, solve.Factorization, "__init__")
     code = main(["sweep", "--config", str(unspanned_config), "--freqs", "1e3",
                  "--methods", "original", "--out", str(out)])
     assert code == 0
     _, rows = _read_rows(out)
     assert rows == [["1000", "original", _num(est.value), "power-iteration",
                      "singular", "singular", "260", "0"]]
+    # the estimate comes from the LU that failed the residual check alone
+    assert sum(args[1].shape[0] == 260 for args in factored) == 1
 
 
 @given(st.sampled_from([(2, 2, 2), (3, 3, 3), (2, 3, 2)]),
