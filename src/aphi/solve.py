@@ -23,11 +23,21 @@ real factor is checked exactly as a complex one.
 
 Every LU is ordered by geometric nested dissection of its unknowns'
 coordinates (edge midpoints, node positions; the index where a matrix has
-no geometry) and factored in that order with SuperLU at a diagonal pivot
-threshold of 0.1, which keeps the fill of the dissection order.  The low
-threshold is guarded by the residual: a solve whose relative residual
-exceeds RESIDUAL_TOL takes one step of iterative refinement and raises
-InaccurateSolveError, a SingularMatrixError, if it is still above it.
+no geometry) and factored in that order with SuperLU at the static diagonal
+pivot threshold DIAG_PIVOT_THRESH = 1e-3, which keeps most of the fill of
+the dissection order also where the matrix is indefinite (the academic
+11^3 curl systems at 1e9 Hz fill 37% less than at 0.1).  The low
+threshold is guarded twice (static pivoting with refinement; Li & Demmel
+2003): by kappa_1 * eps, and by the residual, a solve whose relative
+residual exceeds RESIDUAL_TOL taking one step of iterative refinement.  A
+double LU at DIAG_PIVOT_THRESH that fails either check, or that SuperLU
+refuses, gives no verdict: the matrix is factored again in double at
+SAFE_PIVOT_THRESH = 0.1, and only that LU's refusal raises
+SingularMatrixError, or InaccurateSolveError, a SingularMatrixError, when
+its residual is still above RESIDUAL_TOL after the refinement step.  A
+small pivot that the static threshold admits can grow the factors enough
+to read a well-conditioned matrix as singular; the LU at 0.1 reads it as
+its dense kappa_1 does.
 
 Mixed precision (Factorization(..., mixed=True); sparse_lu_solve and
 physics.run_two_step without a condition estimate): the LU is of a
@@ -49,7 +59,9 @@ single LU is freed and the matrix is factored in double and judged as
 without mixed, so a single factor never decides a singular verdict.
 Refinement stops at a relative residual of REFINE_TOL or after
 MAX_REFINEMENTS steps; a residual still above RESIDUAL_TOL then falls back
-to the double LU and its checked solve.
+to the double LU and its checked solve.  A single LU is factored at
+DIAG_PIVOT_THRESH only; its refusal leads to the double LU at that
+threshold, and from there as above.
 """
 from __future__ import annotations
 
@@ -60,7 +72,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 KAPPA1_EPS_TOL = 0.2     # kappa_1 * eps at or above this is singular
-DIAG_PIVOT_THRESH = 0.1  # SuperLU keeps the diagonal pivot down to this ratio
+DIAG_PIVOT_THRESH = 1e-3  # SuperLU keeps the diagonal pivot down to this ratio
+SAFE_PIVOT_THRESH = 0.1   # ... in the double LU that a refusal at 1e-3 leads to
 RESIDUAL_TOL = 1e-10     # relative residual a returned solution must meet
 REFINE_TOL = 1e-14       # mixed-precision refinement stops at this residual
 MAX_REFINEMENTS = 3      # ... or after this many steps
@@ -88,6 +101,7 @@ class InaccurateSolveError(SingularMatrixError):
 class SolveReport:
     x: np.ndarray
     rel_residual: float
+    kappa1_eps: float      # kappa_1 * eps (double) of the LU that served
     refinements: int = 0   # refinement steps: 0 or 1 on a double LU, up
                            # to MAX_REFINEMENTS on a single one
 
@@ -189,9 +203,14 @@ class Factorization:
     docstring), and `single` is then True: checked_solve refines to double
     accuracy, while solve and solve_adjoint are good only to about
     kappa * eps_single.  Otherwise, and always without mixed, the LU is in
-    double and a kappa_1 * eps at or above KAPPA1_EPS_TOL raises
-    SingularMatrixError.  probe, a vector that A nearly annihilates, is
-    judged by the same constants before any LU (see the module docstring).
+    double.  Every LU is first factored at the diagonal pivot threshold
+    DIAG_PIVOT_THRESH = 1e-3; a double one that SuperLU refuses, whose
+    kappa_1 * eps is at or above KAPPA1_EPS_TOL, or whose checked_solve
+    residual stays above RESIDUAL_TOL is replaced by the LU at
+    SAFE_PIVOT_THRESH = 0.1, and only that LU's refusal raises
+    SingularMatrixError.  pivot_thresh is the threshold of the held LU.
+    probe, a vector that A nearly annihilates, is judged by the same
+    constants before any LU (see the module docstring).
 
     kappa1 is a lower-bound estimate of the held LU's kappa_1:
     onenormest with t=1 follows the largest entry of its iterate, and
@@ -220,20 +239,28 @@ class Factorization:
             mixed = mixed and bound * np.finfo(np.float32).eps <= SINGLE_KAPPA1_EPS_TOL
         self._perm = nested_dissection(A, coords)
         self._iperm = np.argsort(self._perm)
-        if not (mixed and self._factor(np.float32)):
-            self._factor(np.float64)
+        if not (mixed and self._factor(np.float32, DIAG_PIVOT_THRESH)):
+            self._factor_double()
 
     @property
     def single(self) -> bool:
         """The held LU is a float32 or complex64 one."""
         return np.finfo(self._dtype).bits == 32
 
-    def _factor(self, precision: type) -> bool:
-        """Factor the equilibrated, ordered matrix with SuperLU in the
-        precision of np.float32 or np.float64, real when no imaginary part
-        survives, and judge its kappa_1 * eps.  A refused single LU is freed
-        and returns False; a refused double one raises SingularMatrixError."""
+    def _factor_double(self) -> None:
+        """Factor in double at DIAG_PIVOT_THRESH and, when that LU is
+        refused, again at SAFE_PIVOT_THRESH, whose refusal raises."""
+        if not self._factor(np.float64, DIAG_PIVOT_THRESH):
+            self._factor(np.float64, SAFE_PIVOT_THRESH)
+
+    def _factor(self, precision: type, pivot_thresh: float) -> bool:
+        """Factor the equilibrated, ordered matrix with SuperLU at
+        pivot_thresh, in the precision of np.float32 or np.float64, real
+        when no imaginary part survives, and judge its kappa_1 * eps.  A
+        refused LU is freed and returns False, except a double one at
+        SAFE_PIVOT_THRESH, whose refusal raises SingularMatrixError."""
         single = precision == np.float32
+        verdict = not single and pivot_thresh == SAFE_PIVOT_THRESH
         scaled = (sp.diags(1.0 / self.r) @ self.A @ sp.diags(1.0 / self.c)).tocsr()
         scaled = scaled[self._perm][:, self._perm].tocsc()
         data = scaled.data
@@ -248,14 +275,15 @@ class Factorization:
                                   scaled.indices, scaled.indptr), shape=scaled.shape)
         del scaled, data  # freed before the LU is built
         self._dtype = lu_input.dtype
+        self.pivot_thresh = pivot_thresh
         norm1 = spla.norm(lu_input, 1)
         try:
             self._lu = spla.splu(lu_input, permc_spec="NATURAL",
-                                 diag_pivot_thresh=DIAG_PIVOT_THRESH)
+                                 diag_pivot_thresh=pivot_thresh)
         except RuntimeError as exc:  # exactly singular inside SuperLU
-            if single:
-                return False
-            raise SingularMatrixError(str(exc)) from exc
+            if verdict:
+                raise SingularMatrixError(str(exc)) from exc
+            return False
         del lu_input  # not held beside the LU while its inverse is estimated
         # t=1 is deterministic; t >= 2 draws from numpy's global RNG
         dtype = float if self._dtype.kind == "f" else complex
@@ -263,13 +291,14 @@ class Factorization:
                                   rmatvec=lambda b: self._lu_solve(b, adjoint=True))
         self.kappa1 = float(norm1 * spla.onenormest(inv, t=1))
         eps_kappa = self.kappa1 * np.finfo(self._dtype).eps
-        if single and not eps_kappa <= SINGLE_KAPPA1_EPS_TOL:
-            self._lu = None  # freed before the double LU is built
-            return False
-        if not eps_kappa < KAPPA1_EPS_TOL:  # also catches nan
+        if (eps_kappa <= SINGLE_KAPPA1_EPS_TOL if single
+                else eps_kappa < KAPPA1_EPS_TOL):  # False on nan
+            return True
+        self._lu = None  # freed before the next LU is built
+        if verdict:
             raise SingularMatrixError(f"numerically singular: kappa_1 * eps = "
                                       f"{eps_kappa:.3e} >= {KAPPA1_EPS_TOL:g}")
-        return True
+        return False
 
     def _lu_solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """The LU's solve with the scaled, permuted matrix or its adjoint.
@@ -300,18 +329,24 @@ class Factorization:
         """Solve A x = b with the residual recomputed from the original A.
 
         On a double LU, a relative residual above RESIDUAL_TOL takes one
-        refinement step, x += solve(b - A x); if it is still above,
-        InaccurateSolveError.  A single LU refines until REFINE_TOL or
-        MAX_REFINEMENTS steps; above RESIDUAL_TOL then, the matrix is
-        factored in double and solved as above."""
+        refinement step, x += solve(b - A x); if it is still above, the
+        matrix is factored again at SAFE_PIVOT_THRESH and solved the same
+        way, unless the LU already is at that threshold, and a residual
+        still above it raises InaccurateSolveError.  A single LU refines
+        until REFINE_TOL or MAX_REFINEMENTS steps; above RESIDUAL_TOL then,
+        the matrix is factored in double and solved as above."""
         b = np.asarray(b, dtype=complex)
         if self.single:
             rep = self._refined_solve(b, MAX_REFINEMENTS, REFINE_TOL)
             if rep.rel_residual <= RESIDUAL_TOL:
                 return rep
             self._lu = None  # freed before the double LU is built
-            self._factor(np.float64)
+            self._factor_double()
         rep = self._refined_solve(b, 1, RESIDUAL_TOL)
+        if self.pivot_thresh != SAFE_PIVOT_THRESH and not rep.rel_residual <= RESIDUAL_TOL:
+            self._lu = None  # freed before the LU at the safe threshold
+            self._factor(np.float64, SAFE_PIVOT_THRESH)
+            rep = self._refined_solve(b, 1, RESIDUAL_TOL)
         if not rep.rel_residual <= RESIDUAL_TOL:  # also catches nan
             raise InaccurateSolveError(
                 f"relative residual {rep.rel_residual:.3e} > {RESIDUAL_TOL:g} "
@@ -331,7 +366,9 @@ class Factorization:
             r = b - self.A @ x
             resid = np.linalg.norm(r) / denom
             steps += 1
-        return SolveReport(x=x, rel_residual=float(resid), refinements=steps)
+        return SolveReport(x=x, rel_residual=float(resid),
+                           kappa1_eps=self.kappa1 * np.finfo(float).eps,
+                           refinements=steps)
 
 
 def sparse_lu_solve(A: sp.spmatrix, b: np.ndarray,

@@ -162,3 +162,46 @@ def test_only_gauge_searches_graphs():
     # one module owns the package's graph searches (the gauge's spanning
     # tree and node components), so a second search is not written by hand
     assert _csgraph_importers() == ["gauge"]
+
+
+
+def _splu_calls(path: Path) -> list[str | None]:
+    """The enclosing class (None at module level or in a plain function) of
+    every call of splu in the module at path, by any spelling: spla.splu,
+    a bare splu, an alias's attribute."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "splu"
+                    or isinstance(func, ast.Name) and func.id == "splu"):
+                found.append(cls)
+            visit(child, cls)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    return found
+
+
+def test_one_splu_call_owns_the_pivot_policy():
+    # the pivot thresholds and the refactor rule live in one place: a
+    # second SuperLU call would factor outside them
+    found = {path.stem: classes for path in sorted(SRC.glob("*.py"))
+             if (classes := _splu_calls(path))}
+    assert found == {"solve": ["Factorization"]}
+
+
+def test_splu_scan_sees_every_spelling(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from scipy.sparse.linalg import splu\n"
+                    "import scipy.sparse.linalg as la\n"
+                    "lu = splu(A)\n"
+                    "class F:\n"
+                    "    def f(self):\n"
+                    "        return la.splu(self.A, diag_pivot_thresh=0.1)\n"
+                    "def g():\n"
+                    "    return [splu(B) for B in Bs]\n")
+    assert _splu_calls(path) == [None, "F", None]

@@ -16,7 +16,7 @@ from aphi.physics import (METHODS, curl_coordinates, curl_system, excitation,
                           hcurl_error, run_two_step)
 from aphi.scenario import (ConfigError, Scenario, academic_scenario, load_scenario,
                            parse_scenario)
-from aphi.solve import DENSE_SVD_LIMIT, condition_estimate
+from aphi.solve import DENSE_SVD_LIMIT, KAPPA1_EPS_TOL, condition_estimate
 from oracles import dense_rank
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -373,6 +373,20 @@ def test_solve_prints_manufactured_hcurl_error(capsys):
     sol = run_two_step(built, 10.0, "tree-cotree")
     err = hcurl_error(built, sol.a, built.mms)
     assert f"  hcurl_error  = {err:.6e}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method, low, high", [
+    ("original", 0.1, KAPPA1_EPS_TOL),  # solved, with about four good digits
+    ("tree-cotree", 0.0, 1e-12),
+])
+def test_solve_prints_kappa1_eps(method, low, high, capsys):
+    code = main(["solve", "--config", MMS0, "--subdivs", "3,3,3", "--freq", "10",
+                 "--method", method])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [line.split("=")[0].strip() for line in lines[1:]]
+    assert names[:2] == ["delta_D", "rel_residual"] and names[2] == "kappa1_eps"
+    assert low <= float(lines[3].split("=")[1]) <= high
 
 
 def test_solve_singular_exit(tmp_path, capsys):
@@ -863,11 +877,12 @@ def test_lu_field_follows_the_system(academic_built, splu_dtypes):
         run_two_step(academic_built, exc0, method)
     assert splu_dtypes and set(splu_dtypes) == {np.dtype(np.float32)}
     # the singular original system (no air gauge node for the probe at
-    # 3^3) is judged by the double LU once the single one is refused
+    # 3^3) is judged by the double LUs, at the static and then the safe
+    # pivot threshold, once the single one is refused
     splu_dtypes.clear()
     with pytest.raises(solve.SingularMatrixError, match="kappa_1 \\* eps"):
         run_two_step(academic_built, exc0, "original")
-    assert splu_dtypes == [np.dtype(np.float32), np.dtype(np.float64)]
+    assert splu_dtypes == [np.dtype(np.float32)] + [np.dtype(np.float64)] * 2
     # a condition estimate asks for the double LU
     splu_dtypes.clear()
     run_two_step(academic_built, exc0, "tree-cotree", condition=True)

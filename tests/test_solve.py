@@ -107,7 +107,9 @@ def test_ill_conditioned_system_ends_on_a_double_factor(super_diag, singular,
         splu_dtypes.clear()
         with pytest.raises(SingularMatrixError, match="kappa_1 \\* eps"):
             sparse_lu_solve(A, b)
-        assert splu_dtypes == [np.float32, np.float64]
+        # the double LU at the static threshold is refused and the one at
+        # the safe threshold gives the verdict
+        assert splu_dtypes == [np.float32, np.float64, np.float64]
         return
     double = Factorization(A)
     splu_dtypes.clear()
@@ -167,31 +169,113 @@ def test_residual_reported_from_scratch(rng):
     assert np.isclose(rep.rel_residual, recomputed, rtol=1e-12)
 
 
-def _solve_through_perturbed_lu(A, b, rel):
-    """checked_solve of A x = b through the LU of (1 + rel) A, whose first
-    solution has relative residual rel / (1 + rel)."""
-    fac = Factorization((1.0 + rel) * A)
-    fac.A = A
-    return fac.checked_solve(b)
+def _perturbed_factorization(A, rel, monkeypatch):
+    """Factorization of A whose every LU, at either pivot threshold, is of
+    (1 + rel) times SuperLU's input, so that a first solution has relative
+    residual rel / (1 + rel)."""
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda M, *a, **k: splu((1.0 + rel) * M, *a, **k))
+    return Factorization(A)
 
 
-def test_residual_guard_refines_an_inaccurate_solve(rng):
+def test_residual_guard_refines_an_inaccurate_solve(rng, monkeypatch):
     A = _random_sparse(100, rng)
     b = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    rep = _solve_through_perturbed_lu(A, b, 1e-7)
+    fac = _perturbed_factorization(A, 1e-7, monkeypatch)
+    rep = fac.checked_solve(b)
     # one step contracts the residual by another factor 1e-7
-    assert rep.refinements == 1
+    assert rep.refinements == 1 and fac.pivot_thresh == solve.DIAG_PIVOT_THRESH
     assert rep.rel_residual <= RESIDUAL_TOL
     x_dense = np.linalg.solve(A.toarray(), b)
     assert np.linalg.norm(rep.x - x_dense) <= 1e-12 * np.linalg.norm(x_dense)
 
 
-def test_residual_guard_raises_when_refinement_falls_short(rng):
+def test_residual_guard_raises_when_refinement_falls_short(rng, monkeypatch):
     A = _random_sparse(100, rng)
     b = rng.standard_normal(100) + 0j
+    fac = _perturbed_factorization(A, 1e-3, monkeypatch)
     with pytest.raises(InaccurateSolveError) as info:
-        _solve_through_perturbed_lu(A, b, 1e-3)  # 1e-6 after one step
+        fac.checked_solve(b)  # 1e-6 after one step, at either threshold
     assert isinstance(info.value, SingularMatrixError)
+    assert fac.pivot_thresh == solve.SAFE_PIVOT_THRESH  # raised by the second LU
+
+
+def _chained_growth(n, diag):
+    """diag on the diagonal (1 in the last entry), ones on the subdiagonal
+    and in the last column: a diagonal pivot at threshold 1e-3 divides by
+    diag in every column, and the last column grows as diag^-k, while
+    partial pivoting takes the subdiagonal ones and keeps it bounded."""
+    d = np.full(n, diag)
+    d[-1] = 1.0
+    A = sp.diags([d, np.ones(n - 1)], [0, -1], format="lil")
+    A[:, n - 1] = 1.0
+    return A.tocsr()
+
+
+@pytest.fixture
+def splu_thresholds(monkeypatch):
+    """The diagonal pivot threshold of every SuperLU call, in call order."""
+    splu = spla.splu
+    thresholds = []
+
+    def spy(A, *args, **kwargs):
+        thresholds.append(kwargs["diag_pivot_thresh"])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return thresholds
+
+
+def test_pivot_growth_is_refactored_at_the_safe_threshold(splu_thresholds):
+    # the LU at 1e-3 reads kappa_1 * eps 5.6e4 and would call this matrix
+    # singular; dense kappa_1 * eps is 4.4e-14, and so is the LU at 0.1
+    A = _chained_growth(14, 2e-3)
+    fac = Factorization(A)
+    assert splu_thresholds == [solve.DIAG_PIVOT_THRESH, solve.SAFE_PIVOT_THRESH]
+    assert fac.pivot_thresh == solve.SAFE_PIVOT_THRESH
+    eps = np.finfo(float).eps
+    assert fac.kappa1 * eps < 1e-12
+    assert fac.kappa1 * eps == pytest.approx(np.linalg.cond(A.toarray(), 1) * eps,
+                                             rel=0.1)
+    b = np.arange(1.0, 15.0) + 0j
+    rep = fac.checked_solve(b)
+    assert rep.rel_residual <= RESIDUAL_TOL and rep.kappa1_eps < 1e-12
+    assert np.allclose(rep.x, np.linalg.solve(A.toarray(), b), rtol=1e-12)
+
+
+def test_residual_refusal_is_refactored_at_the_safe_threshold(splu_thresholds):
+    # the LU at 1e-3 passes the kappa_1 * eps test (3.3e-4) but its
+    # solve stays at 2e-8 after the refinement step
+    A = _chained_growth(11, 2e-3)
+    b = np.random.default_rng(1).standard_normal(11) + 0j
+    fac = Factorization(A)
+    assert fac.pivot_thresh == solve.DIAG_PIVOT_THRESH
+    assert fac.kappa1 * np.finfo(float).eps < 1e-3
+    rep = fac.checked_solve(b)
+    assert splu_thresholds == [solve.DIAG_PIVOT_THRESH, solve.SAFE_PIVOT_THRESH]
+    assert fac.pivot_thresh == solve.SAFE_PIVOT_THRESH
+    assert rep.rel_residual <= 1e-14 and rep.kappa1_eps < 1e-12
+    assert np.allclose(rep.x, np.linalg.solve(A.toarray(), b), rtol=1e-12)
+
+
+@pytest.mark.parametrize("A, message", [
+    (_bidiagonal(200, -1.5), "kappa_1 \\* eps"),
+    (sp.csr_matrix(np.ones((3, 3))), "exactly singular"),  # SuperLU refuses it
+], ids=["numerically", "exactly"])
+def test_singular_matrix_raises_after_both_thresholds(A, message, splu_thresholds):
+    with pytest.raises(SingularMatrixError, match=message):
+        Factorization(A)
+    assert splu_thresholds == [solve.DIAG_PIVOT_THRESH, solve.SAFE_PIVOT_THRESH]
+
+
+def test_lagrange_fill_at_1e9_hz():
+    # SuperLU's storage count of the indefinite Lagrange system, read
+    # without building the L and U copies: 2 844 111 at threshold 0.1
+    built = academic_scenario((11, 11, 11)).build()
+    A = curl_system(built, 2 * np.pi * 1e9, "lagrange")[0]
+    fac = Factorization(A, curl_coordinates(built, "lagrange"))
+    assert fac.pivot_thresh == solve.DIAG_PIVOT_THRESH
+    assert fac._lu.nnz < 2_000_000
 
 
 @given(st.tuples(*[st.integers(1, 5)] * 3), st.sampled_from(METHODS))
