@@ -328,15 +328,23 @@ def test_source_moments_exact_for_polynomials(axes, raw_terms):
     got = {"scalar": assemble_charge_vector(scal, rho),
            "edge": assemble_current_vector(edge, current)}
     ref = {kind: np.zeros_like(v) for kind, v in got.items()}
-    scale = {kind: 0.0 for kind in got}  # no cancellation between terms counts
+    # No cancellation between terms counts, nor within one: a term whose
+    # exact moments vanish (2z - 1 over a unit cell) still leaves the Gauss
+    # sum its rounding, which is on the scale of one cell's |integrand|.
+    # Below the smallest normal double no relative precision is left.
+    scale = {kind: 0.0 for kind in got}
     for k, t in terms:
         kind = "scalar" if k == 3 else "edge"
         alone = polynomial_moments(mesh, (t,) if k == 3 else tuple(
             (t,) if a == k else () for a in range(3)), kind)
         ref[kind] += alone
-        scale[kind] += np.abs(alone).max()
+        size = abs(t[0]) * np.prod([np.abs(p(np.linspace(*extents[a], 65))).max()
+                                    * (1.0 if a == k else h)
+                                    for a, (_, h, _), p in zip(range(3), axes, t[1:])])
+        scale[kind] += max(np.abs(alone).max(), size)
     for kind in got:
-        assert np.abs(got[kind] - ref[kind]).max() <= 1e-12 * scale[kind], kind
+        assert (np.abs(got[kind] - ref[kind]).max()
+                <= 1e-12 * scale[kind] + np.finfo(float).tiny), kind
 
 
 def test_symmetry_invariants():
