@@ -328,23 +328,26 @@ def test_source_moments_exact_for_polynomials(axes, raw_terms):
     got = {"scalar": assemble_charge_vector(scal, rho),
            "edge": assemble_current_vector(edge, current)}
     ref = {kind: np.zeros_like(v) for kind, v in got.items()}
-    # No cancellation between terms counts, nor within one: a term whose
-    # exact moments vanish (2z - 1 over a unit cell) still leaves the Gauss
-    # sum its rounding, which is on the scale of one cell's |integrand|.
-    # Below the smallest normal double no relative precision is left.
+    # The tolerance is 1e-12 of the exact moments, summed term by term so
+    # that no cancellation between terms counts, plus a rounding floor for
+    # terms whose exact moments cancel (an odd factor along a current's own
+    # axis): 64 eps times a bound on the term's cell integrals, each factor
+    # bounded on the window [-1, 1] by the 1-norm of its coefficients.  3000
+    # examples rounded to at most 6 eps of that bound.  Below the smallest
+    # normal double no relative precision is left.
     scale = {kind: 0.0 for kind in got}
+    floor = {kind: np.finfo(float).tiny for kind in got}
     for k, t in terms:
         kind = "scalar" if k == 3 else "edge"
         alone = polynomial_moments(mesh, (t,) if k == 3 else tuple(
             (t,) if a == k else () for a in range(3)), kind)
         ref[kind] += alone
-        size = abs(t[0]) * np.prod([np.abs(p(np.linspace(*extents[a], 65))).max()
-                                    * (1.0 if a == k else h)
-                                    for a, (_, h, _), p in zip(range(3), axes, t[1:])])
-        scale[kind] += max(np.abs(alone).max(), size)
+        scale[kind] += np.abs(alone).max()
+        floor[kind] += 64 * np.finfo(float).eps * abs(t[0]) * np.prod(
+            [np.abs(p.coef).sum() * (1.0 if a == k else h)
+             for a, (_, h, _), p in zip(range(3), axes, t[1:])])
     for kind in got:
-        assert (np.abs(got[kind] - ref[kind]).max()
-                <= 1e-12 * scale[kind] + np.finfo(float).tiny), kind
+        assert np.abs(got[kind] - ref[kind]).max() <= 1e-12 * scale[kind] + floor[kind], kind
 
 
 def test_symmetry_invariants():
