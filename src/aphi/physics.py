@@ -259,9 +259,10 @@ def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | 
     frequency; given a frequency, the call solves its own.  The curl
     system is factored in mixed precision (see solve.Factorization),
     except with condition=True: the 2-norm condition estimate of the curl
-    system is then computed on its double LU, before the solve, and stored
-    on the Solution, or on the InaccurateSolveError when the solve fails
-    its residual check, so that no caller factors the system again.
+    system is then computed on its double LU (see
+    checked_solve_with_condition) and stored on the Solution, or on the
+    InaccurateSolveError when the solve fails its residual check, so that
+    no caller factors the system again.
 
     Propagates SingularMatrixError: expected for the original variant at
     low frequency, where the gradient probe usually proves it before any
@@ -277,12 +278,7 @@ def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | 
     probe = gradient_probe(built) if method == "original" else None
     fac = Factorization(A, curl_coordinates(built, method), mixed=not condition,
                         probe=probe)
-    est = condition_estimate(A, fac=fac) if condition else None
-    try:
-        rep = fac.checked_solve(b)
-    except InaccurateSolveError as exc:
-        exc.condition = est
-        raise
+    rep, est = checked_solve_with_condition(fac, b, condition)
     n_free = built.edge.n_free
     a_free = rep.x[:n_free]
     lam = rep.x[n_free:] if method == "lagrange" else None
@@ -292,6 +288,21 @@ def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | 
     return Solution(u=u_full, a=a_full, lam=lam, frequency=frequency,
                     method=method, delta_D=delta, curl_report=rep,
                     eqs_report=eqs_report, condition=est)
+
+
+def checked_solve_with_condition(fac: Factorization, b: np.ndarray, condition: bool
+                                 ) -> tuple[SolveReport, ConditionEstimate | None]:
+    """fac.checked_solve(b) and, with condition=True, the condition estimate
+    of fac.A through the LU that fac holds once the solve has ended: the
+    one whose solve passed, or the one whose residual gave the verdict, on
+    the InaccurateSolveError.  An LU at DIAG_PIVOT_THRESH that the solve
+    replaced by one at SAFE_PIVOT_THRESH never drives the estimate."""
+    try:
+        rep = fac.checked_solve(b)
+    except InaccurateSolveError as exc:
+        exc.condition = condition_estimate(fac.A, fac=fac) if condition else None
+        raise
+    return rep, condition_estimate(fac.A, fac=fac) if condition else None
 
 
 def gauge_residual(bundle: MatrixBundle, omega: float, a_full: np.ndarray,

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aphi import solve
+from aphi import physics, solve
 from aphi.assembly import MaterialField, assemble_bundle
 from aphi.mesh import (AIR, FACE_LABELS, Box, boundary_entities,
                        build_box_mesh, tag_regions)
@@ -256,6 +256,35 @@ def test_residual_refusal_is_refactored_at_the_safe_threshold(splu_thresholds):
     assert fac.pivot_thresh == solve.SAFE_PIVOT_THRESH
     assert rep.rel_residual <= 1e-14 and rep.kappa1_eps < 1e-12
     assert np.allclose(rep.x, np.linalg.solve(A.toarray(), b), rtol=1e-12)
+
+
+@pytest.mark.parametrize("rel", [0.0, 1e-3], ids=["served", "refused"])
+def test_condition_estimate_reads_the_lu_that_ends_the_solve(rel, monkeypatch):
+    # the 11x11 chained-growth LU at 1e-3 fails the residual check, so the
+    # inverse iteration runs through the LU at 0.1 that replaced it: the one
+    # that serves, or, with every LU perturbed by 1 + rel, the one whose
+    # residual refuses the solve and whose estimate the error carries
+    monkeypatch.setattr(solve, "DENSE_SVD_LIMIT", 4)
+    A = _chained_growth(11, 2e-3)
+    b = np.random.default_rng(1).standard_normal(11) + 0j
+    fac = _perturbed_factorization(A, rel, monkeypatch)
+    assert fac.pivot_thresh == solve.DIAG_PIVOT_THRESH
+    held = []
+
+    def spy(M, fac=None, coords=None):
+        held.append(fac.pivot_thresh)
+        return condition_estimate(M, fac=fac, coords=coords)
+
+    monkeypatch.setattr(physics, "condition_estimate", spy)
+    if rel:
+        with pytest.raises(InaccurateSolveError) as info:
+            physics.checked_solve_with_condition(fac, b, condition=True)
+        est = info.value.condition
+    else:
+        est = physics.checked_solve_with_condition(fac, b, condition=True)[1]
+    assert held == [solve.SAFE_PIVOT_THRESH]
+    assert est.method == "power-iteration"
+    assert est.value == pytest.approx(np.linalg.cond(A.toarray()), rel=10 * rel + 1e-6)
 
 
 @pytest.mark.parametrize("A, message", [
