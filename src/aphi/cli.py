@@ -6,9 +6,10 @@ configuration error (or a system with no free unknowns, or a gauged method
 whose tree cannot span the static curl kernel), 3 singular matrix
 or inaccurate solve (solve.InaccurateSolveError) on a method listed as
 required, 4 I/O failure (an output path that cannot be written is
-refused before anything is computed).  Output files are byte-identical
-across runs at a fixed BLAS thread count; wall-clock columns are zero
-unless --timing is given.
+refused before anything is computed), 5 out of memory (a MemoryError,
+reported in one line naming the command).  Output files are
+byte-identical across runs at a fixed BLAS thread count; wall-clock
+columns are zero unless --timing is given.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_IO = 4
+EXIT_MEMORY = 5
 
 SWEEP_QUANTITIES = ("condition", "delta_D", "solve_residual")
 SOLVE_QUANTITIES = {"delta_D", "solve_residual"}
@@ -311,6 +313,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory in {args.command}: {exc or 'MemoryError'}",
+              file=sys.stderr)
+        return EXIT_MEMORY
 
 
 def _dispatch(args) -> int:

@@ -262,7 +262,9 @@ def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | 
     system is then computed on its double LU (see
     checked_solve_with_condition) and stored on the Solution, or on the
     InaccurateSolveError when the solve fails its residual check, so that
-    no caller factors the system again.
+    no caller factors the system again.  The curl LU is freed once the
+    solve returns, before gauge_residual forms the divergence matrix, and
+    freed heap goes back to the OS before each LU is built (glibc only).
 
     Propagates SingularMatrixError: expected for the original variant at
     low frequency, where the gradient probe usually proves it before any
@@ -279,6 +281,7 @@ def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | 
     fac = Factorization(A, curl_coordinates(built, method), mixed=not condition,
                         probe=probe)
     rep, est = checked_solve_with_condition(fac, b, condition)
+    del A, b, fac  # the LU is freed before gauge_residual builds D
     n_free = built.edge.n_free
     a_free = rep.x[:n_free]
     lam = rep.x[n_free:] if method == "lagrange" else None

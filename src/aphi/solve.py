@@ -6,7 +6,9 @@ two-sided max-equilibrated copy; residuals are always recomputed from the
 original operator.  Singularity is judged by kappa_1 * eps of the
 equilibrated matrix, ||A^-1||_1 estimated through the LU's own solves
 (Higham & Tisseur 2000).  Each LU is held once: SuperLU.L and .U, which
-scipy builds as copies cached on the factor, are never read.  Given a
+scipy builds as copies cached on the factor, are never read.  Freed heap
+goes back to the OS before each LU is built (malloc_trim, glibc only), and
+physics.run_two_step frees the curl LU before the gauge residual.  Given a
 vector g that A nearly annihilates (physics.gradient_probe for an original
 curl system), Factorization(..., probe=g) bounds the same kappa_1 from
 below right after equilibrating; a bound at or above KAPPA1_EPS_TOL / eps
@@ -65,6 +67,7 @@ threshold, and from there as above.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +86,20 @@ ND_LEAF = 64             # nested dissection stops at sets this small
 DENSE_SVD_LIMIT = 2000
 _POWER_MAX_ITERS = 200
 _POWER_RTOL = 1e-6
+
+
+try:  # glibc's, from the C library the process has loaded; None elsewhere
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _release_free_heap() -> None:
+    """Give the process's free heap back to the OS (malloc_trim(3)): glibc
+    keeps the heap that large frees leave, and it would sit under the LU."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 class SingularMatrixError(RuntimeError):
@@ -274,6 +291,7 @@ class Factorization:
         lu_input = sp.csc_matrix((np.ascontiguousarray(data, dtype=precision),
                                   scaled.indices, scaled.indptr), shape=scaled.shape)
         del scaled, data  # freed before the LU is built
+        _release_free_heap()
         self._dtype = lu_input.dtype
         self.pivot_thresh = pivot_thresh
         norm1 = spla.norm(lu_input, 1)
@@ -411,13 +429,15 @@ def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
     iteration instead of factoring A again; a single-precision one raises
     ValueError, since its inverse is good only to about kappa * eps_single.
     Without one, A is factored first (ordered by coords), so a singular A
-    costs no iterations."""
+    costs no iterations.  A 0 x 0 A raises ValueError, as in Factorization."""
     if fac is not None and fac.single:
         raise ValueError("condition estimate needs a double-precision factor")
     A = sp.csr_matrix(A, dtype=complex)
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise ValueError("condition estimate needs a square matrix")
+    if not n:
+        raise ValueError("the system has no free unknowns (0 x 0 matrix)")
     if n <= DENSE_SVD_LIMIT:
         s = np.linalg.svd(A.toarray(), compute_uv=False)
         return ConditionEstimate(value=float(s[0] / s[-1]) if s[-1] else np.inf,

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+# Tier-1 ("fast") draws the same examples on every run, so two runs factor
+# the same matrices; "explore" (--hypothesis-profile=explore) draws ten times
+# as many, from a fresh seed each run, and is where new cases are searched.
 settings.register_profile(
-    "fast", max_examples=25, deadline=None,
+    "fast", max_examples=25, deadline=None, derandomize=True,
+    suppress_health_check=(HealthCheck.too_slow,))
+settings.register_profile(
+    "explore", max_examples=250, deadline=None,
     suppress_health_check=(HealthCheck.too_slow,))
 settings.load_profile("fast")
 

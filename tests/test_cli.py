@@ -755,6 +755,32 @@ def test_sweep_without_free_unknowns_exit(tmp_path, capsys):
     assert "the system has no free unknowns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["original", "lagrange"])
+def test_condition_sweep_without_free_curl_unknowns_exit(method, tmp_path, capsys):
+    # no phi line: step one is singular, so the row's condition is estimated
+    # on the curl system alone, which a_zero all leaves 0 x 0
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("domain 0 1 0 1 0 1\nsubdivisions 1 1 1\n"
+                   "region 0 1 0 1 0 1 eps_r=1 sigma=0\na_zero all\n")
+    code = main(["sweep", "--config", str(cfg), "--freqs", "1", "--methods", method,
+                 "--quantities", "condition", "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "the system has no free unknowns (0 x 0 matrix)" in capsys.readouterr().err
+
+
+def test_memory_error_exit(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_convergence", exhausted)
+    code = main(["converge", "--config", MMS0, "--subdivs", "2,3", "--freq", "10",
+                 "--out", str(tmp_path / "conv.csv")])
+    assert code == cli.EXIT_MEMORY == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "out of memory in converge" in err
+
+
 def test_disconnected_gauge_graph_exit(monkeypatch, capsys):
     def disconnected(graph):
         raise UnsupportedTopologyError("gauge graph is disconnected")

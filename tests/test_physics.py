@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from aphi.physics import (METHODS, DerivedFields, ManufacturedCase,
                           run_two_step)
 from aphi.scenario import (RegionSpec, Scenario, academic_scenario, load_scenario,
                            mms_scenario)
-from aphi.solve import (KAPPA1_EPS_TOL, SINGLE_KAPPA1_EPS_TOL,
+from aphi.solve import (KAPPA1_EPS_TOL, SINGLE_KAPPA1_EPS_TOL, Factorization,
                         SingularMatrixError, _equilibrate, _probe_bound,
                         condition_estimate)
 from aphi.system import FrequencyPoint, StaticSingularityError
@@ -204,6 +205,38 @@ def test_gauge_residual_original_grows_at_low_frequency(academic_built):
     for f in (1e3, 1.0, 1e-3):
         deltas[f] = run_two_step(academic_built, f, "original").delta_D
     assert deltas[1e-3] > 1e2 * deltas[1.0] > 1e4 * deltas[1e3]
+
+
+@pytest.mark.parametrize("condition", [False, True])
+def test_curl_lu_freed_before_gauge_residual(condition, academic_built, monkeypatch):
+    made = []
+    init, residual = Factorization.__init__, physics.gauge_residual
+
+    def spy(self, *args, **kwargs):
+        made.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    def checked(*args):
+        # the curl Factorization is the last one made before the residual
+        assert len(made) == 2 and made[-1]() is None
+        return residual(*args)
+
+    monkeypatch.setattr(Factorization, "__init__", spy)
+    monkeypatch.setattr(physics, "gauge_residual", checked)
+    sol = run_two_step(academic_built, 1e3, "tree-cotree", condition=condition)
+    assert sol.delta_D >= 0.0 and len(made) == 2
+
+
+def test_two_step_bit_identical_without_heap_release(academic_built, monkeypatch):
+    def solve_all():
+        return [run_two_step(academic_built, 1e3, m) for m in METHODS]
+
+    released = solve_all()
+    monkeypatch.setattr(solve, "_malloc_trim", None)
+    for kept, sol in zip(solve_all(), released):
+        assert np.array_equal(kept.a, sol.a)
+        assert kept.delta_D == sol.delta_D
+        assert kept.curl_report.rel_residual == sol.curl_report.rel_residual
 
 
 def _pairwise_equivalence(built, f, tol=1e-8):

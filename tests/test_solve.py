@@ -1,4 +1,5 @@
 import gc
+import sys
 
 import numpy as np
 import pytest
@@ -334,6 +335,40 @@ def test_factorization_leaves_no_reference_cycle(rng):
         gc.enable()
 
 
+def test_free_heap_released_before_every_lu(rng, monkeypatch):
+    # glibc keeps the heap that large frees leave; each LU is built only
+    # after the scaled copies are freed and that heap is given back
+    events, built = [], []
+    factor, splu = Factorization._factor, spla.splu
+
+    def counted(self, precision, pivot_thresh):
+        events.append("factor")
+        return factor(self, precision, pivot_thresh)
+
+    def release():
+        caller = sys._getframe(1).f_locals
+        assert "lu_input" in caller and not {"scaled", "data"} & caller.keys()
+        events.append("release")
+
+    def spy(A, *args, **kwargs):
+        events.append("splu")
+        built.append((A.dtype, kwargs["diag_pivot_thresh"]))
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(Factorization, "_factor", counted)
+    monkeypatch.setattr(solve, "_release_free_heap", release)
+    monkeypatch.setattr(spla, "splu", spy)
+    A = _random_sparse(200, rng)
+    for matrix, mixed in ((A, True), (A.real, True), (A, False),
+                          (_chained_growth(14, 2e-3), False)):
+        Factorization(matrix, mixed=mixed)
+    assert events == ["factor", "release", "splu"] * len(built)
+    assert {dtype for dtype, _ in built} == {np.dtype(t) for t in (
+        np.float32, np.complex64, np.float64, np.complex128)}
+    assert {thresh for _, thresh in built} == {solve.DIAG_PIVOT_THRESH,
+                                               solve.SAFE_PIVOT_THRESH}
+
+
 class _FactorsUnread:
     """A SuperLU whose L and U fail the test when read: scipy builds a CSC
     copy of both factors on the first read and keeps it as long as the
@@ -494,6 +529,13 @@ def test_badly_row_scaled_system_still_solves():
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         sparse_lu_solve(sp.csr_matrix(np.ones((2, 3))), np.ones(2))
+
+
+def test_empty_system_rejected_by_solve_and_condition_estimate():
+    empty = sp.csr_matrix((0, 0))
+    for call in (lambda: Factorization(empty), lambda: condition_estimate(empty)):
+        with pytest.raises(ValueError, match=r"no free unknowns \(0 x 0 matrix\)"):
+            call()
 
 
 def test_condition_identity_and_diagonal():
