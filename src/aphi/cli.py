@@ -286,6 +286,12 @@ def _refuse_unwritable(path: str | None) -> None:
                       "missing or not writable")
 
 
+def _write_csv(path: str, command: str, header: str, rows: list[str]) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"# aphi {command} v1 columns: {header}\n{header}\n")
+        fh.write("\n".join(rows) + "\n")
+
+
 def _load(args) -> Scenario:
     scenario = load_scenario(args.config)
     if getattr(args, "subdivs", None):
@@ -337,10 +343,7 @@ def _dispatch(args) -> int:
         freqs = parse_frequencies(args.freqs)
         rows, singular = run_sweep(scenario, freqs, methods, quantities,
                                    timing=args.timing)
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(f"# aphi sweep v1 columns: {SWEEP_HEADER}\n")
-            fh.write(SWEEP_HEADER + "\n")
-            fh.write("\n".join(rows) + "\n")
+        _write_csv(args.out, "sweep", SWEEP_HEADER, rows)
         if required & singular:
             print(f"required method(s) singular: {sorted(required & singular)}",
                   file=sys.stderr)
@@ -352,10 +355,7 @@ def _dispatch(args) -> int:
         methods = _methods(args, scenario)
         subdivs = [int(t) for t in args.subdivs.split(",")]
         rows = run_convergence(scenario, subdivs, args.freq, methods)
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(f"# aphi converge v1 columns: {CONVERGE_HEADER}\n")
-            fh.write(CONVERGE_HEADER + "\n")
-            fh.write("\n".join(rows) + "\n")
+        _write_csv(args.out, "converge", CONVERGE_HEADER, rows)
         return EXIT_OK
 
     if args.command == "solve":

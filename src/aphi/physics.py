@@ -298,8 +298,8 @@ def checked_solve_with_condition(fac: Factorization, b: np.ndarray, condition: b
     """fac.checked_solve(b) and, with condition=True, the condition estimate
     of fac.A through the LU that fac holds once the solve has ended: the
     one whose solve passed, or the one whose residual gave the verdict, on
-    the InaccurateSolveError.  An LU at DIAG_PIVOT_THRESH that the solve
-    replaced by one at SAFE_PIVOT_THRESH never drives the estimate."""
+    the InaccurateSolveError.  An LU that the solve replaced by a higher
+    rung's (see solve._LADDER) never drives the estimate."""
     try:
         rep = fac.checked_solve(b)
     except InaccurateSolveError as exc:

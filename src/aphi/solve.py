@@ -25,45 +25,31 @@ real factor is checked exactly as a complex one.
 
 Every LU is ordered by geometric nested dissection of its unknowns'
 coordinates (edge midpoints, node positions; the index where a matrix has
-no geometry) and factored in that order with SuperLU at the static diagonal
-pivot threshold DIAG_PIVOT_THRESH = 1e-3, which keeps most of the fill of
-the dissection order also where the matrix is indefinite (the academic
-11^3 curl systems at 1e9 Hz fill 37% less than at 0.1).  The low
-threshold is guarded twice (static pivoting with refinement; Li & Demmel
-2003): by kappa_1 * eps, and by the residual, a solve whose relative
-residual exceeds RESIDUAL_TOL taking one step of iterative refinement.  A
-double LU at DIAG_PIVOT_THRESH that fails either check, or that SuperLU
-refuses, gives no verdict: the matrix is factored again in double at
-SAFE_PIVOT_THRESH = 0.1, and only that LU's refusal raises
-SingularMatrixError, or InaccurateSolveError, a SingularMatrixError, when
-its residual is still above RESIDUAL_TOL after the refinement step.  A
-small pivot that the static threshold admits can grow the factors enough
-to read a well-conditioned matrix as singular; the LU at 0.1 reads it as
-its dense kappa_1 does.
+no geometry) and factored in that order by SuperLU, climbing _LADDER
+until an LU is accepted: see the table for the rungs and how one hands
+over to the next.  The static diagonal pivot threshold DIAG_PIVOT_THRESH =
+1e-3 keeps most of the fill of the dissection order also where the matrix
+is indefinite (the academic 11^3 curl systems at 1e9 Hz fill 37% less than
+at 0.1).  It is guarded as static pivoting with refinement (Li & Demmel
+2003): a small pivot that it admits can grow the factors enough to read a
+well-conditioned matrix as singular, or leave a residual that refinement
+does not mend, and the LU at SAFE_PIVOT_THRESH = 0.1 reads such a matrix
+as its dense kappa_1 does.
 
-Mixed precision (Factorization(..., mixed=True); sparse_lu_solve and
-physics.run_two_step without a condition estimate): the LU is of a
-single-precision copy of the equilibrated, ordered matrix, at half the
-factor storage, and checked_solve refines its solution against the double
-matrix (Langou et al. 2006; Carson & Higham 2018).  In that copy every
-real and imaginary part below SINGLE_TINY = 2^-24, float32's unit
-roundoff against the row and column maxima of 1, is set to zero, with the
-stored pattern kept.  Without this, imaginary parts 1e-9 to 1e-17 below
-the real parts form subnormal products that made a complex64 LU up to 13x
-slower than the complex128 one.  The copy is complex64 when an imaginary
-part survives, else float32.  Each right-hand side is scaled by a power
-of two near its largest magnitude before the cast, exactly, so that small
-refinement residuals stay in float32's normal range.  A probe bound above
-SINGLE_KAPPA1_EPS_TOL / eps_single skips the single copy; a single factor
-serves only when its own kappa_1 * eps_single is at most
-SINGLE_KAPPA1_EPS_TOL; otherwise, or when SuperLU refuses the copy, the
-single LU is freed and the matrix is factored in double and judged as
-without mixed, so a single factor never decides a singular verdict.
-Refinement stops at a relative residual of REFINE_TOL or after
-MAX_REFINEMENTS steps; a residual still above RESIDUAL_TOL then falls back
-to the double LU and its checked solve.  A single LU is factored at
-DIAG_PIVOT_THRESH only; its refusal leads to the double LU at that
-threshold, and from there as above.
+The single-precision rung (mixed=True; sparse_lu_solve and
+physics.run_two_step without a condition estimate) factors a copy of the
+equilibrated, ordered matrix at half the factor storage, and checked_solve
+refines its solution against the double matrix (Langou et al. 2006;
+Carson & Higham 2018).  In that copy every real and imaginary part below
+SINGLE_TINY = 2^-24, float32's unit roundoff against the row and column
+maxima of 1, is set to zero, with the stored pattern kept.  Without this,
+imaginary parts 1e-9 to 1e-17 below the real parts form subnormal
+products that made a complex64 LU up to 13x slower than the complex128
+one.  The copy is complex64 when an imaginary part survives, else
+float32.  Each right-hand side is scaled by a power of two near its
+largest magnitude before the cast, exactly, so that small refinement
+residuals stay in float32's normal range.  A probe bound above
+SINGLE_KAPPA1_EPS_TOL / eps_single starts on the first double rung.
 """
 from __future__ import annotations
 
@@ -86,6 +72,23 @@ ND_LEAF = 64             # nested dissection stops at sets this small
 DENSE_SVD_LIMIT = 2000
 _POWER_MAX_ITERS = 200
 _POWER_RTOL = 1e-6
+
+# The ladder every LU climbs, one rung a row: (precision, diagonal pivot
+# threshold, refinement steps, refinement target).  An LU is accepted
+# unless SuperLU refuses it or its kappa_1 * eps reaches KAPPA1_EPS_TOL
+# (a single one: exceeds SINGLE_KAPPA1_EPS_TOL in eps_single); a refused
+# LU is freed and the next rung factored, and only the last rung's refusal
+# raises SingularMatrixError, so a single LU never decides a singular
+# verdict.  checked_solve refines with its rung's steps until the target;
+# a relative residual still above RESIDUAL_TOL moves to the next rung and
+# solves again, and on the last rung raises InaccurateSolveError.
+# Factorization starts on the single rung with mixed=True, else on the
+# first double one.
+_LADDER = (
+    (np.float32, DIAG_PIVOT_THRESH, MAX_REFINEMENTS, REFINE_TOL),
+    (np.float64, DIAG_PIVOT_THRESH, 1, RESIDUAL_TOL),
+    (np.float64, SAFE_PIVOT_THRESH, 1, RESIDUAL_TOL),
+)
 
 
 try:  # glibc's, from the C library the process has loaded; None elsewhere
@@ -215,19 +218,12 @@ class Factorization:
     ordering; see nested_dissection.  A matrix that is not square, or is
     0 x 0 (a system with no free unknowns), raises ValueError.
 
-    With mixed=True the LU is of a single-precision copy when that copy's
-    kappa_1 * eps_single is at most SINGLE_KAPPA1_EPS_TOL (see the module
-    docstring), and `single` is then True: checked_solve refines to double
-    accuracy, while solve and solve_adjoint are good only to about
-    kappa * eps_single.  Otherwise, and always without mixed, the LU is in
-    double.  Every LU is first factored at the diagonal pivot threshold
-    DIAG_PIVOT_THRESH = 1e-3; a double one that SuperLU refuses, whose
-    kappa_1 * eps is at or above KAPPA1_EPS_TOL, or whose checked_solve
-    residual stays above RESIDUAL_TOL is replaced by the LU at
-    SAFE_PIVOT_THRESH = 0.1, and only that LU's refusal raises
-    SingularMatrixError.  pivot_thresh is the threshold of the held LU.
-    probe, a vector that A nearly annihilates, is judged by the same
-    constants before any LU (see the module docstring).
+    The LU climbs _LADDER, from its single rung with mixed=True and else
+    from its first double one.  `single` and pivot_thresh describe the
+    held LU; on a single one checked_solve refines to double accuracy,
+    while solve and solve_adjoint are good only to about kappa *
+    eps_single.  probe, a vector that A nearly annihilates, is judged by
+    the same constants before any LU (see the module docstring).
 
     kappa1 is a lower-bound estimate of the held LU's kappa_1:
     onenormest with t=1 follows the largest entry of its iterate, and
@@ -256,28 +252,30 @@ class Factorization:
             mixed = mixed and bound * np.finfo(np.float32).eps <= SINGLE_KAPPA1_EPS_TOL
         self._perm = nested_dissection(A, coords)
         self._iperm = np.argsort(self._perm)
-        if not (mixed and self._factor(np.float32, DIAG_PIVOT_THRESH)):
-            self._factor_double()
+        self._factor_from(0 if mixed else 1)
 
     @property
     def single(self) -> bool:
         """The held LU is a float32 or complex64 one."""
         return np.finfo(self._dtype).bits == 32
 
-    def _factor_double(self) -> None:
-        """Factor in double at DIAG_PIVOT_THRESH and, when that LU is
-        refused, again at SAFE_PIVOT_THRESH, whose refusal raises."""
-        if not self._factor(np.float64, DIAG_PIVOT_THRESH):
-            self._factor(np.float64, SAFE_PIVOT_THRESH)
+    def _factor_from(self, rung: int) -> None:
+        """Free the held LU and factor from _LADDER[rung] upward until an
+        LU is accepted; only the last rung's refusal propagates."""
+        self._lu = None  # freed before the next LU is built
+        for self._rung in range(rung, len(_LADDER)):
+            try:
+                return self._factor(*_LADDER[self._rung][:2])
+            except SingularMatrixError:
+                if self._rung == len(_LADDER) - 1:
+                    raise
 
-    def _factor(self, precision: type, pivot_thresh: float) -> bool:
+    def _factor(self, precision: type, pivot_thresh: float) -> None:
         """Factor the equilibrated, ordered matrix with SuperLU at
         pivot_thresh, in the precision of np.float32 or np.float64, real
         when no imaginary part survives, and judge its kappa_1 * eps.  A
-        refused LU is freed and returns False, except a double one at
-        SAFE_PIVOT_THRESH, whose refusal raises SingularMatrixError."""
+        refused LU is freed and raises SingularMatrixError."""
         single = precision == np.float32
-        verdict = not single and pivot_thresh == SAFE_PIVOT_THRESH
         scaled = (sp.diags(1.0 / self.r) @ self.A @ sp.diags(1.0 / self.c)).tocsr()
         scaled = scaled[self._perm][:, self._perm].tocsc()
         data = scaled.data
@@ -299,9 +297,7 @@ class Factorization:
             self._lu = spla.splu(lu_input, permc_spec="NATURAL",
                                  diag_pivot_thresh=pivot_thresh)
         except RuntimeError as exc:  # exactly singular inside SuperLU
-            if verdict:
-                raise SingularMatrixError(str(exc)) from exc
-            return False
+            raise SingularMatrixError(str(exc)) from exc
         del lu_input  # not held beside the LU while its inverse is estimated
         # t=1 is deterministic; t >= 2 draws from numpy's global RNG
         dtype = float if self._dtype.kind == "f" else complex
@@ -309,14 +305,12 @@ class Factorization:
                                   rmatvec=lambda b: self._lu_solve(b, adjoint=True))
         self.kappa1 = float(norm1 * spla.onenormest(inv, t=1))
         eps_kappa = self.kappa1 * np.finfo(self._dtype).eps
-        if (eps_kappa <= SINGLE_KAPPA1_EPS_TOL if single
-                else eps_kappa < KAPPA1_EPS_TOL):  # False on nan
-            return True
+        tol = SINGLE_KAPPA1_EPS_TOL if single else KAPPA1_EPS_TOL
+        if eps_kappa <= tol if single else eps_kappa < tol:  # False on nan
+            return
         self._lu = None  # freed before the next LU is built
-        if verdict:
-            raise SingularMatrixError(f"numerically singular: kappa_1 * eps = "
-                                      f"{eps_kappa:.3e} >= {KAPPA1_EPS_TOL:g}")
-        return False
+        raise SingularMatrixError(f"numerically singular: kappa_1 * eps = {eps_kappa:.3e} "
+                                  f"{'>' if single else '>='} {tol:g}")
 
     def _lu_solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """The LU's solve with the scaled, permuted matrix or its adjoint.
@@ -344,32 +338,19 @@ class Factorization:
         return y[self._iperm] / self.r
 
     def checked_solve(self, b: np.ndarray) -> SolveReport:
-        """Solve A x = b with the residual recomputed from the original A.
-
-        On a double LU, a relative residual above RESIDUAL_TOL takes one
-        refinement step, x += solve(b - A x); if it is still above, the
-        matrix is factored again at SAFE_PIVOT_THRESH and solved the same
-        way, unless the LU already is at that threshold, and a residual
-        still above it raises InaccurateSolveError.  A single LU refines
-        until REFINE_TOL or MAX_REFINEMENTS steps; above RESIDUAL_TOL then,
-        the matrix is factored in double and solved as above."""
+        """Solve A x = b with the residual recomputed from the original A,
+        refined with the held rung's steps and target, climbing _LADDER
+        while the relative residual stays above RESIDUAL_TOL."""
         b = np.asarray(b, dtype=complex)
-        if self.single:
-            rep = self._refined_solve(b, MAX_REFINEMENTS, REFINE_TOL)
-            if rep.rel_residual <= RESIDUAL_TOL:
+        while True:
+            rep = self._refined_solve(b, *_LADDER[self._rung][2:])
+            if rep.rel_residual <= RESIDUAL_TOL:  # False on nan
                 return rep
-            self._lu = None  # freed before the double LU is built
-            self._factor_double()
-        rep = self._refined_solve(b, 1, RESIDUAL_TOL)
-        if self.pivot_thresh != SAFE_PIVOT_THRESH and not rep.rel_residual <= RESIDUAL_TOL:
-            self._lu = None  # freed before the LU at the safe threshold
-            self._factor(np.float64, SAFE_PIVOT_THRESH)
-            rep = self._refined_solve(b, 1, RESIDUAL_TOL)
-        if not rep.rel_residual <= RESIDUAL_TOL:  # also catches nan
-            raise InaccurateSolveError(
-                f"relative residual {rep.rel_residual:.3e} > {RESIDUAL_TOL:g} "
-                "after one refinement step")
-        return rep
+            if self._rung == len(_LADDER) - 1:
+                raise InaccurateSolveError(
+                    f"relative residual {rep.rel_residual:.3e} > {RESIDUAL_TOL:g} "
+                    "after one refinement step")
+            self._factor_from(self._rung + 1)
 
     def _refined_solve(self, b: np.ndarray, max_steps: int, tol: float) -> SolveReport:
         """x = solve(b), then x += solve(b - A x) until the relative

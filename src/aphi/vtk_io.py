@@ -82,11 +82,8 @@ def export_vtk(path, built: BuiltScenario, solution: Solution,
     same box and write them as point data."""
     if density < 1:
         raise ValueError("density must be >= 1")
-    if density == 1:
-        sample = built.mesh
-    else:
-        sample = build_box_mesh(built.mesh.extents,
-                                [density * n for n in built.mesh.subdivisions])
+    sample = build_box_mesh(built.mesh.extents,
+                            [density * n for n in built.mesh.subdivisions])
     flds = DerivedFields(built, solution, sample.nodes)
     point_data: dict[str, np.ndarray] = {}
     for name, attr in _FIELD_EVALUATORS:

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -971,3 +974,87 @@ def test_unknown_quantity_rejected(tmp_path):
     code = main(["sweep", "--config", ACADEMIC, "--freqs", "1",
                  "--quantities", "hcurl_error", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+_FACES = st.sampled_from(FACE_LABELS + ("all",))
+_SPAN = st.lists(st.sampled_from((0, 0.25, 0.5, 0.75, 1)), min_size=2, max_size=2,
+                 unique=True).map(sorted)
+
+
+@st.composite
+def _small_configs(draw):
+    """A random small scenario on the unit cube: 1-3 cells per axis, 1-3
+    regions (the first fills the box), random phi and a_zero faces, sigma
+    0-6e7, eps_r up to 1e4 and mu_r from 1e-3 to 1e3."""
+    lines = ["domain 0 1 0 1 0 1",
+             "subdivisions {} {} {}".format(*draw(st.tuples(*[st.integers(1, 3)] * 3)))]
+    for i in range(draw(st.integers(1, 3))):
+        spans = [(0, 1)] * 3 if i == 0 else [draw(_SPAN) for _ in range(3)]
+        sigma = draw(st.sampled_from((0.0, 1.0)) | st.floats(0, 6e7))
+        eps_r, mu_r = draw(st.floats(1, 1e4)), 10.0 ** draw(st.floats(-3, 3))
+        lines.append(f"region {' '.join(f'{lo} {hi}' for lo, hi in spans)} "
+                     f"eps_r={eps_r!r} sigma={sigma!r} mu_r={mu_r!r}")
+    for face in draw(st.lists(_FACES, max_size=3, unique=True)):
+        lines.append(f"phi {face} {draw(st.sampled_from((0, 1)))}")
+    faces = draw(st.lists(_FACES, max_size=3, unique=True))
+    if faces:
+        lines.append("a_zero " + " ".join(faces))
+    return "\n".join(lines) + "\n"
+
+
+def _numbers_finite(text, allowed=()):
+    """Every token of text that reads as a float is finite, or in allowed."""
+    for token in re.split(r"[\s=(),:|]+", text):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        assert np.isfinite(value) or token in allowed, (token, text)
+
+
+_FREQS = st.sampled_from((0.0, 1e-3, 1.0, 1e3, 1e6, 1e9)) | st.floats(0, 1e9)
+
+
+def _main_stdout(argv):
+    """main(argv)'s exit code and what it printed to stdout."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+@given(config=_small_configs(), freqs=st.lists(_FREQS, min_size=1, max_size=2,
+                                               unique=True),
+       method=st.sampled_from(METHODS))
+def test_command_line_contract_on_random_configs(config, freqs, method,
+                                                 tmp_path_factory):
+    # the README's contract of solve, sweep and check: a documented exit
+    # code, no escaping exception, finite numbers except `singular` cells
+    # and a singular row's infinite condition, and every solved row's
+    # residual within RESIDUAL_TOL
+    tmp = tmp_path_factory.mktemp("contract")
+    cfg, out = tmp / "random.cfg", tmp / "sweep.csv"
+    cfg.write_text(config)
+    code, stdout = _main_stdout(["solve", "--config", str(cfg), "--freq",
+                                 repr(freqs[0]), "--method", method])
+    assert code in (0, 2, 3)
+    _numbers_finite(stdout)
+    if code == 0:
+        resid = re.search(r"rel_residual = (\S+)", stdout).group(1)
+        assert float(resid) <= solve.RESIDUAL_TOL
+    code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--freqs", ",".join(repr(f) for f in freqs),
+                 "--methods", ",".join(METHODS)])
+    assert code in (0, 2)
+    if code == 0:
+        header, rows = _read_rows(out)
+        cond, delta, resid = (header.index(c) for c in
+                              ("cond_estimate", "delta_D", "rel_residual"))
+        for row in rows:
+            singular = row[delta] == row[resid] == "singular"
+            assert singular or row[delta] != "singular" != row[resid], row
+            _numbers_finite(row[cond], ("inf",) if singular else ())
+            _numbers_finite(",".join(row[:cond] + row[cond + 1:]))
+            assert singular or float(row[resid]) <= solve.RESIDUAL_TOL, row
+    code, stdout = _main_stdout(["check", "--config", str(cfg)])
+    assert code in (0, 1, 2)
+    _numbers_finite(stdout)

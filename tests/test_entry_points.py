@@ -1,5 +1,6 @@
-"""Smoke tests of the entry points a user runs: `python -m aphi` and the
-study scripts, each in its own interpreter from a plain checkout."""
+"""Smoke tests of the entry points a user runs: `python -m aphi`, the
+study scripts and the line count, each in its own interpreter from a plain
+checkout."""
 import os
 import subprocess
 import sys
@@ -44,3 +45,16 @@ def test_convergence_script_writes_one_csv_per_regime(tmp_path):
     for name in ("convergence_sigma0_f1e6.csv", "convergence_sigma0_f10.csv",
                  "convergence_sigma6e7_f10.csv"):
         assert _columns(tmp_path / name) == CONVERGE_HEADER
+
+
+def test_line_count_script_totals_every_module():
+    proc = _run("scripts/count_src_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    *modules, total = (line.split() for line in proc.stdout.splitlines()[1:])
+    assert sorted(m[0] for m in modules) == sorted(
+        p.name for p in (ROOT / "src" / "aphi").glob("*.py"))
+    assert total[0] == "total"
+    for col in (1, 2):
+        assert int(total[col]) == sum(int(m[col]) for m in modules)
+    # code lines are raw lines less blank, comment and docstring lines
+    assert all(0 < int(code) < int(raw) for _, raw, code in modules)

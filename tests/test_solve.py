@@ -298,6 +298,54 @@ def test_singular_matrix_raises_after_both_thresholds(A, message, splu_threshold
     assert splu_thresholds == [solve.DIAG_PIVOT_THRESH, solve.SAFE_PIVOT_THRESH]
 
 
+# (float bits, diagonal pivot threshold) of each rung, bottom to top
+_RUNGS = [(32, solve.DIAG_PIVOT_THRESH), (64, solve.DIAG_PIVOT_THRESH),
+          (64, solve.SAFE_PIVOT_THRESH)]
+
+
+@pytest.mark.parametrize("mixed", [True, False], ids=["mixed", "double"])
+@pytest.mark.parametrize("matrix, rel", [
+    (lambda: _random_sparse(100, np.random.default_rng(0)), 0.0),
+    (lambda: _random_sparse(100, np.random.default_rng(0)), 1e-7),
+    (lambda: _random_sparse(100, np.random.default_rng(0)), 1e-3),
+    (lambda: _random_sparse(100, np.random.default_rng(0)), 1e-2),
+    (lambda: _chained_growth(14, 2e-3), 0.0),
+    (lambda: _chained_growth(11, 2e-3), 0.0),
+    (lambda: _bidiagonal(200, -1.05), 0.0),
+    (lambda: _bidiagonal(200, -1.5), 0.0),
+    (lambda: sp.csr_matrix(np.ones((3, 3))), 0.0),
+], ids=["random", "random-perturbed-1e-7", "random-perturbed-1e-3",
+        "random-perturbed-1e-2", "growth-14", "growth-11", "bidiagonal-1.05",
+        "bidiagonal-1.5", "ones"])
+def test_every_lu_climbs_the_ladder_one_rung_at_a_time(matrix, rel, mixed,
+                                                       monkeypatch):
+    # every LU, whether refused by SuperLU, by kappa_1 * eps or by the
+    # residual, is followed by the next rung's; only the last one raises.
+    # With rel, every LU is of (1 + rel) times SuperLU's input, as in
+    # _perturbed_factorization.
+    assert [(np.finfo(p).bits, t) for p, t, *_ in solve._LADDER] == _RUNGS
+    splu, calls = spla.splu, []
+
+    def spy(M, *args, **kwargs):
+        calls.append((np.finfo(M.dtype).bits, kwargs["diag_pivot_thresh"]))
+        return splu((1.0 + rel) * M, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    A = matrix()
+    b = np.random.default_rng(1).standard_normal(A.shape[0]) + 0j
+    fac, raised = None, False
+    try:
+        fac = Factorization(A, mixed=mixed)
+        fac.checked_solve(b)
+    except SingularMatrixError:  # InaccurateSolveError among them
+        raised = True
+    start = 0 if mixed else 1
+    assert calls == _RUNGS[start:start + len(calls)] and calls
+    assert not raised or calls[-1] == _RUNGS[-1]
+    if fac is not None:
+        assert (32 if fac.single else 64, fac.pivot_thresh) == calls[-1]
+
+
 def test_lagrange_fill_at_1e9_hz():
     # SuperLU's storage count of the indefinite Lagrange system, read
     # without building the L and U copies: 2 844 111 at threshold 0.1
