@@ -57,16 +57,17 @@ class ManufacturedCase:
     The prescribed vector potential is divergence-free, has zero tangential
     trace on the boundary, and satisfies curl(curl A) = 3A; the scalar
     potential vanishes on the boundary.  Uniform materials keep the complex
-    conductivity constant so the implicit divergence gauge holds exactly.
-    Each field is stated once, as one tuple per component of terms (coef,
-    fx, fy, fz), each coef * fx(x) * fy(y) * fz(z), read at points and by
+    conductivity constant so the implicit divergence gauge holds exactly;
+    sigma is the only setting, and eps and nu are the vacuum's.  Each
+    field is stated once, as one tuple per component of terms (coef, fx,
+    fy, fz), each coef * fx(x) * fy(y) * fz(z), read at points and by
     assembly's per-axis sums.
     """
 
     sigma: float = 0.0
-    eps: float = epsilon_0
-    nu: float = 1.0 / mu_0
 
+    eps = epsilon_0
+    nu = 1.0 / mu_0
     domain = ((np.pi / 2, 3 * np.pi / 2),) * 3
     phi_terms = ((1.0, cos, cos, cos),)
     A_terms = (((1.0, sin, cos, cos),), ((-2.0, cos, sin, cos),), ((1.0, cos, cos, sin),))
@@ -100,27 +101,14 @@ class ManufacturedCase:
     def J_s(self, points: np.ndarray, omega: float) -> np.ndarray:
         return self._current(omega, self.A(points), self.grad_phi(points))
 
-    def _charge(self, omega: float, phi: np.ndarray) -> np.ndarray:
-        """rho_s from phi, at points or moments."""
-        if self.sigma == 0.0:
-            return 3.0 * self.eps * phi
-        if omega == 0.0:
-            raise ValueError("charge density undefined at omega = 0 for sigma > 0; "
-                             "run the static check without the manufactured charge")
-        return 3.0 * self.kappa(omega) * phi / (1j * omega)
-
-    def rho_s(self, points: np.ndarray, omega: float) -> np.ndarray:
-        return self._charge(omega, self.phi(points))
-
     def eqs_rhs(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        """i*omega*q_s over all nodes (the scalar system's conductor rows),
-        from the finite 3*kappa*phi, so it stays finite as omega -> 0."""
-        return 3.0 * self.kappa(omega) * assemble_charge_vector(scalar, self.phi_terms)
-
-    def charge_vector(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        """q_s over all nodes (the scalar system's air rows); raises where
-        rho_s is undefined, so it is not called without air rows."""
-        return self._charge(omega, assemble_charge_vector(scalar, self.phi_terms))
+        """The right-hand side of every scaled scalar row, over all nodes:
+        3*w*phi against each nodal function, with w = kappa(omega) in a
+        conductor (i*omega*q_s) and w = eps in air (q_s).  The case's
+        materials are uniform, so all rows are of one kind, and w stays
+        finite as omega -> 0."""
+        w = self.kappa(omega) if self.sigma > 0 else self.eps
+        return 3.0 * w * assemble_charge_vector(scalar, self.phi_terms)
 
     def current_vector(self, edge: EdgeSpace, omega: float) -> np.ndarray:
         """j_s over all edges."""

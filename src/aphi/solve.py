@@ -212,11 +212,25 @@ def _touching(rows: np.ndarray, other: np.ndarray, G: sp.csr_matrix,
     return hit
 
 
+def _checked_system(A: sp.spmatrix) -> sp.csr_matrix:
+    """A as complex CSR; raises ValueError unless it is square, at least
+    1 x 1 and finite."""
+    A = sp.csr_matrix(A, dtype=complex)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"matrix must be square, got {A.shape}")
+    if not A.shape[0]:
+        raise ValueError("the system has no free unknowns (0 x 0 matrix)")
+    if not np.isfinite(A.data).all():
+        raise ValueError("the matrix has non-finite entries")
+    return A
+
+
 class Factorization:
     """Equilibrated sparse LU in nested-dissection order, reusable for
     repeated right-hand sides.  coords (one row per unknown) drive the
-    ordering; see nested_dissection.  A matrix that is not square, or is
-    0 x 0 (a system with no free unknowns), raises ValueError.
+    ordering; see nested_dissection.  A matrix that is not square, is
+    0 x 0 (a system with no free unknowns) or has a non-finite entry
+    raises ValueError.
 
     The LU climbs _LADDER, from its single rung with mixed=True and else
     from its first double one.  `single` and pivot_thresh describe the
@@ -232,14 +246,7 @@ class Factorization:
 
     def __init__(self, A: sp.spmatrix, coords: np.ndarray | None = None,
                  mixed: bool = False, probe: np.ndarray | None = None):
-        A = sp.csr_matrix(A, dtype=complex)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"matrix must be square, got {A.shape}")
-        if not A.shape[0]:
-            raise ValueError("the system has no free unknowns (0 x 0 matrix)")
-        if not np.isfinite(A.data).all():
-            raise ValueError("the matrix has non-finite entries")
-        self.A = A
+        self.A = A = _checked_system(A)
         self.r, self.c = _equilibrate(A)
         if probe is not None:
             bound = _probe_bound(A, self.r, self.c, probe)
@@ -303,7 +310,10 @@ class Factorization:
         dtype = float if self._dtype.kind == "f" else complex
         inv = spla.LinearOperator(self.A.shape, matvec=self._lu_solve, dtype=dtype,
                                   rmatvec=lambda b: self._lu_solve(b, adjoint=True))
-        self.kappa1 = float(norm1 * spla.onenormest(inv, t=1))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # parts near the underflow limit make onenormest warn; a nan
+            # kappa1 fails the test below
+            self.kappa1 = float(norm1 * spla.onenormest(inv, t=1))
         eps_kappa = self.kappa1 * np.finfo(self._dtype).eps
         tol = SINGLE_KAPPA1_EPS_TOL if single else KAPPA1_EPS_TOL
         if eps_kappa <= tol if single else eps_kappa < tol:  # False on nan
@@ -410,15 +420,12 @@ def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
     iteration instead of factoring A again; a single-precision one raises
     ValueError, since its inverse is good only to about kappa * eps_single.
     Without one, A is factored first (ordered by coords), so a singular A
-    costs no iterations.  A 0 x 0 A raises ValueError, as in Factorization."""
+    costs no iterations.  A matrix that Factorization refuses as input (not
+    square, 0 x 0 or non-finite) raises its ValueError here too."""
     if fac is not None and fac.single:
         raise ValueError("condition estimate needs a double-precision factor")
-    A = sp.csr_matrix(A, dtype=complex)
+    A = _checked_system(A)
     n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("condition estimate needs a square matrix")
-    if not n:
-        raise ValueError("the system has no free unknowns (0 x 0 matrix)")
     if n <= DENSE_SVD_LIMIT:
         s = np.linalg.svd(A.toarray(), compute_uv=False)
         return ConditionEstimate(value=float(s[0] / s[-1]) if s[-1] else np.inf,

@@ -34,13 +34,17 @@ class StaticSingularityError(SingularMatrixError):
 
 @dataclass(frozen=True)
 class FrequencyPoint:
-    """Ordinary frequency in Hz with the derived angular frequency."""
+    """Ordinary frequency in Hz with the derived angular frequency, whose
+    square (in the curl matrix) must not overflow."""
 
     f: float
 
     def __post_init__(self):
         if not (np.isfinite(self.f) and self.f >= 0):
             raise ValueError(f"frequency must be finite and >= 0, got {self.f}")
+        if self.omega > np.sqrt(np.finfo(float).max):
+            raise ValueError(f"frequency {self.f:g} Hz is too high: omega^2 "
+                             "overflows a double")
 
     @property
     def omega(self) -> float:
@@ -79,8 +83,9 @@ def build_eqs_system(bundle: MatrixBundle, omega: float) -> tuple[sp.csr_matrix,
     matrix therefore stays regular as omega -> 0 (given no floating
     conductor), where it is the block lower-triangular static limit:
     stationary current flow in the conductors, electrostatics in air.  The
-    Dirichlet lift goes to the right-hand side.  Without a Dirichlet node
-    the constants lie in the kernel at every frequency, which raises
+    source's eqs_rhs gives the right-hand side of every scaled row, and
+    the Dirichlet lift goes to the right-hand side.  Without a Dirichlet
+    node the constants lie in the kernel at every frequency, which raises
     SingularMatrixError.
     """
     scal = bundle.scalar
@@ -89,19 +94,12 @@ def build_eqs_system(bundle: MatrixBundle, omega: float) -> tuple[sp.csr_matrix,
             "no scalar Dirichlet node (phi line): constant potentials make "
             "the scalar-potential system singular")
     cond = bundle.material.tags.conductor_nodes
-    K = _region_rows(cond, bundle.K_kappa(omega), bundle.K_eps)
+    K = _region_rows(cond, bundle.K_kappa(omega), bundle.K_eps)[scal.free]
     rhs = np.zeros(scal.n_free, dtype=complex)
-    source = bundle.source
-    if source is not None:
-        # each source is evaluated only where its rows exist: the charge
-        # density of a conductor may be undefined at omega = 0
-        in_cond = cond[scal.free]
-        if in_cond.any():
-            rhs[in_cond] = source.eqs_rhs(scal, omega)[scal.free[in_cond]]
-        if not in_cond.all():
-            rhs[~in_cond] = source.charge_vector(scal, omega)[scal.free[~in_cond]]
-    rhs = rhs - K[scal.free][:, scal.constrained] @ scal.values
-    return K[scal.free][:, scal.free].tocsr(), rhs
+    if bundle.source is not None:
+        rhs[:] = bundle.source.eqs_rhs(scal, omega)[scal.free]
+    rhs = rhs - K[:, scal.constrained] @ scal.values
+    return K[:, scal.free].tocsr(), rhs
 
 
 def build_eqs_static_limit(bundle: MatrixBundle) -> tuple[sp.csr_matrix, np.ndarray]:

@@ -160,6 +160,37 @@ def test_non_finite_frequency_rejected_before_building(tmp_path, monkeypatch,
     assert built == [] and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", ACADEMIC, "--method", "tree-cotree", "--freq", "{f}"],
+    ["converge", "--config", MMS0, "--subdivs", "2,3", "--freq", "{f}",
+     "--out", "{out}"],
+    ["sweep", "--config", ACADEMIC, "--freqs", "0,{f}", "--out", "{out}"],
+])
+def test_frequency_whose_omega_squared_overflows_rejected(tmp_path, argv, capsys):
+    # omega^2 would overflow to inf in the curl matrix
+    out = tmp_path / "out.csv"
+    assert main([a.format(f="1e160", out=out) for a in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "1e+160 Hz" in err[0]
+    assert not out.exists()
+
+
+def test_onenormest_warnings_on_vanishing_conductivity_stay_inside(tmp_path):
+    # parts near 1e-306 of the equilibrated matrix make scipy's onenormest
+    # warn; the row still ends as in a run that ignores warnings
+    cfg = tmp_path / "tiny_sigma.cfg"
+    cfg.write_text("domain 0 1 0 1 0 1\nsubdivisions 1 1 1\n"
+                   "region 0 1 0 1 0 1 eps_r=19 sigma=1e-300 mu_r=1\n"
+                   "phi xmin 0\na_zero xmin ymin zmin\n")
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(cfg), "--freqs", "1",
+                     "--methods", "tree-cotree", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2] == \
+        "1,tree-cotree,5.37116456441e+14,dense-svd,0,0,3,0"
+
+
 def test_run_convergence_rejects_non_finite_frequency(monkeypatch):
     built = []
     monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))

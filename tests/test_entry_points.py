@@ -1,6 +1,6 @@
 """Smoke tests of the entry points a user runs: `python -m aphi`, the
-study scripts and the line count, each in its own interpreter from a plain
-checkout."""
+study scripts, the line count and the output digests, each in its own
+interpreter from a plain checkout."""
 import os
 import subprocess
 import sys
@@ -58,3 +58,14 @@ def test_line_count_script_totals_every_module():
         assert int(total[col]) == sum(int(m[col]) for m in modules)
     # code lines are raw lines less blank, comment and docstring lines
     assert all(0 < int(code) < int(raw) for _, raw, code in modules)
+
+
+def test_output_digests_script_quick_prints_one_line_per_output():
+    proc = _run("scripts/output_digests.py", "--quick")
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [(w, f) for w, f, _ in lines] == [
+        ("sweep-academic", "sweep.csv"), ("converge-mms", "mms_sigma0.csv"),
+        ("converge-mms", "mms_sigma6e7.csv"), ("export-academic", "fields.vtk")]
+    assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+               for *_, digest in lines)

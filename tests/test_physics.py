@@ -90,13 +90,11 @@ def test_source_consistency_identity(case, rng):
         assert abs(complex(div_parts[0], div_parts[1])) < 1e-6 * scale
 
 
-def test_rho_s_undefined_at_static_with_conduction(case):
-    conducting = ManufacturedCase(sigma=6e7)
-    pts = np.array([[np.pi, np.pi, np.pi]])
-    with pytest.raises(ValueError):
-        conducting.rho_s(pts, 0.0)
-    # sigma = 0 stays defined at omega = 0
-    assert np.isfinite(case.rho_s(pts, 0.0)).all()
+def test_laplacian_of_phi_is_three_phi(case, rng):
+    # -div(grad phi) = 3 phi: the factor 3 of eqs_rhs's 3*w*phi
+    for p in _random_points(rng, 5):
+        lap = fd_divergence(lambda x: case.grad_phi(x[None, :])[0], p)
+        assert abs(-lap - 3.0 * case.phi(p[None, :])[0]) < 1e-6
 
 
 def test_hcurl_norm_analytic_vs_quadrature_oracle(case):
@@ -134,20 +132,18 @@ def test_hcurl_error_matches_einsum_oracle(size, rng):
     assert abs(hcurl_error(built, a, built.mms) - ref) <= 1e-14 * ref
 
 
-@pytest.mark.parametrize("config,scalar", [("mms_sigma0.cfg", "charge_vector"),
-                                           ("mms_sigma6e7.cfg", "eqs_rhs")])
+@pytest.mark.parametrize("config", ["mms_sigma0.cfg", "mms_sigma6e7.cfg"])
 @pytest.mark.parametrize("size", [2, 3])
-def test_source_vectors_match_order_10_oracle(config, scalar, size):
+def test_source_vectors_match_order_10_oracle(config, size):
     # the manufactured sources integrate to rounding at the assembly's
     # order: order 10 changes no moment beyond it
     built = load_scenario(CONFIG_DIR / config).with_subdivisions((size,) * 3).build()
-    # step one uses eqs_rhs = i*omega*q_s on conductor rows, q_s on air rows
-    assert built.material.tags.conductor_cells.any() == (scalar == "eqs_rhs")
     omega, case, source = FrequencyPoint(10.0).omega, built.mms, built.bundle.source
-    scale = 1j * omega if scalar == "eqs_rhs" else 1.0
-    for got, ref in ((getattr(source, scalar)(built.scalar, omega),
-                      scale * source_moments(built.mesh, lambda p: case.rho_s(p, omega),
-                                             "scalar", order=10)),
+    # step one's rows carry 3*w*phi: w = kappa in a conductor, eps in air
+    w = case.kappa(omega) if built.material.tags.conductor_cells.any() else case.eps
+    for got, ref in ((source.eqs_rhs(built.scalar, omega),
+                      source_moments(built.mesh, lambda p: 3.0 * w * case.phi(p),
+                                     "scalar", order=10)),
                      (source.current_vector(built.edge, omega),
                       source_moments(built.mesh, lambda p: case.J_s(p, omega), "edge",
                                      order=10))):

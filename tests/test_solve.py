@@ -586,6 +586,22 @@ def test_empty_system_rejected_by_solve_and_condition_estimate():
             call()
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_condition_estimate_refuses_non_finite_entries(bad):
+    # the dense branch would return nan for inf, and numpy would fail its
+    # SVD on nan
+    A = sp.csr_matrix(np.array([[1.0, bad], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite entries"):
+        condition_estimate(A)
+
+
+def test_condition_estimate_refuses_non_square_as_factorization_does():
+    A = sp.csr_matrix(np.ones((2, 3)))
+    for call in (lambda: Factorization(A), lambda: condition_estimate(A)):
+        with pytest.raises(ValueError, match=r"matrix must be square, got \(2, 3\)"):
+            call()
+
+
 def test_condition_identity_and_diagonal():
     assert condition_estimate(sp.eye(4, format="csr")).value == pytest.approx(1.0)
     est = condition_estimate(sp.diags([1.0, 10.0]).tocsr())
