@@ -325,13 +325,17 @@ def hcurl_error(built: BuiltScenario, a_full: np.ndarray,
 
 # eps and sigma are each point's cell values, as (n, 1) columns.
 _PointBase = namedtuple("_PointBase", "grad_phi A B eps sigma")
+# points per basis evaluation: the (q, 12, 3) bases of a block are the
+# pass's largest temporaries, so its memory does not grow with the sample
+_FIELD_BLOCK = 2048
 
 
 class DerivedFields:
     """The physical fields of a solution at one batch of points.
 
-    The first evaluator call locates the points and evaluates both bases
-    once, keeping a read-only _PointBase.  E = -grad phi - i*omega*A, and D
+    The first evaluator call locates all the points at once, then evaluates
+    both bases and the potentials block by block, _FIELD_BLOCK points at a
+    time, into a read-only _PointBase.  E = -grad phi - i*omega*A, and D
     and J split into an electroquasistatic part from grad phi and a
     full-Maxwell part from i*omega*A; the totals add the impressed source
     current where one is defined.
@@ -350,14 +354,21 @@ class DerivedFields:
     @cached_property
     def _base(self) -> _PointBase:
         mesh = self.built.mesh
+        u, a = self.solution.u, self.solution.a
         cells, ref = mesh.locate_points(self.points)
-        _, grads = physical_scalar_basis(mesh.spacing, ref)
-        W, C = physical_edge_basis(mesh.spacing, ref)
-        coeff = self.solution.a[mesh.cell_edges[cells]]
+        grad_phi = np.empty((cells.size, 3), np.result_type(u, np.float64))
+        A = np.empty((cells.size, 3), np.result_type(a, np.float64))
+        B = np.empty_like(A)
+        for s in range(0, cells.size, _FIELD_BLOCK):
+            blk = slice(s, s + _FIELD_BLOCK)
+            _, grads = physical_scalar_basis(mesh.spacing, ref[blk])
+            W, C = physical_edge_basis(mesh.spacing, ref[blk])
+            coeff = a[mesh.cell_edges[cells[blk]]]
+            grad_phi[blk] = np.einsum("ql,qld->qd", u[mesh.cells[cells[blk]]], grads)
+            A[blk] = np.einsum("ql,qld->qd", coeff, W)
+            B[blk] = np.einsum("ql,qld->qd", coeff, C)
         base = _PointBase(
-            grad_phi=np.einsum("ql,qld->qd", self.solution.u[mesh.cells[cells]], grads),
-            A=np.einsum("ql,qld->qd", coeff, W),
-            B=np.einsum("ql,qld->qd", coeff, C),
+            grad_phi=grad_phi, A=A, B=B,
             eps=self.built.material.eps[cells][:, None],
             sigma=self.built.material.sigma[cells][:, None])
         for arr in base:

@@ -38,6 +38,19 @@ def test_stability_script_writes_sweep_csv(tmp_path):
     assert _columns(tmp_path / "academic_stability.csv") == SWEEP_HEADER
 
 
+def test_stability_script_sweeps_the_given_mesh(tmp_path):
+    proc = _run("scripts/run_stability_study.py", "--outdir", str(tmp_path),
+                "--subdivs", "5,5,5")
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "academic_stability.csv").read_text().splitlines()[2:]
+    n_dofs = {}
+    for row in rows:
+        _, method, *_, dofs, _ = row.split(",")
+        n_dofs.setdefault(method, set()).add(int(dofs))
+    # the free edges of 5^3, plus one multiplier per gauge node for lagrange
+    assert n_dofs == {"original": {240}, "tree-cotree": {240}, "lagrange": {304}}
+
+
 def test_convergence_script_writes_one_csv_per_regime(tmp_path):
     proc = _run("scripts/run_convergence_study.py", "--outdir", str(tmp_path),
                 "--subdivs", "2,3")

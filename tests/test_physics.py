@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -23,7 +24,7 @@ from aphi.solve import (KAPPA1_EPS_TOL, SINGLE_KAPPA1_EPS_TOL, Factorization,
 from aphi.system import FrequencyPoint, StaticSingularityError
 from oracles import (cell_centre_fields, edge_interpolate, fd_curl_curl,
                      fd_divergence, fd_gradient, source_moments,
-                     volume_quadrature)
+                     volume_quadrature, whole_batch_fields)
 from oracles import hcurl_error as einsum_hcurl_error
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -359,6 +360,52 @@ def test_derived_fields_base_arrays_read_only(academic_built):
     base = flds._base
     assert not base.eps.flags.writeable and not base.sigma.flags.writeable
     assert flds.E().flags.writeable  # a combination is a fresh array
+
+
+@pytest.fixture(scope="module")
+def conducting_10hz():
+    # J_source, J_e and J_m are all nonzero here
+    built = load_scenario(CONFIG_DIR / "mms_sigma6e7.cfg").with_subdivisions((3, 3, 3)).build()
+    return built, run_two_step(built, 10.0, "tree-cotree")
+
+
+def _uniform_points(built, n, seed):
+    lo, hi = np.array(built.mesh.extents).T
+    return lo + (hi - lo) * np.random.default_rng(seed).uniform(size=(n, 3))
+
+
+def test_derived_fields_blocks_equal_one_batch(conducting_10hz):
+    # two full blocks and one point, against the bases of all points at once
+    built, sol = conducting_10hz
+    pts = _uniform_points(built, 2 * physics._FIELD_BLOCK + 1, 8)
+    want = whole_batch_fields(built, sol, pts)
+    assert len(want) == 11
+    for name in ("J_source", "J_e", "J_m"):
+        assert np.abs(want[name]).max() > 0, name
+    flds = DerivedFields(built, sol, pts)
+    for name, ref in want.items():
+        assert np.array_equal(getattr(flds, name)(), ref), name
+
+
+def test_derived_fields_temporaries_set_by_one_block(conducting_10hz):
+    # the traced peak of _base beyond its outputs: eight blocks of points
+    # stay within twice one block's, where evaluating all the points in
+    # one batch takes eight times as much
+    built, sol = conducting_10hz
+
+    def excess(n):
+        flds = DerivedFields(built, sol, _uniform_points(built, n, 9))
+        tracemalloc.start()
+        try:
+            base = flds._base
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(arr.nbytes for arr in base)
+
+    one = excess(physics._FIELD_BLOCK)
+    assert one > 0
+    assert excess(8 * physics._FIELD_BLOCK) <= 2 * one
 
 
 def test_derived_B_converges_to_analytic_curl(case, rng):

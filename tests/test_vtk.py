@@ -153,11 +153,13 @@ def test_field_export_lengths_and_names(tmp_path, academic_built):
 
 def test_export_locates_and_evaluates_each_basis_once(tmp_path, academic_built,
                                                      monkeypatch):
-    calls = {"locate": 0, "scalar": 0, "edge": 0}
+    # one locate for the whole sample; each basis evaluated once per point,
+    # in blocks of at most physics._FIELD_BLOCK points
+    calls = {"locate": [], "scalar": [], "edge": []}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            calls[key].append(len(args[1]))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -167,8 +169,17 @@ def test_export_locates_and_evaluates_each_basis_once(tmp_path, academic_built,
     monkeypatch.setattr(physics, "physical_edge_basis",
                         counted("edge", physics.physical_edge_basis))
     sol = run_two_step(academic_built, 100.0, "tree-cotree")
-    export_vtk(tmp_path / "f.vtk", academic_built, sol, density=2)
-    assert calls == {"locate": 1, "scalar": 1, "edge": 1}
+    for density in (2, 4):
+        for counts in calls.values():
+            counts.clear()
+        export_vtk(tmp_path / "f.vtk", academic_built, sol, density=density)
+        n = (density * 3 + 1) ** 3  # 343, then 2197 sample nodes
+        assert calls["locate"] == [n]
+        assert len(calls["scalar"]) == -(-n // physics._FIELD_BLOCK)
+        assert sum(calls["scalar"]) == n
+        assert max(calls["scalar"]) <= physics._FIELD_BLOCK
+        assert calls["edge"] == calls["scalar"]
+    assert n > physics._FIELD_BLOCK  # the second sample spans two blocks
 
 
 def test_density_refines_sampling_grid(tmp_path, academic_built):
