@@ -2,13 +2,13 @@
 
 All cells of a box mesh share one geometry, so assemble_bundle computes
 the four unit-weight element matrices once and scatters all seven weighted
-matrices of the bundle from them with per-cell material weights;
-assemble_mass is the one single-matrix assembler, for any weight (a complex
-one included).  Only the nonzero element entries of the cells with nonzero
-weight are scattered: the edge functions of perpendicular edges of a box
-cell are orthogonal, so two thirds of the edge-mass entries are exact zeros,
-and sigma vanishes outside the conductors, so the sigma-weighted matrices
-are conductor-supported.  Every returned matrix is canonical CSR, and the
+matrices of the bundle from them with per-cell material weights (the weak
+divergences are read off the gradient couplings, D = -G^T).  Only the
+nonzero element entries of the cells with nonzero weight are scattered:
+the edge functions of perpendicular edges of a box cell are orthogonal, so
+two thirds of the edge-mass entries are exact zeros, and sigma vanishes
+outside the conductors, so the sigma-weighted matrices are
+conductor-supported.  Every returned matrix is canonical CSR, and the
 scatter order is fixed (cell-major), so repeated runs produce identical
 arrays.
 
@@ -176,12 +176,17 @@ class MatrixBundle:
     """All frequency-independent matrices of one scenario, full entity size.
 
     Each holds only the nonzero element entries of the cells with nonzero
-    weight, so K_sigma, G_sigma, M_sigma and D_sigma have entries only on
-    the nodes and edges of conductor cells (none without a conductor).
-    Frequency-dependent systems are scalar combinations of these; free-DOF
-    restriction and Dirichlet lifts happen when the per-frequency systems
-    are formed, with their right-hand sides from source.  The bundle is
-    the one owner of the manufactured case; its spaces own the mesh.
+    weight, so K_sigma, G_sigma and M_sigma have entries only on the nodes
+    and edges of conductor cells (none without a conductor).  Each operator
+    is stored once: the weak weighted divergences D = -G^T are read off
+    the couplings.  Lowest-order edge functions have discontinuous normal
+    traces, so the divergence pairing is realized through integration by
+    parts; the boundary term vanishes for test functions supported away
+    from the boundary (the gauge rows).  Frequency-dependent systems are
+    scalar combinations of these; free-DOF restriction and Dirichlet lifts
+    happen when the per-frequency systems are formed, with their
+    right-hand sides from source.  The bundle is the one owner of the
+    manufactured case; its spaces own the mesh.
     """
 
     scalar: ScalarSpace
@@ -194,13 +199,6 @@ class MatrixBundle:
     M_sigma: sp.csr_matrix
     M_eps: sp.csr_matrix
     C_nu: sp.csr_matrix
-    # Weak weighted divergences D = -G^T (n_nodes x n_edges).  Lowest-order
-    # edge functions have discontinuous normal traces, so the divergence
-    # pairing is realized through integration by parts; the boundary term
-    # vanishes for test functions supported away from the boundary (the
-    # gauge rows used downstream).
-    D_sigma: sp.csr_matrix
-    D_eps: sp.csr_matrix
     source: object = None  # physics.ManufacturedCase, or None: no source terms
 
     def K_kappa(self, omega: float) -> sp.csr_matrix:
@@ -209,8 +207,11 @@ class MatrixBundle:
     def G_kappa(self, omega: float) -> sp.csr_matrix:
         return (self.G_sigma + 1j * omega * self.G_eps).tocsr()
 
+    D_sigma = property(lambda self: (-self.G_sigma).T.tocsr())
+    D_eps = property(lambda self: (-self.G_eps).T.tocsr())
+
     def D_kappa(self, omega: float) -> sp.csr_matrix:
-        return (self.D_sigma + 1j * omega * self.D_eps).tocsr()
+        return (-self.G_kappa(omega)).T.tocsr()
 
 
 def assemble_bundle(scalar: ScalarSpace, edge: EdgeSpace, material: MaterialField,
@@ -221,16 +222,13 @@ def assemble_bundle(scalar: ScalarSpace, edge: EdgeSpace, material: MaterialFiel
     elem = element_matrices(mesh.spacing)
     nodes, edges = mesh.cells, mesh.cell_edges
     n, e = mesh.n_nodes, mesh.n_edges
-    G_sigma = _assemble_cells(material.sigma, elem["G"], edges, nodes, (e, n))
-    G_eps = _assemble_cells(material.eps, elem["G"], edges, nodes, (e, n))
     return MatrixBundle(
         scalar=scalar, edge=edge, material=material,
         K_sigma=_assemble_cells(material.sigma, elem["K"], nodes, nodes, (n, n)),
         K_eps=_assemble_cells(material.eps, elem["K"], nodes, nodes, (n, n)),
-        G_sigma=G_sigma, G_eps=G_eps,
+        G_sigma=_assemble_cells(material.sigma, elem["G"], edges, nodes, (e, n)),
+        G_eps=_assemble_cells(material.eps, elem["G"], edges, nodes, (e, n)),
         M_sigma=_assemble_cells(material.sigma, elem["M"], edges, edges, (e, e)),
         M_eps=_assemble_cells(material.eps, elem["M"], edges, edges, (e, e)),
         C_nu=_assemble_cells(material.nu, elem["C"], edges, edges, (e, e)),
-        # D last: held during the larger M and C scatters it raises peak memory
-        D_sigma=(-G_sigma).T.tocsr(), D_eps=(-G_eps).T.tocsr(),
         source=source)

@@ -58,9 +58,11 @@ def write_vtk(path, mesh: Mesh, point_data: Mapping[str, np.ndarray] | None = No
                              f"got {arr.shape}")
         # %.17g prints any real through a double, so the cast keeps the text
         point_data[name] = arr.astype(np.float64, copy=False)
+    # ASCII header: others become "?" (a solve's title holds its config path)
+    title = title.replace("\n", " ")[:255].encode("ascii", "replace").decode()
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title.replace("\n", " ")[:255] + "\n")
+        fh.write(title + "\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_nodes} double\n")

@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import scipy.sparse as sp
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "aphi"
 
 
@@ -140,6 +142,12 @@ def test_benchmark_patch_targets_exist():
     assert hasattr(importlib.import_module("aphi.solve"), "spla")
     # bench/checks.py forms each method's system through it
     assert callable(importlib.import_module("aphi.cli").method_system)
+    # the traced assembly.bundle_nnz fact reads each of these bundle matrices
+    from aphi.scenario import academic_scenario
+    bundle = academic_scenario((3, 3, 3)).build().bundle
+    for name in spans._BUNDLE_MATRICES:
+        A = getattr(bundle, name)
+        assert sp.issparse(A) and isinstance(A.nnz, int), name
 
 
 def _csgraph_importers() -> list[str]:

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from aphi import assembly
-from aphi.assembly import (MaterialError, MaterialField, assemble_bundle,
-                           assemble_charge_vector, assemble_current_vector,
-                           assemble_mass)
+from aphi.assembly import (MaterialError, MaterialField, MatrixBundle,
+                           assemble_bundle, assemble_charge_vector,
+                           assemble_current_vector)
 from aphi.mesh import (AIR, CONDUCTOR, Box, boundary_entities, build_box_mesh,
                        tag_regions)
 from aphi.physics import ManufacturedCase
@@ -25,8 +25,9 @@ from oracles import (dense_rank, edge_interpolate, full_scatter, min_eig_sym,
 
 UNIT = ((0, 1), (0, 1), (0, 1))
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-BUNDLE_MATRICES = ("K_sigma", "K_eps", "G_sigma", "G_eps", "M_sigma", "M_eps",
-                   "C_nu", "D_sigma", "D_eps")
+STORED_MATRICES = ("K_sigma", "K_eps", "G_sigma", "G_eps", "M_sigma", "M_eps",
+                   "C_nu")
+BUNDLE_MATRICES = STORED_MATRICES + ("D_sigma", "D_eps")  # D read off G
 
 
 def _uniform_setup(subdivisions, extents=UNIT, sigma=0.0):
@@ -115,8 +116,8 @@ def test_sigma_stiffness_zero_air_rows():
 
 def test_grad_coupling_equals_mass_times_incidence():
     mesh, _, _, mat, scal, edge = _uniform_setup((2, 2, 2))
-    G = assemble_bundle(scal, edge, mat).G_eps
-    M = assemble_mass(edge, mat, "eps")
+    bundle = assemble_bundle(scal, edge, mat)
+    G, M = bundle.G_eps, bundle.M_eps
     P = gradient_incidence(mesh)
     diff = abs(G - M @ P).max()
     assert diff < 1e-12 * abs(G).max()
@@ -133,20 +134,20 @@ def test_sigma_coupling_zero_air_columns():
 
 def test_edge_mass_positive_definite():
     _, _, _, mat, scal, edge = _uniform_setup((2, 2, 2))
-    M = assemble_mass(edge, mat, "eps")
+    M = assemble_bundle(scal, edge, mat).M_eps
     assert min_eig_sym(M) > 0.0
 
 
 def test_sigma_mass_zero_when_nonconducting():
-    _, _, _, mat, _, edge = _uniform_setup((2, 2, 2))
-    M = assemble_mass(edge, mat, "sigma")
+    _, _, _, mat, scal, edge = _uniform_setup((2, 2, 2))
+    M = assemble_bundle(scal, edge, mat).M_sigma
     assert M.nnz == 0
 
 
 def test_mass_quadratic_form_matches_fine_quadrature(rng):
     # integrate |interpolant|^2 cell by cell with an independent 5^3 rule
     mesh, _, _, mat, scal, edge = _uniform_setup((2, 2, 2), extents=((0, 1.2), (0, 0.9), (0, 1.0)))
-    M = assemble_mass(edge, mat, "eps")
+    M = assemble_bundle(scal, edge, mat).M_eps
     a = rng.standard_normal(mesh.n_edges)
 
     def interp_sq_in(c):
@@ -193,11 +194,38 @@ def test_curl_curl_rank_constrained_222():
     assert dense_rank(C_free) == 5  # n_w - one interior node
 
 
+def _assert_same_csr(A, B, label):
+    assert A.format == B.format == "csr" and A.shape == B.shape, label
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, part), getattr(B, part)), (label, part)
+
+
 def test_weak_divergence_is_minus_coupling_transpose():
-    _, _, _, mat, scal, edge = _uniform_setup((2, 2, 2))
+    # D = -G^T exactly: the same arrays, not only the same values
+    for config in ("academic", "mms_sigma6e7"):
+        scenario = load_scenario(CONFIG_DIR / f"{config}.cfg")
+        bundle = scenario.with_subdivisions((4, 4, 4)).build().bundle
+        for name in ("sigma", "eps"):
+            _assert_same_csr(getattr(bundle, f"D_{name}"),
+                             (-getattr(bundle, f"G_{name}")).T.tocsr(), (config, name))
+        for f in (0.0, 1e3, 1e9):
+            omega = 2 * np.pi * f
+            _assert_same_csr(bundle.D_kappa(omega), (-bundle.G_kappa(omega)).T.tocsr(),
+                             (config, f"kappa at {f:g} Hz"))
+
+
+def test_bundle_stores_each_operator_once():
+    # seven stored matrices; no one of them is another's transpose or its
+    # negative, so a stored divergence would show
+    names = {f.name for f in fields(MatrixBundle)}
+    assert names == set(STORED_MATRICES) | {"scalar", "edge", "material", "source"}
+    _, _, _, mat, scal, edge = _two_region_setup()
     bundle = assemble_bundle(scal, edge, mat)
-    D, G = bundle.D_eps, bundle.G_eps
-    assert abs(D + G.T).max() < 1e-14 * abs(G).max()
+    for a, b in itertools.permutations(STORED_MATRICES, 2):
+        A, B = getattr(bundle, a), getattr(bundle, b).T
+        if A.shape == B.shape:
+            for sign in (1, -1):
+                assert abs(A - sign * B).max() > 0, (a, b, sign)
 
 
 def test_kappa_divergence_linearity():
@@ -269,7 +297,7 @@ def test_current_vector_gradient_source_matches_incidence(rng):
               for ax in range(3)]
 
     j = assemble_current_vector(edge, grad_g)
-    M = assemble_mass(edge, mat, np.ones(mesh.n_cells))
+    M = assemble_bundle(scal, edge, mat).M_eps  # eps = 1
     P = gradient_incidence(mesh)
     expected = M @ (P @ g)
     assert np.allclose(j.real, expected, rtol=1e-10, atol=1e-12)
@@ -360,14 +388,10 @@ def test_symmetry_invariants():
 
 
 def test_kappa_mass_block_structure():
-    # direct complex-weight assembly equals M_sigma + i w M_eps entrywise,
-    # and M_sigma vanishes on air-only rows/columns
+    # the conductivity block M_sigma of M_kappa = M_sigma + i w M_eps
+    # vanishes on air-only rows/columns
     mesh, _, tags, mat, scal, edge = _two_region_setup()
-    omega = 3.7
-    M_kappa = assemble_mass(edge, mat, mat.kappa(omega))
-    combo = assemble_mass(edge, mat, "sigma") + 1j * omega * assemble_mass(edge, mat, "eps")
-    assert abs(M_kappa - combo).max() <= 1e-13 * abs(M_kappa).max()
-    M_sigma = assemble_mass(edge, mat, "sigma")
+    M_sigma = assemble_bundle(scal, edge, mat).M_sigma
     air = ~tags.conductor_edges
     assert abs(M_sigma[air]).max() == 0.0
     assert abs(M_sigma.tocsc()[:, air]).max() == 0.0
@@ -490,7 +514,9 @@ def test_per_frequency_operators_match_the_full_scatter(config, subdivs):
     scenario = load_scenario(CONFIG_DIR / f"{config}.cfg")
     built = scenario.with_subdivisions((subdivs,) * 3).build()
     ours = built.bundle
-    full = replace(ours, **_oracle_matrices(ours))
+    # only the stored matrices are replaced; D follows from the oracle's G
+    oracle = _oracle_matrices(ours)
+    full = replace(ours, **{name: oracle[name] for name in STORED_MATRICES})
     for omega in (0.0, 2 * np.pi * 1e3, 2 * np.pi * 1e9):
         for name, form in (("curl", lambda b: build_curl_matrix(b, omega)),
                            ("K_kappa", lambda b: b.K_kappa(omega)),

@@ -1,14 +1,18 @@
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aphi import physics
+from aphi import cli, physics
 from aphi.mesh import Mesh, build_box_mesh
 from aphi.physics import DerivedFields, run_two_step
 from aphi.vtk_io import _FIELD_EVALUATORS, export_vtk, write_vtk
 from oracles import read_vtk_points
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SPECIAL_VALUES = (-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e300, -1e-300)
 
 
@@ -203,3 +207,36 @@ def test_export_deterministic(tmp_path, academic_built):
     export_vtk(p1, academic_built, sol)
     export_vtk(p2, academic_built, sol)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _assert_complete(path, n_nodes, fields):
+    # the points parse back, and each field holds one row of three values
+    # per node, the last field's rows ending the file
+    assert read_vtk_points(path).shape == (n_nodes, 3)
+    text = path.read_text(encoding="ascii")
+    for name in fields:
+        rows = text.split(f"VECTORS {name} double\n", 1)[1].splitlines()[:n_nodes]
+        assert len(rows) == n_nodes and all(len(r.split()) == 3 for r in rows), name
+    assert text.endswith(f"\n{rows[-1]}\n")
+
+
+def test_non_ascii_title_written_with_replacements(tmp_path):
+    mesh = build_box_mesh(((0, 1), (0, 1), (0, 1)), (2, 1, 1))
+    path = tmp_path / "t.vtk"
+    write_vtk(path, mesh, {"B_re": np.ones((mesh.n_nodes, 3))},
+              title="akademisch_\u00fc.cfg\nf=1Hz \u03c9")
+    assert path.read_bytes().splitlines()[1] == b"akademisch_?.cfg f=1Hz ?"
+    _assert_complete(path, mesh.n_nodes, ["B_re"])
+
+
+def test_solve_vtk_from_a_non_ascii_config_path(tmp_path):
+    cfg = tmp_path / "akademisch_\u00fc.cfg"
+    shutil.copy(CONFIG_DIR / "academic.cfg", cfg)
+    out = tmp_path / "out.vtk"
+    assert cli.main(["solve", "--config", str(cfg), "--subdivs", "3,3,3",
+                     "--freq", "100", "--method", "tree-cotree",
+                     "--vtk", str(out)]) == 0
+    title = out.read_bytes().splitlines()[1].decode("ascii")
+    assert title.endswith("akademisch_?.cfg f=100Hz tree-cotree")
+    _assert_complete(out, 4 ** 3, [f"{name}_{part}" for name, _ in _FIELD_EVALUATORS
+                                   for part in ("re", "im")])
