@@ -10,7 +10,10 @@ two thirds of the edge-mass entries are exact zeros, and sigma vanishes
 outside the conductors, so the sigma-weighted matrices are
 conductor-supported.  Every returned matrix is canonical CSR, and the
 scatter order is fixed (cell-major), so repeated runs produce identical
-arrays.
+arrays.  Its data and indices are exactly nnz long, not views into the
+scatter's buffers: the bundle lives as long as its scenario, so it sits,
+with the tree-cotree system and the LU's input copy, under every curl
+LU's peak.
 
 A source is given per component as terms coef * fx(x) * fy(y) * fz(z).
 A box cell's basis functions are products of one factor per axis, so the
@@ -111,7 +114,8 @@ def _assemble_cells(w: np.ndarray, elem: np.ndarray, rows: np.ndarray,
                     cols: np.ndarray, shape: tuple[int, int]) -> sp.csr_matrix:
     """Sum w[c] * elem[i, j] into entry (rows[c, i], cols[c, j]), cell-major,
     over the cells c with w[c] != 0 and the entries with elem[i, j] != 0;
-    the COO-to-CSR conversion sums the duplicates and sorts the indices."""
+    the COO-to-CSR conversion sums the duplicates and sorts the indices.
+    The returned data and indices own exactly nnz entries each."""
     cells = np.flatnonzero(w)
     li, lj = np.nonzero(elem)
     # indices in scipy's index dtype, so that it does not copy them down
@@ -120,7 +124,12 @@ def _assemble_cells(w: np.ndarray, elem: np.ndarray, rows: np.ndarray,
     vals = w[cells, None] * elem[li, lj]
     r = rows.astype(idx)[cells][:, li]
     c = cols.astype(idx)[cells][:, lj]
-    return sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape).tocsr()
+    A = sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())), shape=shape).tocsr()
+    # Summing the duplicates leaves both arrays views into the COO-sized
+    # buffers unless they shrink by half, and a view holds its whole buffer
+    # for as long as the matrix lives.
+    A.data, A.indices = A.data.copy(), A.indices.copy()
+    return A
 
 
 def assemble_mass(space: EdgeSpace, mat: MaterialField, weight) -> sp.csr_matrix:

@@ -61,22 +61,13 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Mesh:
-    """Structured hexahedral mesh with full node/edge/cell incidence.
-
-    ``edges[e] = (a, b)`` with ``a < b`` runs along +axis from node a to
-    node b; ``cell_edges`` holds the 12 global edge ids per cell in the
-    ``LOCAL_EDGE_NODES`` ordering, which runs along +axis too, so
-    ``edges[cell_edges] == cells[:, LOCAL_EDGE_NODES]`` and the global and
-    local orientations agree without signs.
-    """
+class Grid:
+    """Nodes and hexahedra of a structured box, numbered as in a Mesh."""
 
     extents: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
     subdivisions: tuple[int, int, int]
     nodes: np.ndarray        # (n_nodes, 3)
     cells: np.ndarray        # (n_cells, 8)
-    edges: np.ndarray        # (n_edges, 2), low node first
-    cell_edges: np.ndarray   # (n_cells, 12)
 
     @property
     def n_nodes(self) -> int:
@@ -85,10 +76,6 @@ class Mesh:
     @property
     def n_cells(self) -> int:
         return self.cells.shape[0]
-
-    @property
-    def n_edges(self) -> int:
-        return self.edges.shape[0]
 
     @property
     def spacing(self) -> np.ndarray:
@@ -135,9 +122,36 @@ class Mesh:
         return cells, np.clip(ref, -1.0, 1.0)
 
 
-def build_box_mesh(extents: Sequence[Sequence[float]],
-                   subdivisions: Sequence[int]) -> Mesh:
-    """Build the structured hex mesh of a box.
+@dataclass(frozen=True)
+class Mesh(Grid):
+    """Structured hexahedral mesh with full node/edge/cell incidence.
+
+    ``edges[e] = (a, b)`` with ``a < b`` runs along +axis from node a to
+    node b; ``cell_edges`` holds the 12 global edge ids per cell in the
+    ``LOCAL_EDGE_NODES`` ordering, which runs along +axis too, so
+    ``edges[cell_edges] == cells[:, LOCAL_EDGE_NODES]`` and the global and
+    local orientations agree without signs.
+    """
+
+    edges: np.ndarray        # (n_edges, 2), low node first
+    cell_edges: np.ndarray   # (n_cells, 12)
+
+    @property
+    def n_edges(self) -> int:
+        return self.edges.shape[0]
+
+
+def _node_ids(subdivisions: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Node ids on the (z, y, x) grid, so that C order runs x fastest, and
+    the id step along each axis."""
+    n = np.array(subdivisions)
+    stride = np.array([1, n[0] + 1, (n[0] + 1) * (n[1] + 1)])
+    return np.arange(np.prod(n + 1)).reshape(tuple(n[::-1] + 1)), stride
+
+
+def build_box_grid(extents: Sequence[Sequence[float]],
+                   subdivisions: Sequence[int]) -> Grid:
+    """Build the nodes and cells of a box's structured hex mesh.
 
     extents: three (lo, hi) intervals, each with hi > lo.
     subdivisions: three positive cell counts (nx, ny, nz).
@@ -151,20 +165,27 @@ def build_box_mesh(extents: Sequence[Sequence[float]],
     if any(hi <= lo for lo, hi in extents):
         raise ValueError(f"each extent interval must be nonempty, got {extents}")
 
-    n = np.array(subdivisions)
+    n = subdivisions
     axes = [np.linspace(*extents[ax], n[ax] + 1) for ax in range(3)]
-    grid = np.meshgrid(*axes[::-1], indexing="ij")
-    nodes = np.stack([g.ravel() for g in grid[::-1]], axis=1)
-    # node ids on the (z, y, x) grid, so that C order runs x fastest
-    node_ids = np.arange(nodes.shape[0]).reshape(tuple(n[::-1] + 1))
-    stride = np.array([1, n[0] + 1, (n[0] + 1) * (n[1] + 1)])
+    coords = np.meshgrid(*axes[::-1], indexing="ij")
+    nodes = np.stack([c.ravel() for c in coords[::-1]], axis=1)
+    node_ids, stride = _node_ids(n)
     cells = node_ids[:n[2], :n[1], :n[0]].reshape(-1, 1) + NODE_OFFSETS @ stride
+    return Grid(extents=extents, subdivisions=subdivisions, nodes=nodes, cells=cells)
+
+
+def build_box_mesh(extents: Sequence[Sequence[float]],
+                   subdivisions: Sequence[int]) -> Mesh:
+    """Build the structured hex mesh of a box: its grid, and the edges."""
+    grid = build_box_grid(extents, subdivisions)
+    n = grid.subdivisions
+    node_ids, stride = _node_ids(n)
 
     # Global edge ids: all x-edges first, then y, then z, each family
     # numbered like its lower nodes (x fastest).  A local edge of a cell is
     # the family edge at the offset of its lower local node.
     edges = []
-    cell_edges = np.empty((cells.shape[0], 12), dtype=np.int64)
+    cell_edges = np.empty((grid.n_cells, 12), dtype=np.int64)
     lower_offsets = NODE_OFFSETS[LOCAL_EDGE_NODES[:, 0]]
     first = 0
     for ax in range(3):
@@ -176,8 +197,8 @@ def build_box_mesh(extents: Sequence[Sequence[float]],
             cell_edges[:, m] = ids[oz:oz + n[2], oy:oy + n[1], ox:ox + n[0]].ravel()
         first += lower.size
 
-    return Mesh(extents=extents, subdivisions=subdivisions, nodes=nodes,
-                cells=cells, edges=np.concatenate(edges), cell_edges=cell_edges)
+    return Mesh(extents=grid.extents, subdivisions=n, nodes=grid.nodes,
+                cells=grid.cells, edges=np.concatenate(edges), cell_edges=cell_edges)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .mesh import Mesh, build_box_mesh
+from .mesh import Grid, build_box_grid
 from .physics import BuiltScenario, DerivedFields, Solution
 
 VTK_HEXAHEDRON = 12
@@ -43,11 +43,11 @@ def _rows(arr: np.ndarray, value_fmt: str, lead: str = "") -> str:
     return (row * arr.shape[0]) % tuple(np.array(text, dtype=object)[inverse].tolist())
 
 
-def write_vtk(path, mesh: Mesh, point_data: Mapping[str, np.ndarray] | None = None,
+def write_vtk(path, mesh: Grid, point_data: Mapping[str, np.ndarray] | None = None,
               title: str = "aphi export") -> None:
-    """Write the mesh and optional per-node vector arrays, each real valued
-    (a complex or non-numeric array is refused by name) and written
-    through float64."""
+    """Write the grid's nodes and hexahedra (of a Mesh too) and optional
+    per-node vector arrays, each real valued (a complex or non-numeric
+    array is refused by name) and written through float64."""
     point_data = dict(point_data or {})
     for name, arr in point_data.items():
         arr = np.asarray(arr)
@@ -81,10 +81,10 @@ def write_vtk(path, mesh: Mesh, point_data: Mapping[str, np.ndarray] | None = No
 def export_vtk(path, built: BuiltScenario, solution: Solution,
                density: int = 1) -> None:
     """Sample the derived fields on a (density x subdivisions) grid of the
-    same box and write them as point data."""
+    same box, nodes and cells only, and write them as point data."""
     if density < 1:
         raise ValueError("density must be >= 1")
-    sample = build_box_mesh(built.mesh.extents,
+    sample = build_box_grid(built.mesh.extents,
                             [density * n for n in built.mesh.subdivisions])
     flds = DerivedFields(built, solution, sample.nodes)
     point_data: dict[str, np.ndarray] = {}

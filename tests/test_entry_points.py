@@ -1,10 +1,16 @@
 """Smoke tests of the entry points a user runs: `python -m aphi`, the
-study scripts, the line count and the output digests, each in its own
-interpreter from a plain checkout."""
+study scripts, the line count, the output digests and the benchmark
+pairs, each in its own interpreter from a plain checkout."""
+import importlib.util
+import io
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # the CSV column lines the README documents
@@ -82,3 +88,60 @@ def test_output_digests_script_quick_prints_one_line_per_output():
         ("converge-mms", "mms_sigma6e7.csv"), ("export-academic", "fields.vtk")]
     assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef")
                for *_, digest in lines)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
+    bench_pairs = _bench_pairs()
+    calls = []
+    peaks = {"parent": [170.0, 168.0, 169.0], "change": [160.0, 161.0, 170.0]}
+
+    def fake_run_once(tree, workload, seed, seconds, quick):
+        calls.append((tree, seed))
+        value = peaks[tree][sum(t == tree for t, _ in calls) - 1]
+        return ({"source": tree, "rounds": 1, "failed_ops": []},
+                {"correct": True, "attempted": 18, "failed": int(tree == "parent"),
+                 "metrics": {"peak_rss_mb": {"value": value, "unit": "MB"}}})
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = bench_pairs.run_pairs({"parent": "parent", "change": "change"}, "w",
+                                pairs=3, seed=7, seconds=1.0, quick=True,
+                                log=io.StringIO())
+    # the first side alternates, and both sides of a pair share its seed
+    assert calls == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
+                     ("parent", 9), ("change", 9)]
+    peak = out["metrics"]["peak_rss_mb"]
+    assert peak["parent"]["runs"] == peaks["parent"]
+    assert (peak["parent"]["median"], peak["change"]["median"]) == (169.0, 161.0)
+    assert peak["parent"]["iqr"] == 1.0 and peak["median_diff"] == -8.0
+    assert peak["change_lower_in"] == 2
+    assert out["failed"]["parent"] == {"failed": 3, "attempted": 54,
+                                       "share": 3 / 54, "all_correct": True}
+    assert out["failed"]["change"]["share"] == 0.0
+
+
+@pytest.mark.slow  # two benchmark runs, about 9 s
+def test_bench_pairs_script_one_tree_against_itself(tmp_path):
+    tree = tmp_path / "tree"
+    for part in ("src", "configs", "bench"):
+        shutil.copytree(ROOT / part, tree / part,
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
+    out = tmp_path / "pairs.json"
+    proc = _run("scripts/bench_pairs.py", str(tree), str(tree), "--workload",
+                "export-academic", "--pairs", "1", "--seed", "1", "--seconds", "0",
+                "--quick", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())["workloads"]["export-academic"]
+    assert result["pairs"] == 1
+    assert set(result["metrics"]) == {"wall_s", "setup_s", "peak_rss_mb"}
+    assert result["failed"]["parent"] == result["failed"]["change"] == {
+        "failed": 0, "attempted": 1, "share": 0.0, "all_correct": True}
+    assert [(r["side"], r["seed"]) for r in result["runs"]] == [("parent", 1),
+                                                                ("change", 1)]

@@ -1,7 +1,9 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aphi.mesh import UncoveredRegionError
 from aphi.scenario import (ConfigError, academic_scenario, load_scenario,
@@ -117,3 +119,44 @@ def test_complex_phi_value():
     scenario = parse_scenario(MINIMAL + "phi xmin 1+2j\n")
     built = scenario.build()
     assert np.all(built.scalar.values == 1 + 2j)
+
+
+def _arrays(obj, path, seen):
+    """(path, array) for every ndarray that obj holds: in its dataclass
+    fields, recursively, and in the data, indices and indptr of its sparse
+    matrices; each object is walked once."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif sp.issparse(obj):
+        for name in ("data", "indices", "indptr"):
+            yield f"{path}.{name}", getattr(obj, name)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name), f"{path}.{f.name}", seen)
+
+
+def _buffer_bytes(arr: np.ndarray) -> int:
+    """Bytes of the buffer that arr's memory belongs to."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.nbytes if arr.base is None else memoryview(arr.base).nbytes
+
+
+@pytest.mark.parametrize("make", [lambda: academic_scenario((3, 3, 3)),
+                                  lambda: mms_scenario(6e7, (4, 4, 4))],
+                         ids=["academic-3", "mms_sigma6e7-4"])
+def test_built_scenario_arrays_own_their_buffers(make):
+    # every array lives as long as the scenario, so a view into a larger
+    # buffer (a sparse matrix's COO scatter, say) would hold that buffer too
+    built = make().build()
+    arrays = dict(_arrays(built, "built", set()))
+    assert {"built.bundle.C_nu.data", "built.bundle.G_eps.indices",
+            "built.mesh.cell_edges", "built.material.tags.conductor_edges",
+            "built.scalar.free", "built.gauge.edge_vertices",
+            "built.partition.tree_vertex"} <= set(arrays)
+    larger = {path: (arr.nbytes, _buffer_bytes(arr)) for path, arr in arrays.items()
+              if _buffer_bytes(arr) > arr.nbytes}
+    assert larger == {}
