@@ -2,7 +2,7 @@
 """Alternating parent/change pairs of benchmark runs, summarized as one JSON.
 
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        --pairs N --seed S [--seconds 10] [--quick] [--out FILE]
+        --pairs N --seed S [--traced M] [--seconds 10] [--quick] [--out FILE]
 
 Each directory is the root of a checkout (for example a `git archive` of
 each commit, unpacked side by side).  Pair i runs
@@ -11,8 +11,10 @@ each commit, unpacked side by side).  Pair i runs
 
 once from the root of each tree, with that tree's own bench/ and src/;
 the parent runs first in even pairs and the change first in odd ones, so
-a drift of the machine's speed falls on both sides alike.  --workload may
-be given more than once; every workload gets its own N pairs.  Nothing
+a drift of the machine's speed falls on both sides alike.  --traced M
+adds M pairs of traced runs (`--trace 1`, seeds S to S+M-1), alternating
+the same way, for the per-layer metrics.  --workload may be given more
+than once; every workload gets its own N (and M) pairs.  Nothing
 under bench/ is changed; the runs write their outputs under each tree's
 bench/out/, as any run does.
 
@@ -21,6 +23,10 @@ metric, each side's runs, median, quartiles and IQR, the number of pairs
 in which the change reads lower, and the change's median minus the
 parent's; and per side the failed share (failed over attempted
 operations, summed over the runs) and whether every run was correct.
+With --traced, "traced" holds the same summary of the per-layer metrics
+and "moved": the layer metrics whose medians differ, ordered by the
+difference over the parent's IQR (largest first; null, sorted first,
+where that IQR is 0).
 """
 from __future__ import annotations
 
@@ -36,10 +42,10 @@ MACHINE_KEYS = ("nproc", "python", "numpy", "scipy", "blas", "blas_threads")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float,
-             quick: bool) -> tuple[dict, dict]:
-    """(record, result) of one untraced bench/run.py run from tree's root."""
+             quick: bool, trace: int = 0) -> tuple[dict, dict]:
+    """(record, result) of one bench/run.py run from tree's root."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"] + (["--quick"] if quick else [])
+           "--seconds", str(seconds), "--trace", str(trace)] + (["--quick"] if quick else [])
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -73,22 +79,45 @@ def summarize(results: dict[str, list[dict]]) -> dict:
     return {"pairs": len(results["parent"]), "metrics": metrics, "failed": failed}
 
 
-def run_pairs(trees: dict[str, Path], workload: str, pairs: int, seed: int,
-              seconds: float, quick: bool, log=sys.stderr) -> dict:
+def moved(metrics: dict) -> list[dict]:
+    """The metrics whose medians differ, largest |difference| / parent IQR
+    first; a zero IQR gives null and sorts before every number."""
+    out = []
+    for name, m in metrics.items():
+        diff, iqr = m["median_diff"], m["parent"]["iqr"]
+        if diff:
+            out.append({"metric": name, "median_diff": diff, "parent_iqr": iqr,
+                        "diff_over_iqr": abs(diff) / iqr if iqr else None})
+    return sorted(out, key=lambda m: -(m["diff_over_iqr"] or float("inf")))
+
+
+def _alternate(trees, workload, pairs, seed, seconds, quick, trace, log):
     results = {s: [] for s in SIDES}
     runs = []
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            record, result = run_once(trees[side], workload, seed + i, seconds, quick)
+            record, result = run_once(trees[side], workload, seed + i, seconds, quick,
+                                      trace)
             results[side].append(result)
-            runs.append({"pair": i, "side": side, "seed": seed + i,
+            runs.append({"pair": i, "side": side, "seed": seed + i, "trace": trace,
                          **{k: record.get(k) for k in ("source", "rounds", "failed_ops")},
                          "machine": {k: record.get(k) for k in MACHINE_KEYS}})
-            print(f"{workload} pair {i} {side}: "
+            print(f"{workload} {'traced ' if trace else ''}pair {i} {side}: "
                   + ", ".join(f"{k} {v['value']:.6g}" for k, v in result["metrics"].items()),
                   file=log, flush=True)
-    return {**summarize(results), "runs": runs}
+    return results, runs
+
+
+def run_pairs(trees: dict[str, Path], workload: str, pairs: int, seed: int,
+              seconds: float, quick: bool, log=sys.stderr, traced: int = 0) -> dict:
+    results, runs = _alternate(trees, workload, pairs, seed, seconds, quick, 0, log)
+    out = {**summarize(results), "runs": runs}
+    if traced:
+        results, runs = _alternate(trees, workload, traced, seed, seconds, quick, 1, log)
+        layers = summarize(results)
+        out["traced"] = {**layers, "moved": moved(layers["metrics"]), "runs": runs}
+    return out
 
 
 def main(argv=None) -> int:
@@ -99,12 +128,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    parser.add_argument("--traced", type=int, default=0,
+                        help="pairs of traced runs for the per-layer metrics")
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--quick", action="store_true", help="the benchmark's quick sizes")
     parser.add_argument("--out", type=Path, help="JSON file to write instead of stdout")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.traced < 0:
+        parser.error("--traced must be at least 0")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         if not (tree / "bench" / "run.py").is_file():
@@ -115,7 +148,8 @@ def main(argv=None) -> int:
         "command": command,
         "order": "parent first in even pairs, change first in odd pairs",
         "workloads": {w: run_pairs(trees, w, args.pairs, args.seed, args.seconds,
-                                   args.quick) for w in args.workload},
+                                   args.quick, traced=args.traced)
+                      for w in args.workload},
     }
     text = json.dumps(out, indent=1) + "\n"
     if args.out:

@@ -1,19 +1,19 @@
 """Global sparse matrices, and load vectors of the source densities given.
 
-All cells of a box mesh share one geometry, so assemble_bundle computes
-the four unit-weight element matrices once and scatters all seven weighted
+All cells of a box mesh share one geometry, so assemble_bundle computes the
+four unit-weight element matrices once and scatters all seven weighted
 matrices of the bundle from them with per-cell material weights (the weak
-divergences are read off the gradient couplings, D = -G^T).  Only the
-nonzero element entries of the cells with nonzero weight are scattered:
-the edge functions of perpendicular edges of a box cell are orthogonal, so
-two thirds of the edge-mass entries are exact zeros, and sigma vanishes
-outside the conductors, so the sigma-weighted matrices are
-conductor-supported.  Every returned matrix is canonical CSR, and the
-scatter order is fixed (cell-major), so repeated runs produce identical
-arrays.  Its data and indices are exactly nnz long, not views into the
-scatter's buffers: the bundle lives as long as its scenario, so it sits,
-with the tree-cotree system and the LU's input copy, under every curl
-LU's peak.
+divergences are read off the gradient couplings, D = -G^T); the bundle
+stores them, and system.py combines them per frequency.  Only the nonzero
+element entries of the cells with nonzero weight are scattered: the edge
+functions of perpendicular edges of a box cell are orthogonal, so two
+thirds of the edge-mass entries are exact zeros, and sigma vanishes outside
+the conductors, so the sigma-weighted matrices are conductor-supported.
+Every returned matrix is canonical CSR, and the scatter order is fixed
+(cell-major), so repeated runs produce identical arrays.  Its data and
+indices are exactly nnz long, not views into the scatter's buffers: the
+bundle lives as long as its scenario, so it sits, with the tree-cotree
+system and the LU's input copy, under every curl LU's peak.
 
 A source is given per component as terms coef * fx(x) * fy(y) * fz(z).
 A box cell's basis functions are products of one factor per axis, so the
@@ -187,15 +187,15 @@ class MatrixBundle:
     Each holds only the nonzero element entries of the cells with nonzero
     weight, so K_sigma, G_sigma and M_sigma have entries only on the nodes
     and edges of conductor cells (none without a conductor).  Each operator
-    is stored once: the weak weighted divergences D = -G^T are read off
-    the couplings.  Lowest-order edge functions have discontinuous normal
+    is stored once: the weak weighted divergences D = -G^T are read off the
+    couplings.  Lowest-order edge functions have discontinuous normal
     traces, so the divergence pairing is realized through integration by
-    parts; the boundary term vanishes for test functions supported away
-    from the boundary (the gauge rows).  Frequency-dependent systems are
-    scalar combinations of these; free-DOF restriction and Dirichlet lifts
-    happen when the per-frequency systems are formed, with their
-    right-hand sides from source.  The bundle is the one owner of the
-    manufactured case; its spaces own the mesh.
+    parts; the boundary term vanishes for test functions supported away from
+    the boundary (the gauge rows).  The bundle only stores: system.py
+    combines these per frequency, restricts them to the free DOFs and lifts
+    the Dirichlet values, with right-hand sides from source.  The bundle is
+    the one owner of the manufactured case; its spaces own the mesh.  No
+    module of the package reads D_sigma or D_eps.
     """
 
     scalar: ScalarSpace
@@ -210,17 +210,8 @@ class MatrixBundle:
     C_nu: sp.csr_matrix
     source: object = None  # physics.ManufacturedCase, or None: no source terms
 
-    def K_kappa(self, omega: float) -> sp.csr_matrix:
-        return (self.K_sigma + 1j * omega * self.K_eps).tocsr()
-
-    def G_kappa(self, omega: float) -> sp.csr_matrix:
-        return (self.G_sigma + 1j * omega * self.G_eps).tocsr()
-
     D_sigma = property(lambda self: (-self.G_sigma).T.tocsr())
     D_eps = property(lambda self: (-self.G_eps).T.tocsr())
-
-    def D_kappa(self, omega: float) -> sp.csr_matrix:
-        return (-self.G_kappa(omega)).T.tocsr()
 
 
 def assemble_bundle(scalar: ScalarSpace, edge: EdgeSpace, material: MaterialField,

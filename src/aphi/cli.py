@@ -67,7 +67,7 @@ def parse_frequencies(spec: str) -> list[float]:
         raise ValueError("empty frequency list")
     freqs = [FrequencyPoint(f).f for f in freqs]
     if len(set(freqs)) != len(freqs):  # -0 and 0 compare equal
-        raise ConfigError(0, f"repeated sweep frequency in {spec!r}")
+        raise ValueError(f"repeated sweep frequency in {spec!r}")
     return freqs
 
 
@@ -153,9 +153,9 @@ def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
     must differ, since a rate compares two of them."""
     FrequencyPoint(f)  # rejects a negative or non-finite frequency
     if len(set(subdivs)) != len(subdivs):
-        raise ConfigError(0, f"repeated convergence size in {subdivs}")
+        raise ValueError(f"repeated convergence size in {subdivs}")
     if any(s < 1 for s in subdivs):
-        raise ConfigError(0, f"convergence sizes must be >= 1, got {subdivs}")
+        raise ValueError(f"convergence sizes must be >= 1, got {subdivs}")
     if scenario.source != "manufactured":
         raise ConfigError(0, "convergence study needs a manufactured source")
     rows = []
@@ -304,8 +304,8 @@ def _methods(args, scenario: Scenario) -> list[str]:
     if args.methods is not None:
         methods = [t.strip() for t in args.methods.split(",") if t.strip()]
         if not methods:
-            raise ConfigError(0, f"empty --methods list {args.methods!r}")
-        return list(check_methods(methods, 0))
+            raise ValueError(f"empty --methods list {args.methods!r}")
+        return list(check_methods(methods))
     return list(scenario.methods)
 
 
@@ -335,11 +335,11 @@ def _dispatch(args) -> int:
         quantities = {q.strip() for q in args.quantities.split(",") if q.strip()}
         unknown = quantities - set(SWEEP_QUANTITIES)
         if unknown:
-            raise ConfigError(0, f"unknown sweep quantities {sorted(unknown)}")
+            raise ValueError(f"unknown sweep quantities {sorted(unknown)}")
         required = {t.strip() for t in args.require.split(",") if t.strip()}
         if required - set(methods):
-            raise ConfigError(0, f"--require {sorted(required - set(methods))} "
-                                 f"is not among the swept methods {methods}")
+            raise ValueError(f"--require {sorted(required - set(methods))} "
+                             f"is not among the swept methods {methods}")
         freqs = parse_frequencies(args.freqs)
         rows, singular = run_sweep(scenario, freqs, methods, quantities,
                                    timing=args.timing)
@@ -360,7 +360,7 @@ def _dispatch(args) -> int:
 
     if args.command == "solve":
         if args.density < 1:
-            raise ConfigError(0, f"--density must be >= 1, got {args.density}")
+            raise ValueError(f"--density must be >= 1, got {args.density}")
         scenario = _load(args)
         built = scenario.build()
         refuse_unspanned_gauge(built, (args.method,))

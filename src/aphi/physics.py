@@ -33,10 +33,9 @@ from .solve import (ConditionEstimate, Factorization, InaccurateSolveError,
 from .spaces import (EdgeSpace, ScalarSpace, gradient_incidence,
                      physical_edge_basis, physical_scalar_basis,
                      tensor_quadrature)
-from .system import (FrequencyPoint, build_curl_matrix, build_eqs_static_limit,
-                     build_eqs_system, build_lagrange_system, build_rhs,
-                     build_scaled_divergence, build_stabilized_system,
-                     kappa_divergence, scaling_factors)
+from .system import (FrequencyPoint, build_curl_matrix, build_eqs_system,
+                     build_lagrange_system, build_rhs, build_scaled_divergence,
+                     build_stabilized_system, kappa_divergence, scaling_factors)
 
 METHODS = ("original", "tree-cotree", "lagrange")
 
@@ -150,10 +149,7 @@ class Solution:
 
 def solve_eqs_step(built: BuiltScenario, omega: float) -> tuple[np.ndarray, SolveReport]:
     """Scalar-potential step: one sparse LU solve at every frequency."""
-    if omega == 0.0:
-        K, rhs = build_eqs_static_limit(built.bundle)  # floating-conductor check
-    else:
-        K, rhs = build_eqs_system(built.bundle, omega)
+    K, rhs = build_eqs_system(built.bundle, omega)
     rep = sparse_lu_solve(K, rhs, built.mesh.nodes[built.scalar.free])
     return built.scalar.full_vector(rep.x), rep
 

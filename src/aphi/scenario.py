@@ -144,13 +144,13 @@ def _parse_keyvals(tokens, line, required, optional=()):
     return out
 
 
-def check_methods(methods, line: int) -> tuple[str, ...]:
-    """The methods as a tuple; each must be known and appear only once."""
+def check_methods(methods, error=ValueError) -> tuple[str, ...]:
+    """The methods as a tuple, each known and once, or raise error(message)."""
     for m in methods:
         if m not in METHODS:
-            raise ConfigError(line, f"unknown method {m!r}; choose from {METHODS}")
+            raise error(f"unknown method {m!r}; choose from {METHODS}")
     if len(set(methods)) != len(methods):
-        raise ConfigError(line, f"repeated method in {list(methods)}")
+        raise error(f"repeated method in {list(methods)}")
     return tuple(methods)
 
 
@@ -193,6 +193,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
                                 required=("eps_r", "sigma"), optional=("mu_r",))
             box = Box(lo=(box_vals[0], box_vals[2], box_vals[4]),
                       hi=(box_vals[1], box_vals[3], box_vals[5]))
+            if any(hi < lo for lo, hi in zip(box.lo, box.hi)):
+                raise ConfigError(lineno, "region box is inverted: hi < lo")
             if kv["eps_r"] <= 0:
                 raise ConfigError(lineno, "eps_r must be positive")
             if kv["sigma"] < 0:
@@ -225,7 +227,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         elif key == "methods":
             if not tokens:
                 raise ConfigError(lineno, "methods needs at least one entry")
-            methods = check_methods(tokens, lineno)
+            methods = check_methods(tokens, lambda msg: ConfigError(lineno, msg))
         else:
             raise ConfigError(lineno, f"unknown key {key!r}")
         # a valid line that would silently replace an earlier one

@@ -4,9 +4,12 @@ Step one is the scalar-potential (electroquasistatic) system, frequency
 scaled so that it keeps its static limit; step two the curl system for the
 vector potential, either in its original form, with a Lagrange multiplier
 enforcing the scaled divergence constraint, or with the tree rows replaced
-by that constraint (the square stabilized system).  Both the scalar system
-and the constraint take conductor-node rows from the complex conductivity
-and air-node rows from the permittivity alone.
+by that constraint (the square stabilized system).  The bundle stores
+sigma- and eps-weighted matrices; this module alone combines them, the
+scalar system and the constraint by one row rule (_row_rule): X_sigma +
+diag(w) X_eps, w = i*omega on conductor-node rows (complex conductivity)
+and 1 on air-node rows (permittivity alone), exact since an air node's
+sigma-weighted row is empty.  Every builder returns canonical CSR.
 """
 from __future__ import annotations
 
@@ -68,45 +71,47 @@ def scaling_factors(omega: float, material) -> ScalingFactors:
     return ScalingFactors(beta=beta, gamma=gamma)
 
 
-def _region_rows(cond: np.ndarray, kappa_op: sp.spmatrix,
-                 eps_op: sp.spmatrix) -> sp.csr_matrix:
-    """Rows of kappa_op where cond holds (conductor nodes), of eps_op elsewhere."""
-    c = cond.astype(float)
-    return (sp.diags(c) @ kappa_op + sp.diags(1.0 - c) @ eps_op).tocsr()
+def _row_rule(omega: float, cond: np.ndarray, X_sigma: sp.spmatrix,
+              X_eps: sp.spmatrix) -> sp.csr_matrix:
+    """X_sigma + diag(w) X_eps, w = i*omega on the rows where cond holds
+    (conductor nodes) and 1 on the others; canonical CSR in and out."""
+    wX = X_eps.astype(complex)
+    wX.data *= np.repeat(np.where(cond, 1j * omega, 1.0), np.diff(wX.indptr))
+    return X_sigma + wX
 
 
 def build_eqs_system(bundle: MatrixBundle, omega: float) -> tuple[sp.csr_matrix, np.ndarray]:
     """Frequency-scaled scalar-potential system on free nodes.
 
-    Conductor-node rows are K_kappa u = i*omega*q_s; air-node rows, where
-    K_kappa = i*omega*K_eps, are divided by i*omega to K_eps u = q_s.  The
-    matrix therefore stays regular as omega -> 0 (given no floating
-    conductor), where it is the block lower-triangular static limit:
-    stationary current flow in the conductors, electrostatics in air.  The
-    source's eqs_rhs gives the right-hand side of every scaled row, and
-    the Dirichlet lift goes to the right-hand side.  Without a Dirichlet
-    node the constants lie in the kernel at every frequency, which raises
-    SingularMatrixError.
+    By the row rule, conductor-node rows are (K_sigma + i*omega*K_eps) u =
+    i*omega*q_s, and air-node rows, whose K_sigma part is empty, are
+    divided by i*omega to K_eps u = q_s.  The matrix thus stays regular
+    down to omega = 0, the block lower-triangular static limit (current
+    flow in the conductors, electrostatics in air), where a floating
+    conductor raises StaticSingularityError.  The source's eqs_rhs gives
+    every scaled row's right-hand side, plus the Dirichlet lift.  Without
+    a Dirichlet node the constants lie in the kernel at every frequency,
+    which raises SingularMatrixError.
     """
     scal = bundle.scalar
     if not scal.constrained.size:
         raise SingularMatrixError(
             "no scalar Dirichlet node (phi line): constant potentials make "
             "the scalar-potential system singular")
-    cond = bundle.material.tags.conductor_nodes
-    K = _region_rows(cond, bundle.K_kappa(omega), bundle.K_eps)[scal.free]
+    if omega == 0.0:
+        _check_conductor_components(bundle)
+    free = scal.free
+    K = _row_rule(omega, bundle.material.tags.conductor_nodes[free],
+                  bundle.K_sigma[free], bundle.K_eps[free])
     rhs = np.zeros(scal.n_free, dtype=complex)
     if bundle.source is not None:
-        rhs[:] = bundle.source.eqs_rhs(scal, omega)[scal.free]
+        rhs[:] = bundle.source.eqs_rhs(scal, omega)[free]
     rhs = rhs - K[:, scal.constrained] @ scal.values
-    return K[:, scal.free].tocsr(), rhs
+    return K[:, free], rhs
 
 
 def build_eqs_static_limit(bundle: MatrixBundle) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The scalar system at omega = 0; raises StaticSingularityError for
-    floating conductor components (no Dirichlet node)."""
-    _check_conductor_components(bundle)
-    return build_eqs_system(bundle, 0.0)
+    return build_eqs_system(bundle, 0.0)  # the scalar system at omega = 0
 
 
 def _check_conductor_components(bundle: MatrixBundle) -> None:
@@ -128,11 +133,17 @@ def build_curl_matrix(bundle: MatrixBundle, omega: float) -> sp.csr_matrix:
 
 
 def build_rhs(bundle: MatrixBundle, omega: float, u_full: np.ndarray) -> np.ndarray:
-    """Right-hand side j(u) = j_s - G_kappa u on free edges; u includes the
-    prescribed Dirichlet values, and j_s is 0 without a source."""
+    """j(u) = j_s - (G_sigma + i*omega*G_eps) u on free edges, u with its
+    Dirichlet values; j_s is 0 without a source."""
     source = bundle.source
     j_s = 0.0 if source is None else source.current_vector(bundle.edge, omega)
-    return (j_s - bundle.G_kappa(omega) @ u_full)[bundle.edge.free]
+    return (j_s - (bundle.G_sigma + 1j * omega * bundle.G_eps) @ u_full)[bundle.edge.free]
+
+
+def _gauge_divergences(bundle: MatrixBundle, gauge: GaugeGraph):
+    """D = -G^T of G_sigma and G_eps, sliced to free edges x gauge nodes."""
+    fe, gn = bundle.edge.free, gauge.gauge_nodes
+    return [(-G[fe][:, gn]).T.tocsr() for G in (bundle.G_sigma, bundle.G_eps)]
 
 
 def build_scaled_divergence(bundle: MatrixBundle, omega: float,
@@ -140,26 +151,26 @@ def build_scaled_divergence(bundle: MatrixBundle, omega: float,
                             gauge: GaugeGraph) -> sp.csr_matrix:
     """Region-scaled divergence constraint rows (gauge nodes x free edges).
 
-    Conductor-node rows carry the complex-conductivity weighting
-    beta * (D_sigma + i*omega*D_eps); air-node rows the permittivity
-    weighting gamma * D_eps.  Every row keeps a frequency-independent part
-    (sigma in the conductor, eps in air), so none vanishes at omega = 0,
-    while for omega > 0 each row is a positive multiple of the implicit
-    divergence constraint already satisfied by the unstabilized solution.
+    By the row rule, conductor-node rows are beta * (D_sigma +
+    i*omega*D_eps), air-node rows gamma * D_eps.  Every row keeps a
+    frequency-independent part (sigma in the conductor, eps in air), so
+    none vanishes at omega = 0, while for omega > 0 each row is a positive
+    multiple of the implicit divergence constraint already satisfied by
+    the unstabilized solution.
     """
-    cond = bundle.material.tags.conductor_nodes
-    core = _region_rows(cond, bundle.D_kappa(omega), bundle.D_eps)
-    row_scale = np.where(cond, factors.beta, factors.gamma)
-    D = sp.diags(row_scale) @ core
-    return D.tocsr()[gauge.gauge_nodes][:, bundle.edge.free].tocsr()
+    cond = bundle.material.tags.conductor_nodes[gauge.gauge_nodes]
+    D = _row_rule(omega, cond, *_gauge_divergences(bundle, gauge))
+    D.data *= np.repeat(np.where(cond, factors.beta, factors.gamma), np.diff(D.indptr))
+    return D
 
 
 def kappa_divergence(bundle: MatrixBundle, omega: float,
                      gauge: GaugeGraph) -> sp.csr_matrix:
-    """Unscaled, true-kappa weak divergence on the gauge rows; this is the
-    operator behind the delta_D diagnostic, independent of beta/gamma."""
-    D = bundle.D_kappa(omega)
-    return D[gauge.gauge_nodes][:, bundle.edge.free].tocsr()
+    """Unscaled, true-kappa weak divergence D_sigma + i*omega*D_eps on the
+    gauge rows (the conductor row rule on every row); this is the operator
+    behind the delta_D diagnostic, independent of beta/gamma."""
+    return _row_rule(omega, np.ones(gauge.gauge_nodes.size, dtype=bool),
+                     *_gauge_divergences(bundle, gauge))
 
 
 def build_lagrange_system(W: sp.spmatrix, D: sp.spmatrix,

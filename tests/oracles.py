@@ -96,6 +96,13 @@ def full_scatter(w, elem, rows, cols, shape):
     return m
 
 
+def is_canonical_csr(A):
+    """CSR with strictly increasing columns in every row, from the arrays."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    key = rows.astype(np.int64) * A.shape[1] + A.indices
+    return A.format == "csr" and bool(np.all(np.diff(key) > 0))
+
+
 def brute_force_faces(cells):
     """Distinct quad faces of hex cells -> {face key: occurrence count}."""
     local_faces = [(0, 3, 2, 1), (4, 5, 6, 7), (0, 1, 5, 4),

@@ -19,9 +19,13 @@ from aphi.spaces import (DirichletSpec, build_edge_space, build_scalar_space,
                          gradient_incidence, physical_edge_basis,
                          physical_scalar_basis)
 from aphi.scenario import load_scenario
-from aphi.system import build_curl_matrix
-from oracles import (dense_rank, edge_interpolate, full_scatter, min_eig_sym,
-                     polynomial_moments, source_moments, volume_quadrature)
+from aphi.gauge import build_gauge_graph
+from aphi.system import (build_curl_matrix, build_eqs_system,
+                         build_scaled_divergence, kappa_divergence,
+                         scaling_factors)
+from oracles import (dense_rank, edge_interpolate, full_scatter, is_canonical_csr,
+                     min_eig_sym, polynomial_moments, source_moments,
+                     volume_quadrature)
 
 UNIT = ((0, 1), (0, 1), (0, 1))
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -201,16 +205,20 @@ def _assert_same_csr(A, B, label):
 
 
 def test_weak_divergence_is_minus_coupling_transpose():
-    # D = -G^T exactly: the same arrays, not only the same values
+    # D = -G^T exactly: the same arrays, not only the same values; the
+    # kappa-weighted one on the gauge rows and free-edge columns
     for config in ("academic", "mms_sigma6e7"):
         scenario = load_scenario(CONFIG_DIR / f"{config}.cfg")
-        bundle = scenario.with_subdivisions((4, 4, 4)).build().bundle
+        built = scenario.with_subdivisions((4, 4, 4)).build()
+        bundle = built.bundle
         for name in ("sigma", "eps"):
             _assert_same_csr(getattr(bundle, f"D_{name}"),
                              (-getattr(bundle, f"G_{name}")).T.tocsr(), (config, name))
         for f in (0.0, 1e3, 1e9):
             omega = 2 * np.pi * f
-            _assert_same_csr(bundle.D_kappa(omega), (-bundle.G_kappa(omega)).T.tocsr(),
+            G_kappa = bundle.G_sigma + 1j * omega * bundle.G_eps
+            ref = (-G_kappa).T.tocsr()[built.gauge.gauge_nodes][:, built.edge.free]
+            _assert_same_csr(kappa_divergence(bundle, omega, built.gauge), ref,
                              (config, f"kappa at {f:g} Hz"))
 
 
@@ -229,11 +237,12 @@ def test_bundle_stores_each_operator_once():
 
 
 def test_kappa_divergence_linearity():
-    _, _, _, mat, scal, edge = _two_region_setup()
+    mesh, _, _, mat, scal, edge = _two_region_setup()
     bundle = assemble_bundle(scal, edge, mat)
+    gauge = build_gauge_graph(mesh, edge, scal)
     omega = 7.3
-    D = bundle.D_kappa(omega)
-    ref = bundle.D_sigma + 1j * omega * bundle.D_eps
+    D = kappa_divergence(bundle, omega, gauge)
+    ref = (bundle.D_sigma + 1j * omega * bundle.D_eps)[gauge.gauge_nodes][:, edge.free]
     assert abs(D - ref).max() == 0.0
 
 
@@ -443,13 +452,6 @@ def _assert_close(A, B, name):
     assert (diff.max() if diff.nnz else 0.0) <= 4 * np.finfo(float).eps * scale, name
 
 
-def _is_canonical(A):
-    """CSR with strictly increasing columns in every row, from the arrays."""
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    key = rows.astype(np.int64) * A.shape[1] + A.indices
-    return A.format == "csr" and bool(np.all(np.diff(key) > 0))
-
-
 def _assert_zero_free_bundle(bundle):
     """Each of the nine matrices equals the full scatter, stores no 0.0, is
     canonical, and the sigma-weighted ones live on the conductor cells."""
@@ -458,7 +460,7 @@ def _assert_zero_free_bundle(bundle):
         A = getattr(bundle, name)
         _assert_close(A, oracle[name], name)
         assert not np.any(A.data == 0), name
-        assert _is_canonical(A), name
+        assert is_canonical_csr(A), name
     mesh = bundle.scalar.mesh
     cells = bundle.material.tags.conductor_cells
     cn = np.zeros(mesh.n_nodes, dtype=bool)
@@ -509,18 +511,23 @@ def test_bundle_zero_free_on_anisotropic_cells_and_random_regions(h, subdivs, bo
 @pytest.mark.parametrize("config, subdivs", [("academic", 3), ("academic", 5),
                                              ("mms_sigma6e7", 4)])
 def test_per_frequency_operators_match_the_full_scatter(config, subdivs):
-    # the dropped entries are zeros, so every operator formed from the
-    # bundle has the full scatter's pattern and its values
+    # the dropped entries are zeros, so every operator that the system
+    # builders form from the bundle has the full scatter's pattern and its
+    # values
     scenario = load_scenario(CONFIG_DIR / f"{config}.cfg")
     built = scenario.with_subdivisions((subdivs,) * 3).build()
-    ours = built.bundle
+    ours, gauge = built.bundle, built.gauge
     # only the stored matrices are replaced; D follows from the oracle's G
     oracle = _oracle_matrices(ours)
     full = replace(ours, **{name: oracle[name] for name in STORED_MATRICES})
     for omega in (0.0, 2 * np.pi * 1e3, 2 * np.pi * 1e9):
+        factors = scaling_factors(omega, built.material)
         for name, form in (("curl", lambda b: build_curl_matrix(b, omega)),
-                           ("K_kappa", lambda b: b.K_kappa(omega)),
-                           ("D_kappa", lambda b: b.D_kappa(omega))):
+                           ("eqs", lambda b: build_eqs_system(b, omega)[0]),
+                           ("scaled divergence",
+                            lambda b: build_scaled_divergence(b, omega, factors, gauge)),
+                           ("kappa divergence",
+                            lambda b: kappa_divergence(b, omega, gauge))):
             A, B = form(ours), form(full)
             label = f"{name} at omega {omega:g}"
             assert np.array_equal(A.indptr, B.indptr), label

@@ -366,7 +366,7 @@ def test_converge_rejects_size_below_one_before_building(tmp_path, monkeypatch):
     built = []
     monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
     for subdivs in ([2, -4], [0, 2]):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="sizes must be >= 1"):
             run_convergence(load_scenario(MMS0), subdivs, 10.0, ["tree-cotree"])
     out = tmp_path / "conv.csv"
     code = main(["converge", "--config", MMS0, "--subdivs", "2,-4",
@@ -840,6 +840,7 @@ def test_config_error_exit(tmp_path):
     ("sigma=1 # center", "sigma=1 mu_r=nan # center", "mu_r must be finite"),
     ("domain        0 0.22", "domain        0 inf", "domain numbers must be finite"),
     ("region 0 0.10  0.10", "region 0 nan  0.10", "region box numbers must be finite"),
+    ("region 0 0.10  0.10", "region 0.10 0  0.10", "region box is inverted: hi < lo"),
     ("subdivisions  3 3 3", "subdivisions  3 inf 3", "subdivisions numbers must be finite"),
     ("phi xmax 1", "phi xmax nan", "phi value must be finite"),
     ("domain        0 0.22", "domain        0 x", "bad number in domain"),
@@ -858,7 +859,7 @@ def test_config_error_exit(tmp_path):
     ("methods original tree-cotree lagrange", "methods", "methods needs at least one entry"),
     ("eps_r=1 sigma=1 # center", "eps_r=1 sigma=1 eps_r=4 # center", "repeated key 'eps_r'"),
 ], ids=["eps_r-nan", "sigma-inf", "mu_r-zero", "mu_r-nan", "domain-inf",
-        "region-box-nan", "subdivisions-inf", "phi-nan", "domain-bad-number",
+        "region-box-nan", "region-box-inverted", "subdivisions-inf", "phi-nan", "domain-bad-number",
         "token-without-equals", "unknown-key", "bad-value", "missing-key",
         "empty-domain-interval", "non-integer-subdivisions", "eps_r-zero",
         "sigma-negative", "phi-arity", "phi-bad-value", "a_zero-empty",
@@ -878,6 +879,33 @@ def test_non_finite_or_zero_material_exit(old, new, message, tmp_path, capsys):
                  "--method", "tree-cotree"])
     assert code == 2
     assert f"line {line}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--config", ACADEMIC, "--freqs", "1,1"], "repeated sweep frequency"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "1", "--methods", ","],
+     "empty --methods list"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "1", "--methods", "amg"],
+     "unknown method 'amg'"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "1", "--quantities", "speed"],
+     "unknown sweep quantities ['speed']"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "1", "--methods", "original",
+      "--require", "lagrange"], "--require ['lagrange'] is not among"),
+    (["converge", "--config", MMS0, "--subdivs", "2,2", "--freq", "10"],
+     "repeated convergence size"),
+    (["converge", "--config", MMS0, "--subdivs", "0,2", "--freq", "10"],
+     "convergence sizes must be >= 1"),
+    (["solve", "--config", ACADEMIC, "--freq", "1", "--method", "original",
+      "--density", "0"], "--density must be >= 1"),
+], ids=["freqs-repeated", "methods-empty", "methods-unknown", "quantities-unknown",
+        "require-unswept", "subdivs-repeated", "subdivs-zero", "density-zero"])
+def test_argument_errors_name_no_config_line(argv, message, tmp_path, capsys):
+    # an error in a command-line argument is not on a line of the config
+    if argv[0] != "solve":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "line 0" not in err
 
 
 @pytest.mark.parametrize("key, message", [

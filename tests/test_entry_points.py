@@ -102,21 +102,32 @@ def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
     bench_pairs = _bench_pairs()
     calls = []
     peaks = {"parent": [170.0, 168.0, 169.0], "change": [160.0, 161.0, 170.0]}
+    # traced runs: form_s moves by 8 parent IQRs, factor_s by 2, the count
+    # by 1 with no spread, and bundle_s not at all
+    layers = {"parent": [(1.0, 5.0, 10, 2.0), (1.2, 5.2, 10, 2.0)],
+              "change": [(0.2, 5.2, 11, 2.0), (0.4, 5.4, 11, 2.0)]}
+    names = ("system.form_s", "solve.factor_s", "solve.factorizations",
+             "assembly.bundle_s")
 
-    def fake_run_once(tree, workload, seed, seconds, quick):
-        calls.append((tree, seed))
-        value = peaks[tree][sum(t == tree for t, _ in calls) - 1]
+    def fake_run_once(tree, workload, seed, seconds, quick, trace=0):
+        calls.append((tree, seed, trace))
+        n = sum(t == tree and tr == trace for t, _, tr in calls) - 1
+        metrics = ({m: {"value": v, "unit": "s"} for m, v in zip(names, layers[tree][n])}
+                   if trace else {"peak_rss_mb": {"value": peaks[tree][n], "unit": "MB"}})
         return ({"source": tree, "rounds": 1, "failed_ops": []},
                 {"correct": True, "attempted": 18, "failed": int(tree == "parent"),
-                 "metrics": {"peak_rss_mb": {"value": value, "unit": "MB"}}})
+                 "metrics": metrics})
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = bench_pairs.run_pairs({"parent": "parent", "change": "change"}, "w",
                                 pairs=3, seed=7, seconds=1.0, quick=True,
-                                log=io.StringIO())
-    # the first side alternates, and both sides of a pair share its seed
-    assert calls == [("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
-                     ("parent", 9), ("change", 9)]
+                                log=io.StringIO(), traced=2)
+    # the first side alternates, and both sides of a pair share its seed;
+    # the traced pairs follow the untraced ones and alternate alike
+    assert calls == [("parent", 7, 0), ("change", 7, 0), ("change", 8, 0),
+                     ("parent", 8, 0), ("parent", 9, 0), ("change", 9, 0),
+                     ("parent", 7, 1), ("change", 7, 1), ("change", 8, 1),
+                     ("parent", 8, 1)]
     peak = out["metrics"]["peak_rss_mb"]
     assert peak["parent"]["runs"] == peaks["parent"]
     assert (peak["parent"]["median"], peak["change"]["median"]) == (169.0, 161.0)
@@ -125,6 +136,14 @@ def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
     assert out["failed"]["parent"] == {"failed": 3, "attempted": 54,
                                        "share": 3 / 54, "all_correct": True}
     assert out["failed"]["change"]["share"] == 0.0
+    traced = out["traced"]
+    assert set(traced["metrics"]) == set(names)
+    assert traced["metrics"]["system.form_s"]["change_lower_in"] == 2
+    assert [m["metric"] for m in traced["moved"]] == [
+        "solve.factorizations", "system.form_s", "solve.factor_s"]
+    assert traced["moved"][0]["diff_over_iqr"] is None
+    assert [round(m["diff_over_iqr"], 9) for m in traced["moved"][1:]] == [8.0, 2.0]
+    assert [r["trace"] for r in traced["runs"]] == [1] * 4
 
 
 @pytest.mark.slow  # two benchmark runs, about 9 s

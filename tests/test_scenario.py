@@ -78,6 +78,16 @@ region 0 1 0 1 0 1 eps_r=1
 """)
 
 
+def test_region_box_inverted_refused_zero_thickness_kept():
+    text = "domain 0 1 0 1 0 1\nsubdivisions 1 1 1\nregion {} eps_r=1 sigma=5\n"
+    for box in ("0.8 0.2 0 1 0 1", "0 1 0 1 1 0"):
+        with pytest.raises(ConfigError, match="inverted") as err:
+            parse_scenario(text.format(box))
+        assert err.value.line == 3
+    box = parse_scenario(text.format("0.5 0.5 0 1 0 1")).regions[0].box
+    assert box.lo[0] == box.hi[0] == 0.5
+
+
 def test_manufactured_requires_matching_domain():
     text = """
 domain 0 1 0 1 0 1

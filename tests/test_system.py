@@ -1,3 +1,4 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,19 +7,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.constants import epsilon_0
 
-from aphi.scenario import Scenario, RegionSpec, academic_scenario, mms_scenario
+from aphi.scenario import (Scenario, RegionSpec, academic_scenario, load_scenario,
+                           mms_scenario)
 from aphi.mesh import (Box, FACE_LABELS, boundary_entities, build_box_mesh,
                        derive_entity_tags)
-from aphi.physics import run_two_step, solve_eqs_step
+from aphi.physics import METHODS, curl_system, run_two_step, solve_eqs_step
 from aphi.solve import sparse_lu_solve
 from aphi.spaces import DirichletSpec, build_scalar_space, gradient_incidence
 from aphi.system import (FrequencyPoint, ScalingFactors, StaticSingularityError,
-                         _check_conductor_components, build_curl_matrix,
+                         _check_conductor_components, _row_rule, build_curl_matrix,
                          build_eqs_static_limit, build_eqs_system,
                          build_lagrange_system, build_rhs,
                          build_scaled_divergence, build_stabilized_system,
                          kappa_divergence, scaling_factors)
-from oracles import dense_rank, floating_conductor_node
+from oracles import dense_rank, floating_conductor_node, is_canonical_csr
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_frequency_point():
@@ -58,17 +62,29 @@ def test_scaling_factors_positive():
         ScalingFactors(beta=0.0, gamma=1.0)
 
 
+def _K_kappa(bundle, omega):
+    return bundle.K_sigma + 1j * omega * bundle.K_eps
+
+
 def test_eqs_matrix_linearity(academic_built):
+    # conductor rows are K_kappa = K_sigma + i*omega*K_eps, air rows K_eps
     bundle = academic_built.bundle
+    scal = bundle.scalar
     omega = 123.4
-    K = bundle.K_kappa(omega)
-    ref = bundle.K_sigma + 1j * omega * bundle.K_eps
-    assert abs(K - ref).max() == 0.0
+    K, _ = build_eqs_system(bundle, omega)
+    in_cond = bundle.material.tags.conductor_nodes[scal.free]
+    assert in_cond.any() and not in_cond.all()
+    for op, rows in ((_K_kappa(bundle, omega), in_cond), (bundle.K_eps, ~in_cond)):
+        ref = op[scal.free[rows]][:, scal.free]
+        assert abs(K[np.flatnonzero(rows)] - ref).max() == 0.0
 
 
 def test_eqs_kappa_vanishes_nonconducting_static(mms_built_sigma0):
-    # sigma = 0 everywhere: the omega -> 0 scalar matrix is identically zero
-    K0 = mms_built_sigma0.bundle.K_kappa(0.0)
+    # sigma = 0 everywhere: the conductor row rule (K_kappa) at omega -> 0
+    # is identically zero, which is why air rows are divided by i*omega
+    bundle = mms_built_sigma0.bundle
+    every = np.ones(bundle.scalar.mesh.n_nodes, dtype=bool)
+    K0 = _row_rule(0.0, every, bundle.K_sigma, bundle.K_eps)
     assert abs(K0).max() == 0.0
 
 
@@ -81,7 +97,7 @@ def test_eqs_rhs_is_lift_only_for_dirichlet_drive(academic_built):
     scal = bundle.scalar
     in_cond = bundle.material.tags.conductor_nodes[scal.free]
     assert in_cond.any() and not in_cond.all()
-    for op, rows in ((bundle.K_kappa(omega), in_cond), (bundle.K_eps, ~in_cond)):
+    for op, rows in ((_K_kappa(bundle, omega), in_cond), (bundle.K_eps, ~in_cond)):
         lift = -op[scal.free[rows]][:, scal.constrained] @ scal.values
         assert np.abs(lift).max() > 0
         np.testing.assert_allclose(rhs[rows], lift, rtol=1e-12, atol=0)
@@ -97,12 +113,13 @@ def test_no_source_leaves_only_the_dirichlet_terms(academic_built, f):
     _, rhs = build_eqs_system(bundle, omega)
     in_cond = bundle.material.tags.conductor_nodes[scal.free]
     lift = np.empty(scal.n_free, dtype=complex)
-    for op, rows in ((bundle.K_kappa(omega), in_cond), (bundle.K_eps, ~in_cond)):
+    for op, rows in ((_K_kappa(bundle, omega), in_cond), (bundle.K_eps, ~in_cond)):
         lift[rows] = -op[scal.free[rows]][:, scal.constrained] @ scal.values
     assert np.array_equal(rhs, lift)
     u_full, _ = solve_eqs_step(academic_built, omega)
+    G_kappa = bundle.G_sigma + 1j * omega * bundle.G_eps
     assert np.array_equal(build_rhs(bundle, omega, u_full),
-                          -(bundle.G_kappa(omega) @ u_full)[bundle.edge.free])
+                          -(G_kappa @ u_full)[bundle.edge.free])
 
 
 def test_eqs_system_rows_continuous_at_zero_frequency(academic_built):
@@ -170,6 +187,10 @@ def test_floating_conductor_raises():
     assert built.material.tags.conductor_cells.sum() == 1
     with pytest.raises(StaticSingularityError):
         build_eqs_static_limit(built.bundle)
+    # the check runs inside build_eqs_system, so every caller at 0 Hz gets it
+    with pytest.raises(StaticSingularityError):
+        build_eqs_system(built.bundle, 0.0)
+    build_eqs_system(built.bundle, 2 * np.pi * 1e-6)  # regular for omega > 0
 
 
 @given(st.lists(st.booleans(), min_size=27, max_size=27),
@@ -431,3 +452,20 @@ def test_frequency_consistency_of_stabilized(academic_built):
         j = build_rhs(built.bundle, omega, u)
         a_free = run_two_step(built, f, "tree-cotree").a[built.edge.free]
         assert np.linalg.norm(W @ a_free - j) <= 1e-8 * np.linalg.norm(j)
+
+
+@pytest.mark.parametrize("config, subdivs", [("academic", 3), ("academic", 5),
+                                             ("mms_sigma6e7", 4)])
+def test_every_builder_returns_canonical_csr(config, subdivs):
+    built = load_scenario(CONFIG_DIR / f"{config}.cfg").with_subdivisions(
+        (subdivs,) * 3).build()
+    bundle, gauge = built.bundle, built.gauge
+    for omega in (0.0, 2 * np.pi * 1e3):
+        factors = scaling_factors(omega, built.material)
+        formed = {"eqs": build_eqs_system(bundle, omega)[0],
+                  "curl": build_curl_matrix(bundle, omega),
+                  "scaled divergence": build_scaled_divergence(bundle, omega, factors, gauge),
+                  "kappa divergence": kappa_divergence(bundle, omega, gauge),
+                  **{m: curl_system(built, omega, m)[0] for m in METHODS}}
+        for name, A in formed.items():
+            assert is_canonical_csr(A), (name, omega)
