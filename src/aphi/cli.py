@@ -25,9 +25,7 @@ from .mesh import match_cells
 from .physics import (METHODS, curl_coordinates, curl_system, excitation,
                       hcurl_error, refuse_unspanned_gauge, run_two_step)
 from .scenario import ConfigError, Scenario, check_methods, load_scenario
-from .solve import (DENSE_SVD_LIMIT, ConditionEstimate, Factorization,
-                    InaccurateSolveError, SingularMatrixError,
-                    condition_estimate)
+from .solve import Factorization, SingularMatrixError, condition_estimate
 from .system import FrequencyPoint
 from .vtk_io import export_vtk
 
@@ -81,39 +79,30 @@ def _sweep_row(built, f: float, exc, method: str,
     """One CSV row up to wall_ms, from one solve on the Excitation exc of f
     (None when step one failed or nothing is asked).  A singular solve
     counts as singular only when a solve quantity is asked for.  The
-    condition estimate reuses the solve's LU, also when its residual failed
-    checked_solve's check (the InaccurateSolveError carries it).  A curl
-    system that failed the kappa_1 * eps test of its Factorization, by the
-    gradient probe of an original system before any LU or by its LU, has
-    failed the estimator's own singularity test above the dense limit, so
-    the estimate is written as infinite without a further factorization.
-    Otherwise it is made on the system alone.
+    condition estimate is the one run_two_step makes, on the Solution or on
+    the SingularMatrixError of a failed curl step; only when step one
+    failed is it made on the system alone.
     """
     want_cond = "condition" in quantities
     coords = curl_coordinates(built, method)
     n_dofs = coords.shape[0]
-    omega = FrequencyPoint(f).omega
     sol = est = None
     if exc is not None:
         try:
             sol = run_two_step(built, exc, method, condition=want_cond)
             est = sol.condition
-        except InaccurateSolveError as err:  # its LU passed the kappa_1 * eps test
+        except SingularMatrixError as err:
             est = err.condition
-        except SingularMatrixError:
-            if want_cond and n_dofs > DENSE_SVD_LIMIT:
-                est = ConditionEstimate(np.inf, "power-iteration", 0)
     if want_cond and est is None:
-        est = condition_estimate(curl_system(built, omega, method)[0],
+        est = condition_estimate(curl_system(built, FrequencyPoint(f).omega, method)[0],
                                  coords=coords)
     cond_cell = cond_method_cell = delta_cell = resid_cell = ""
     if est is not None:
         cond_cell = _num(est.value)
         cond_method_cell = est.method
         if not est.converged:
-            print(f"condition estimate at {_num(f)} Hz, {method}: a power "
-                  "iteration stopped at its iteration cap unconverged",
-                  file=sys.stderr)
+            print(f"condition estimate at {_num(f)} Hz, {method}: {est.method} "
+                  "stopped at its iteration cap unconverged", file=sys.stderr)
     if "delta_D" in quantities:
         delta_cell = "singular" if sol is None else _num(sol.delta_D)
     if "solve_residual" in quantities:
@@ -273,13 +262,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _refuse_unwritable(path: str | None) -> None:
-    """Raise OSError for an output path that is a directory or whose
-    directory is missing or not writable, before anything is computed."""
+    """Raise OSError for an output path that is a directory, an existing
+    file that is not writable, or whose directory is missing or not
+    writable, before anything is computed."""
     if path is None:
         return
     path = os.path.abspath(path)  # "" names the working directory
     if os.path.isdir(path):
         raise OSError(f"cannot write {path!r}: it is a directory")
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        raise OSError(f"cannot write {path!r}: the file is not writable")
     directory = os.path.dirname(path)
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise OSError(f"cannot write {path!r}: directory {directory!r} is "

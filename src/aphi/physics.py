@@ -29,7 +29,8 @@ from .gauge import (GaugeGraph, TreeCotreePartition, UnsupportedTopologyError,
                     curl_kernel_dimension)
 from .mesh import Mesh
 from .solve import (ConditionEstimate, Factorization, InaccurateSolveError,
-                    SolveReport, condition_estimate, sparse_lu_solve)
+                    SingularMatrixError, SolveReport, condition_estimate,
+                    refused_condition, sparse_lu_solve)
 from .spaces import (EdgeSpace, ScalarSpace, gradient_incidence,
                      physical_edge_basis, physical_scalar_basis,
                      tensor_quadrature)
@@ -157,11 +158,10 @@ def solve_eqs_step(built: BuiltScenario, omega: float) -> tuple[np.ndarray, Solv
 Excitation = namedtuple("Excitation", "frequency u eqs_report j_free")
 
 
-def excitation(built: BuiltScenario, frequency: FrequencyPoint | float) -> Excitation:
+def excitation(built: BuiltScenario, f: float) -> Excitation:
     """Step one and the curl right-hand side on the free edges, which every
-    curl method at this frequency shares; the arrays are read-only."""
-    if not isinstance(frequency, FrequencyPoint):
-        frequency = FrequencyPoint(float(frequency))
+    curl method at f Hz shares; the arrays are read-only."""
+    frequency = FrequencyPoint(float(f))  # rejects a bad frequency
     u_full, report = solve_eqs_step(built, frequency.omega)
     j_free = build_rhs(built.bundle, frequency.omega, u_full)
     for arr in (u_full, report.x, j_free):
@@ -234,21 +234,23 @@ def curl_coordinates(built: BuiltScenario, method: str) -> np.ndarray:
     return mid
 
 
-def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | float,
+def run_two_step(built: BuiltScenario, frequency: Excitation | float,
                  method: str, condition: bool = False) -> Solution:
     """Solve both steps for one frequency with the selected curl variant.
 
     Step one and the curl right-hand side come from an Excitation, which
     the sweep and convergence loops share among the methods of one
-    frequency; given a frequency, the call solves its own.  The curl
+    frequency; given a frequency in Hz, the call solves its own.  The curl
     system is factored in mixed precision (see solve.Factorization),
-    except with condition=True: the 2-norm condition estimate of the curl
-    system is then computed on its double LU (see
-    checked_solve_with_condition) and stored on the Solution, or on the
-    InaccurateSolveError when the solve fails its residual check, so that
-    no caller factors the system again.  The curl LU is freed once the
-    solve returns, before gauge_residual forms the divergence matrix, and
-    freed heap goes back to the OS before each LU is built (glibc only).
+    except with condition=True: its 2-norm condition estimate is then made
+    on the double LU that ends the solve and stored on the Solution.  A
+    curl-step SingularMatrixError carries the estimate as .condition:
+    solve.refused_condition when no LU was accepted, or the estimate
+    through the LU whose residual refused the solve (InaccurateSolveError),
+    made before that LU is freed; so no caller factors the system again.
+    The curl LU is freed once the solve returns, before gauge_residual
+    forms the divergence matrix, and freed heap goes back to the OS before
+    each LU is built (glibc only).
 
     Propagates SingularMatrixError: expected for the original variant at
     low frequency, where the gradient probe usually proves it before any
@@ -262,9 +264,17 @@ def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | 
 
     A, b = curl_system(built, omega, method, j_free)
     probe = gradient_probe(built) if method == "original" else None
-    fac = Factorization(A, curl_coordinates(built, method), mixed=not condition,
-                        probe=probe)
-    rep, est = checked_solve_with_condition(fac, b, condition)
+    try:
+        fac = Factorization(A, curl_coordinates(built, method),
+                            mixed=not condition, probe=probe)
+        rep = fac.checked_solve(b)
+    except InaccurateSolveError as exc:  # estimated on its LU, before it is freed
+        exc.condition = condition_estimate(fac.A, fac=fac) if condition else None
+        raise
+    except SingularMatrixError as exc:  # no LU was accepted
+        exc.condition = refused_condition(A) if condition else None
+        raise
+    est = condition_estimate(fac.A, fac=fac) if condition else None
     del A, b, fac  # the LU is freed before gauge_residual builds D
     n_free = built.edge.n_free
     a_free = rep.x[:n_free]
@@ -275,21 +285,6 @@ def run_two_step(built: BuiltScenario, frequency: Excitation | FrequencyPoint | 
     return Solution(u=u_full, a=a_full, lam=lam, frequency=frequency,
                     method=method, delta_D=delta, curl_report=rep,
                     eqs_report=eqs_report, condition=est)
-
-
-def checked_solve_with_condition(fac: Factorization, b: np.ndarray, condition: bool
-                                 ) -> tuple[SolveReport, ConditionEstimate | None]:
-    """fac.checked_solve(b) and, with condition=True, the condition estimate
-    of fac.A through the LU that fac holds once the solve has ended: the
-    one whose solve passed, or the one whose residual gave the verdict, on
-    the InaccurateSolveError.  An LU that the solve replaced by a higher
-    rung's (see solve._LADDER) never drives the estimate."""
-    try:
-        rep = fac.checked_solve(b)
-    except InaccurateSolveError as exc:
-        exc.condition = condition_estimate(fac.A, fac=fac) if condition else None
-        raise
-    return rep, condition_estimate(fac.A, fac=fac) if condition else None
 
 
 def gauge_residual(bundle: MatrixBundle, omega: float, a_full: np.ndarray,

@@ -106,15 +106,16 @@ def _release_free_heap() -> None:
 
 
 class SingularMatrixError(RuntimeError):
-    """Factorization detected a (numerically) singular matrix."""
+    """Factorization detected a (numerically) singular matrix.  condition
+    is the system's ConditionEstimate, when the caller asked for one (see
+    physics.run_two_step)."""
+
+    condition = None
 
 
 class InaccurateSolveError(SingularMatrixError):
     """A solve whose relative residual stays above RESIDUAL_TOL after one
-    step of iterative refinement.  condition is the system's estimate made
-    on the same LU, when the caller asked for one."""
-
-    condition = None
+    step of iterative refinement."""
 
 
 @dataclass(frozen=True)
@@ -420,23 +421,20 @@ def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
     iteration instead of factoring A again; a single-precision one raises
     ValueError, since its inverse is good only to about kappa * eps_single.
     Without one, A is factored first (ordered by coords), so a singular A
-    costs no iterations.  A matrix that Factorization refuses as input (not
-    square, 0 x 0 or non-finite) raises its ValueError here too."""
+    costs no iterations (refused_condition).  A matrix that Factorization
+    refuses as input (not square, 0 x 0 or non-finite) raises its
+    ValueError here too."""
     if fac is not None and fac.single:
         raise ValueError("condition estimate needs a double-precision factor")
     A = _checked_system(A)
     n = A.shape[0]
     if n <= DENSE_SVD_LIMIT:
-        s = np.linalg.svd(A.toarray(), compute_uv=False)
-        return ConditionEstimate(value=float(s[0] / s[-1]) if s[-1] else np.inf,
-                                 method="dense-svd", iterations=0)
-
+        return refused_condition(A)
     if fac is None:
         try:
             fac = Factorization(A, coords)
         except SingularMatrixError:
-            return ConditionEstimate(value=np.inf, method="power-iteration",
-                                     iterations=0)
+            return refused_condition(A)
     rng = np.random.default_rng(0)
     # A^H w as conj(A^T conj(w)): no conjugated copy of A
     smax, iters, ok = _power_norm(lambda v: np.conj(A.T @ np.conj(A @ v)), rng, n)
@@ -445,6 +443,19 @@ def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
     smin = 1.0 / inv_norm
     return ConditionEstimate(value=float(smax / smin), method="power-iteration",
                              iterations=iters + inv_iters, converged=ok and inv_ok)
+
+
+def refused_condition(A: sp.spmatrix) -> ConditionEstimate:
+    """The estimate of A, a matrix that Factorization took as input and then
+    refused as singular: the dense SVD's up to DENSE_SVD_LIMIT, else
+    infinite with no further LU, since the refusal is the power iteration's
+    own singularity test.  condition_estimate's dense branch and its
+    refusal both return it."""
+    if A.shape[0] > DENSE_SVD_LIMIT:
+        return ConditionEstimate(value=np.inf, method="power-iteration", iterations=0)
+    s = np.linalg.svd(np.asarray(A.toarray(), dtype=complex), compute_uv=False)
+    return ConditionEstimate(value=float(s[0] / s[-1]) if s[-1] else np.inf,
+                             method="dense-svd", iterations=0)
 
 
 def _power_norm(apply, rng: np.random.Generator, n: int) -> tuple[float, int, bool]:

@@ -172,6 +172,41 @@ def test_only_gauge_searches_graphs():
     assert _csgraph_importers() == ["gauge"]
 
 
+def _estimator_names(path: Path) -> list[str]:
+    """The condition estimator's names that the module at path spells, by
+    reference or as a string literal: DENSE_SVD_LIMIT, a _POWER_ constant,
+    and the method names "power-iteration" and "dense-svd"."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else node.value if isinstance(node, ast.Constant) else None)
+        if isinstance(name, str) and (
+                name in ("DENSE_SVD_LIMIT", "power-iteration", "dense-svd")
+                or name.startswith("_POWER_")):
+            found.add(name)
+    return sorted(found)
+
+
+def test_only_solve_names_the_condition_estimators():
+    # solve decides every estimate of the sweep's condition column, so a
+    # change of estimator edits one module of the package
+    found = {path.stem: names for path in sorted(SRC.glob("*.py"))
+             if (names := _estimator_names(path))}
+    assert list(found) == ["solve"]
+
+
+def test_estimator_scan_sees_every_spelling(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from .solve import DENSE_SVD_LIMIT, _POWER_RTOL as tol\n"
+                    "import aphi.solve as s\n"
+                    "n = s._POWER_MAX_ITERS\n"
+                    "m = 'power-iteration' if n else \"dense-svd\"\n"
+                    "'''a power iteration, named in prose only'''\n")
+    assert _estimator_names(path) == ["DENSE_SVD_LIMIT", "_POWER_MAX_ITERS",
+                                      "_POWER_RTOL", "dense-svd", "power-iteration"]
+
 
 def _splu_calls(path: Path) -> list[str | None]:
     """The enclosing class (None at module level or in a plain function) of

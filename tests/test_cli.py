@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import re
 import warnings
 from dataclasses import replace
@@ -636,7 +637,6 @@ def test_sweep_row_failing_residual_check_estimates_condition(unspanned_config,
     # the original system at 1e3 Hz passes the kappa_1 * eps test but not
     # the residual check; its row reads the estimate on the system alone
     monkeypatch.setattr(solve, "DENSE_SVD_LIMIT", 100)
-    monkeypatch.setattr(cli, "DENSE_SVD_LIMIT", 100)
     built = load_scenario(unspanned_config).build()
     with pytest.raises(solve.InaccurateSolveError):
         run_two_step(built, 1e3, "original", condition=True)
@@ -992,13 +992,19 @@ def test_io_error_exit(tmp_path):
     ["solve", "--config", ACADEMIC, "--freq", "1", "--method", "tree-cotree",
      "--vtk", "{out}"],
 ])
-@pytest.mark.parametrize("where", ["missing directory", "directory", "empty"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "empty",
+                                   "read-only file"])
 def test_unwritable_output_refused_before_building(tmp_path, monkeypatch, capsys,
                                                    argv, where):
     built = []
     monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
     out = {"missing directory": tmp_path / "no" / "x.out", "directory": tmp_path,
-           "empty": ""}[where]
+           "empty": "", "read-only file": tmp_path / "x.out"}[where]
+    if where == "read-only file":  # chmod does not bind a root process
+        out.write_text("")
+        access = os.access
+        monkeypatch.setattr(os, "access",
+                            lambda p, mode: p != str(out) and access(p, mode))
     assert main([a.format(out=out) for a in argv]) == 4
     captured = capsys.readouterr()
     assert built == [] and captured.out == ""

@@ -18,9 +18,9 @@ from aphi.physics import (METHODS, DerivedFields, ManufacturedCase,
                           run_two_step)
 from aphi.scenario import (RegionSpec, Scenario, academic_scenario, load_scenario,
                            mms_scenario)
-from aphi.solve import (KAPPA1_EPS_TOL, SINGLE_KAPPA1_EPS_TOL, Factorization,
-                        SingularMatrixError, _equilibrate, _probe_bound,
-                        condition_estimate)
+from aphi.solve import (KAPPA1_EPS_TOL, SINGLE_KAPPA1_EPS_TOL, ConditionEstimate,
+                        Factorization, SingularMatrixError, _equilibrate,
+                        _probe_bound, condition_estimate)
 from aphi.system import FrequencyPoint, StaticSingularityError
 from oracles import (cell_centre_fields, edge_interpolate, fd_curl_curl,
                      fd_divergence, fd_gradient, source_moments,
@@ -583,6 +583,27 @@ def test_probe_bound_skips_a_hopeless_single_factor(academic_11, f, curl_dtypes,
     splu_dtypes.clear()
     run_two_step(academic_11, exc, "original")
     assert splu_dtypes == curl_dtypes
+
+
+@pytest.mark.parametrize("fixture", ["academic_built", "academic_11"])
+def test_refused_curl_step_carries_its_condition(fixture, request):
+    # the original system at 0 Hz is refused: at 3^3 by its LUs (no gauge
+    # node lies in air there), at 11^3 by the gradient probe.  The error
+    # carries the estimate a sweep row writes: the dense SVD's, or, above
+    # the dense limit, infinite without a further LU
+    built = request.getfixturevalue(fixture)
+    exc = excitation(built, 0.0)
+    if built.edge.n_free > solve.DENSE_SVD_LIMIT:
+        expected = ConditionEstimate(np.inf, "power-iteration", 0)
+    else:
+        expected = condition_estimate(curl_system(built, 0.0, "original")[0])
+        assert expected.method == "dense-svd"
+    with pytest.raises(SingularMatrixError) as info:
+        run_two_step(built, exc, "original", condition=True)
+    assert info.value.condition == expected
+    with pytest.raises(SingularMatrixError) as info:
+        run_two_step(built, exc, "original")
+    assert info.value.condition is None
 
 
 def test_probed_factorization_equilibrates_once(monkeypatch, mms_built_sigma0):

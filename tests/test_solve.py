@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aphi import physics, solve
+from aphi import solve
 from aphi.assembly import MaterialField, assemble_bundle
 from aphi.mesh import (AIR, FACE_LABELS, Box, boundary_entities,
                        build_box_mesh, tag_regions)
@@ -264,7 +264,8 @@ def test_condition_estimate_reads_the_lu_that_ends_the_solve(rel, monkeypatch):
     # the 11x11 chained-growth LU at 1e-3 fails the residual check, so the
     # inverse iteration runs through the LU at 0.1 that replaced it: the one
     # that serves, or, with every LU perturbed by 1 + rel, the one whose
-    # residual refuses the solve and whose estimate the error carries
+    # residual refuses the solve (run_two_step puts that estimate on the
+    # InaccurateSolveError)
     monkeypatch.setattr(solve, "DENSE_SVD_LIMIT", 4)
     A = _chained_growth(11, 2e-3)
     b = np.random.default_rng(1).standard_normal(11) + 0j
@@ -276,13 +277,12 @@ def test_condition_estimate_reads_the_lu_that_ends_the_solve(rel, monkeypatch):
         held.append(fac.pivot_thresh)
         return condition_estimate(M, fac=fac, coords=coords)
 
-    monkeypatch.setattr(physics, "condition_estimate", spy)
     if rel:
-        with pytest.raises(InaccurateSolveError) as info:
-            physics.checked_solve_with_condition(fac, b, condition=True)
-        est = info.value.condition
+        with pytest.raises(InaccurateSolveError):
+            fac.checked_solve(b)
     else:
-        est = physics.checked_solve_with_condition(fac, b, condition=True)[1]
+        fac.checked_solve(b)
+    est = spy(A, fac=fac)
     assert held == [solve.SAFE_PIVOT_THRESH]
     assert est.method == "power-iteration"
     assert est.value == pytest.approx(np.linalg.cond(A.toarray()), rel=10 * rel + 1e-6)
