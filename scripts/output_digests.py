@@ -9,9 +9,10 @@ print goes to stderr):
     workload file sha256
 
 Two checkouts that print the same lines write byte-identical outputs.
-Set OPENBLAS_NUM_THREADS=1 for digests that compare across runs:
+The script runs BLAS on one thread, as the benchmark's worker does, since
+the sweep's digits depend on the thread count:
 
-    OPENBLAS_NUM_THREADS=1 python scripts/output_digests.py [--quick]
+    python scripts/output_digests.py [--quick]
 
 --quick takes the benchmark's quick sizes.  Exits with the first nonzero
 exit code of a command.
@@ -24,6 +25,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+# before numpy loads, which reads them once
+os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1"))
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 

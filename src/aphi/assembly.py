@@ -1,4 +1,4 @@
-"""Global sparse matrices, and load vectors of the source densities given.
+"""Global sparse matrices, and the manufactured source and its load vectors.
 
 All cells of a box mesh share one geometry, so assemble_bundle computes the
 four unit-weight element matrices once and scatters all seven weighted
@@ -15,10 +15,10 @@ indices are exactly nnz long, not views into the scatter's buffers: the
 bundle lives as long as its scenario, so it sits, with the tree-cotree
 system and the LU's input copy, under every curl LU's peak.
 
-A source is given per component as terms coef * fx(x) * fy(y) * fz(z).
-A box cell's basis functions are products of one factor per axis, so the
-order-7 tensor rule gives a term's moments as products of three Gauss
-sums over each axis's cell rows (sum factorization, Orszag 1980).
+The manufactured case, the one source, gives each component as terms
+coef * fx(x) * fy(y) * fz(z).  A box cell's basis functions are products
+of one factor per axis, so the order-7 tensor rule gives a term's moments
+as products of three per-axis Gauss sums (sum factorization, Orszag 1980).
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy import cos, sin
+from scipy.constants import epsilon_0, mu_0
 
 from .mesh import (LOCAL_EDGE_AXIS, LOCAL_EDGE_TRANSVERSE, NODE_OFFSETS, Mesh,
                    RegionTags)
@@ -132,12 +134,11 @@ def _assemble_cells(w: np.ndarray, elem: np.ndarray, rows: np.ndarray,
     return A
 
 
-def assemble_mass(space: EdgeSpace, mat: MaterialField, weight) -> sp.csr_matrix:
-    """Weighted edge mass matrix int w w_j . w_i over all edges; weight is a
-    per-cell array or the name of a field of mat."""
+def assemble_mass(space: EdgeSpace, mat: MaterialField, weight: np.ndarray) -> sp.csr_matrix:
+    """Edge mass matrix int w w_j . w_i over all edges, w = weight per cell
+    (mat is unread)."""
     mesh = space.mesh
-    w = getattr(mat, weight) if isinstance(weight, str) else np.asarray(weight)
-    return _assemble_cells(w, element_matrices(mesh.spacing)["M"],
+    return _assemble_cells(np.asarray(weight), element_matrices(mesh.spacing)["M"],
                            mesh.cell_edges, mesh.cell_edges,
                            (mesh.n_edges, mesh.n_edges))
 
@@ -180,6 +181,77 @@ def assemble_current_vector(edge: EdgeSpace, current) -> np.ndarray:
     return out
 
 
+def _field(table, points: np.ndarray) -> np.ndarray:
+    """The components of a term table at points, as (n, components)."""
+    x, y, z = np.atleast_2d(points).T
+    return np.stack([sum((c * (fx(x) * fy(y) * fz(z)) for c, fx, fy, fz in terms),
+                         np.zeros_like(x)) for terms in table], axis=1)
+
+
+@dataclass(frozen=True)
+class ManufacturedCase:
+    """Closed-form trigonometric solution on the box (pi/2, 3pi/2)^3.
+
+    The prescribed vector potential is divergence-free, has zero tangential
+    trace on the boundary, and satisfies curl(curl A) = 3A; the scalar
+    potential vanishes on the boundary.  Uniform materials keep the complex
+    conductivity constant so the implicit divergence gauge holds exactly;
+    sigma is the only setting, and eps and nu are the vacuum's.  Each
+    field is stated once, as one tuple per component of terms (coef, fx,
+    fy, fz), each coef * fx(x) * fy(y) * fz(z), read at points by _field
+    and by the load vectors' per-axis sums.
+    """
+
+    sigma: float = 0.0
+
+    eps = epsilon_0
+    nu = 1.0 / mu_0
+    domain = ((np.pi / 2, 3 * np.pi / 2),) * 3
+    phi_terms = ((1.0, cos, cos, cos),)
+    A_terms = (((1.0, sin, cos, cos),), ((-2.0, cos, sin, cos),), ((1.0, cos, cos, sin),))
+    grad_phi_terms = (((-1.0, sin, cos, cos),), ((-1.0, cos, sin, cos),),
+                      ((-1.0, cos, cos, sin),))
+    curl_A_terms = (((-3.0, cos, sin, sin),), (), ((3.0, sin, sin, cos),))
+
+    def kappa(self, omega: float) -> complex:
+        return self.sigma + 1j * omega * self.eps
+
+    def A(self, points: np.ndarray) -> np.ndarray:
+        return _field(self.A_terms, points)
+
+    def phi(self, points: np.ndarray) -> np.ndarray:
+        return _field((self.phi_terms,), points)[:, 0]
+
+    def grad_phi(self, points: np.ndarray) -> np.ndarray:
+        return _field(self.grad_phi_terms, points)
+
+    def curl_A(self, points: np.ndarray) -> np.ndarray:
+        return _field(self.curl_A_terms, points)
+
+    def curl_curl_A(self, points: np.ndarray) -> np.ndarray:
+        return 3.0 * self.A(points)
+
+    def _current(self, omega: float, A: np.ndarray, grad_phi: np.ndarray) -> np.ndarray:
+        """J_s = (3 nu + i omega kappa) A + kappa grad phi, at points or moments."""
+        k = self.kappa(omega)
+        return (3.0 * self.nu + 1j * omega * k) * A + k * grad_phi
+
+    def J_s(self, points: np.ndarray, omega: float) -> np.ndarray:
+        return self._current(omega, self.A(points), self.grad_phi(points))
+
+    def charge_moments(self, scalar: ScalarSpace) -> tuple[np.ndarray, np.ndarray]:
+        """The sigma- and eps-weighted parts (3*sigma*q, 3*eps*q) of the
+        moments of -div(kappa grad phi) = 3*kappa*phi, over all nodes, with
+        q[i] = int phi N_i; system.py weights them by its row rule."""
+        q = assemble_charge_vector(scalar, self.phi_terms)
+        return 3.0 * self.sigma * q, 3.0 * self.eps * q
+
+    def current_vector(self, edge: EdgeSpace, omega: float) -> np.ndarray:
+        """j_s over all edges."""
+        return self._current(omega, assemble_current_vector(edge, self.A_terms),
+                             assemble_current_vector(edge, self.grad_phi_terms))
+
+
 @dataclass(frozen=True)
 class MatrixBundle:
     """All frequency-independent matrices of one scenario, full entity size.
@@ -208,14 +280,14 @@ class MatrixBundle:
     M_sigma: sp.csr_matrix
     M_eps: sp.csr_matrix
     C_nu: sp.csr_matrix
-    source: object = None  # physics.ManufacturedCase, or None: no source terms
+    source: ManufacturedCase | None = None  # None: no source terms
 
     D_sigma = property(lambda self: (-self.G_sigma).T.tocsr())
     D_eps = property(lambda self: (-self.G_eps).T.tocsr())
 
 
 def assemble_bundle(scalar: ScalarSpace, edge: EdgeSpace, material: MaterialField,
-                    source: object = None) -> MatrixBundle:
+                    source: ManufacturedCase | None = None) -> MatrixBundle:
     """All seven weighted matrices from one set of element matrices: K, G and
     M weighted by sigma and by eps, and the curl-curl matrix by nu."""
     mesh = scalar.mesh

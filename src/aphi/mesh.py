@@ -103,18 +103,18 @@ class Grid:
     def cell_centroids(self) -> np.ndarray:
         return self.cell_origins() + 0.5 * self.spacing
 
-    def locate_points(self, points: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    def locate_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (cell ids, reference coordinates in [-1,1]^3) for points.
 
         Raises ValueError for points outside the domain (beyond a relative
-        tolerance of the box size).
+        tolerance of 1e-12 of the box size).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         h = self.spacing
         n = np.array(self.subdivisions)
         local = (pts - self.origin) / h
-        if np.any(local < -tol * n) or np.any(local > n * (1 + tol)):
-            bad = np.argwhere((local < -tol * n) | (local > n * (1 + tol)))
+        bad = np.argwhere((local < -1e-12 * n) | (local > n * (1 + 1e-12)))
+        if bad.size:
             raise ValueError(f"point outside domain: {pts[bad[0, 0]]}, extents {self.extents}")
         idx = np.clip(np.floor(local).astype(np.int64), 0, n - 1)
         ref = 2.0 * (local - idx) - 1.0

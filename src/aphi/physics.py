@@ -1,10 +1,10 @@
-"""Two-step solve orchestration, derived fields, and verification cases.
+"""Two-step solve orchestration, derived fields, and the H(curl) error.
 
 Step one computes the scalar potential (the frequency-scaled
 complex-conductivity Poisson problem, one system down to omega = 0); step
 two the vector potential from the curl system, with the original,
-tree-cotree stabilized, or Lagrange-multiplier variant.  The manufactured
-trigonometric case, the only source, fills both steps' right-hand sides.
+tree-cotree stabilized, or Lagrange-multiplier variant.  hcurl_error
+measures a solution against the manufactured case (assembly's).
 
 Discrete gradients are the kernel of the curl, and in air only
 omega^2 M_eps holds them, so run_two_step hands solve.Factorization one
@@ -20,11 +20,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from numpy import cos, sin
-from scipy.constants import epsilon_0, mu_0
 
-from .assembly import (MatrixBundle, MaterialField, assemble_charge_vector,
-                       assemble_current_vector)
+from .assembly import ManufacturedCase, MatrixBundle, MaterialField
 from .gauge import (GaugeGraph, TreeCotreePartition, UnsupportedTopologyError,
                     curl_kernel_dimension)
 from .mesh import Mesh
@@ -41,79 +38,6 @@ from .system import (FrequencyPoint, build_curl_matrix, build_eqs_system,
 METHODS = ("original", "tree-cotree", "lagrange")
 
 _ERROR_QUAD_ORDER = 3  # one order above assembly quadrature
-
-
-def _field(table, points: np.ndarray) -> np.ndarray:
-    """The components of a term table at points, as (n, components)."""
-    x, y, z = np.atleast_2d(points).T
-    return np.stack([sum((c * (fx(x) * fy(y) * fz(z)) for c, fx, fy, fz in terms),
-                         np.zeros_like(x)) for terms in table], axis=1)
-
-
-@dataclass(frozen=True)
-class ManufacturedCase:
-    """Closed-form trigonometric solution on the box (pi/2, 3pi/2)^3.
-
-    The prescribed vector potential is divergence-free, has zero tangential
-    trace on the boundary, and satisfies curl(curl A) = 3A; the scalar
-    potential vanishes on the boundary.  Uniform materials keep the complex
-    conductivity constant so the implicit divergence gauge holds exactly;
-    sigma is the only setting, and eps and nu are the vacuum's.  Each
-    field is stated once, as one tuple per component of terms (coef, fx,
-    fy, fz), each coef * fx(x) * fy(y) * fz(z), read at points and by
-    assembly's per-axis sums.
-    """
-
-    sigma: float = 0.0
-
-    eps = epsilon_0
-    nu = 1.0 / mu_0
-    domain = ((np.pi / 2, 3 * np.pi / 2),) * 3
-    phi_terms = ((1.0, cos, cos, cos),)
-    A_terms = (((1.0, sin, cos, cos),), ((-2.0, cos, sin, cos),), ((1.0, cos, cos, sin),))
-    grad_phi_terms = (((-1.0, sin, cos, cos),), ((-1.0, cos, sin, cos),),
-                      ((-1.0, cos, cos, sin),))
-    curl_A_terms = (((-3.0, cos, sin, sin),), (), ((3.0, sin, sin, cos),))
-
-    def kappa(self, omega: float) -> complex:
-        return self.sigma + 1j * omega * self.eps
-
-    def A(self, points: np.ndarray) -> np.ndarray:
-        return _field(self.A_terms, points)
-
-    def phi(self, points: np.ndarray) -> np.ndarray:
-        return _field((self.phi_terms,), points)[:, 0]
-
-    def grad_phi(self, points: np.ndarray) -> np.ndarray:
-        return _field(self.grad_phi_terms, points)
-
-    def curl_A(self, points: np.ndarray) -> np.ndarray:
-        return _field(self.curl_A_terms, points)
-
-    def curl_curl_A(self, points: np.ndarray) -> np.ndarray:
-        return 3.0 * self.A(points)
-
-    def _current(self, omega: float, A: np.ndarray, grad_phi: np.ndarray) -> np.ndarray:
-        """J_s = (3 nu + i omega kappa) A + kappa grad phi, at points or moments."""
-        k = self.kappa(omega)
-        return (3.0 * self.nu + 1j * omega * k) * A + k * grad_phi
-
-    def J_s(self, points: np.ndarray, omega: float) -> np.ndarray:
-        return self._current(omega, self.A(points), self.grad_phi(points))
-
-    def eqs_rhs(self, scalar: ScalarSpace, omega: float) -> np.ndarray:
-        """The right-hand side of every scaled scalar row, over all nodes:
-        3*w*phi against each nodal function, with w = kappa(omega) in a
-        conductor (i*omega*q_s) and w = eps in air (q_s).  The case's
-        materials are uniform, so all rows are of one kind, and w stays
-        finite as omega -> 0."""
-        w = self.kappa(omega) if self.sigma > 0 else self.eps
-        return 3.0 * w * assemble_charge_vector(scalar, self.phi_terms)
-
-    def current_vector(self, edge: EdgeSpace, omega: float) -> np.ndarray:
-        """j_s over all edges."""
-        return self._current(omega, assemble_current_vector(edge, self.A_terms),
-                             assemble_current_vector(edge, self.grad_phi_terms))
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.constants import epsilon_0, mu_0
 
-from .assembly import MaterialField, assemble_bundle
+from .assembly import ManufacturedCase, MaterialField, assemble_bundle
 from .gauge import build_gauge_graph, spanning_tree
 from .mesh import (FACE_LABELS, Box, boundary_entities, build_box_mesh,
                    derive_entity_tags, match_cells)
-from .physics import METHODS, BuiltScenario, ManufacturedCase
+from .physics import METHODS, BuiltScenario
 from .spaces import DirichletSpec, build_edge_space, build_scalar_space
 
 
@@ -249,7 +249,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # drops a byte-order mark
         return parse_scenario(fh.read(), name=str(path))
 
 

@@ -128,17 +128,14 @@ class EdgeSpace:
 
 def build_scalar_space(mesh: Mesh, faces: dict[str, BoundarySet],
                        spec: DirichletSpec) -> ScalarSpace:
-    """Free/constrained node partition with prescribed values per label."""
-    value = {}
+    """Free/constrained node partition; a node takes its last label's value."""
+    value = np.zeros(mesh.n_nodes, dtype=complex)
+    fixed = np.zeros(mesh.n_nodes, dtype=bool)
     for label, val in spec.scalar:
-        for n in faces[label].nodes:
-            value[int(n)] = complex(val)
-    constrained = np.array(sorted(value), dtype=np.int64)
-    vals = np.array([value[n] for n in constrained], dtype=complex)
-    mask = np.ones(mesh.n_nodes, dtype=bool)
-    mask[constrained] = False
-    free = np.flatnonzero(mask)
-    return ScalarSpace(mesh=mesh, free=free, constrained=constrained, values=vals)
+        value[faces[label].nodes] = complex(val)
+        fixed[faces[label].nodes] = True
+    return ScalarSpace(mesh=mesh, free=np.flatnonzero(~fixed),
+                       constrained=np.flatnonzero(fixed), values=value[fixed])
 
 
 def build_edge_space(mesh: Mesh, faces: dict[str, BoundarySet],

@@ -5,11 +5,12 @@ scaled so that it keeps its static limit; step two the curl system for the
 vector potential, either in its original form, with a Lagrange multiplier
 enforcing the scaled divergence constraint, or with the tree rows replaced
 by that constraint (the square stabilized system).  The bundle stores
-sigma- and eps-weighted matrices; this module alone combines them, the
-scalar system and the constraint by one row rule (_row_rule): X_sigma +
-diag(w) X_eps, w = i*omega on conductor-node rows (complex conductivity)
-and 1 on air-node rows (permittivity alone), exact since an air node's
-sigma-weighted row is empty.  Every builder returns canonical CSR.
+sigma- and eps-weighted matrices, and its source gives such charge
+moments; only this module combines them, by one row rule (_row_rule) on
+both sides of the scalar system and on the constraint: X_sigma + diag(w)
+X_eps, w = i*omega on conductor-node rows (complex conductivity) and 1 on
+air-node rows (permittivity alone), exact as an air node's sigma-weighted
+row is empty.  Builders return canonical CSR.
 """
 from __future__ import annotations
 
@@ -71,27 +72,32 @@ def scaling_factors(omega: float, material) -> ScalingFactors:
     return ScalingFactors(beta=beta, gamma=gamma)
 
 
+def _row_weights(omega: float, cond: np.ndarray) -> np.ndarray:
+    """i*omega on the rows where cond holds (conductor nodes), 1 elsewhere."""
+    return np.where(cond, 1j * omega, 1.0)
+
+
 def _row_rule(omega: float, cond: np.ndarray, X_sigma: sp.spmatrix,
               X_eps: sp.spmatrix) -> sp.csr_matrix:
-    """X_sigma + diag(w) X_eps, w = i*omega on the rows where cond holds
-    (conductor nodes) and 1 on the others; canonical CSR in and out."""
+    """X_sigma + diag(w) X_eps, w = _row_weights(omega, cond); canonical CSR
+    in and out."""
     wX = X_eps.astype(complex)
-    wX.data *= np.repeat(np.where(cond, 1j * omega, 1.0), np.diff(wX.indptr))
+    wX.data *= np.repeat(_row_weights(omega, cond), np.diff(wX.indptr))
     return X_sigma + wX
 
 
 def build_eqs_system(bundle: MatrixBundle, omega: float) -> tuple[sp.csr_matrix, np.ndarray]:
     """Frequency-scaled scalar-potential system on free nodes.
 
-    By the row rule, conductor-node rows are (K_sigma + i*omega*K_eps) u =
-    i*omega*q_s, and air-node rows, whose K_sigma part is empty, are
-    divided by i*omega to K_eps u = q_s.  The matrix thus stays regular
-    down to omega = 0, the block lower-triangular static limit (current
-    flow in the conductors, electrostatics in air), where a floating
-    conductor raises StaticSingularityError.  The source's eqs_rhs gives
-    every scaled row's right-hand side, plus the Dirichlet lift.  Without
-    a Dirichlet node the constants lie in the kernel at every frequency,
-    which raises SingularMatrixError.
+    By the row rule on both sides, conductor-node rows are (K_sigma +
+    i*omega*K_eps) u = q_sigma + i*omega*q_eps, and air-node rows, whose
+    sigma-weighted parts are empty, are divided by i*omega to K_eps u =
+    q_eps, with (q_sigma, q_eps) the source's charge_moments (0 without a
+    source), plus the Dirichlet lift.  The matrix thus stays regular down
+    to omega = 0, the block lower-triangular static limit (current flow in
+    the conductors, electrostatics in air), where a floating conductor
+    raises StaticSingularityError.  Without a Dirichlet node the constants
+    lie in the kernel at every frequency, which raises SingularMatrixError.
     """
     scal = bundle.scalar
     if not scal.constrained.size:
@@ -101,11 +107,12 @@ def build_eqs_system(bundle: MatrixBundle, omega: float) -> tuple[sp.csr_matrix,
     if omega == 0.0:
         _check_conductor_components(bundle)
     free = scal.free
-    K = _row_rule(omega, bundle.material.tags.conductor_nodes[free],
-                  bundle.K_sigma[free], bundle.K_eps[free])
+    cond = bundle.material.tags.conductor_nodes[free]
+    K = _row_rule(omega, cond, bundle.K_sigma[free], bundle.K_eps[free])
     rhs = np.zeros(scal.n_free, dtype=complex)
     if bundle.source is not None:
-        rhs[:] = bundle.source.eqs_rhs(scal, omega)[free]
+        q_sigma, q_eps = bundle.source.charge_moments(scal)
+        rhs = q_sigma[free] + _row_weights(omega, cond) * q_eps[free]
     rhs = rhs - K[:, scal.constrained] @ scal.values
     return K[:, free], rhs
 

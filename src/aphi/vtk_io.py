@@ -19,6 +19,7 @@ from .mesh import Grid, build_box_grid
 from .physics import BuiltScenario, DerivedFields, Solution
 
 VTK_HEXAHEDRON = 12
+_CONTROLS = dict.fromkeys([*range(0x20), 0x7F], " ")  # ASCII controls to spaces
 
 _FIELD_EVALUATORS = (
     ("B", "B"), ("E", "E"), ("D", "D_total"), ("J", "J_total"),
@@ -58,11 +59,10 @@ def write_vtk(path, mesh: Grid, point_data: Mapping[str, np.ndarray] | None = No
                              f"got {arr.shape}")
         # %.17g prints any real through a double, so the cast keeps the text
         point_data[name] = arr.astype(np.float64, copy=False)
-    # ASCII header: others become "?" (a solve's title holds its config path)
-    title = title.replace("\n", " ")[:255].encode("ascii", "replace").decode()
-    with open(path, "w", encoding="ascii") as fh:
+    # a control character would split the title (a solve's config path) line
+    with open(path, "w", encoding="ascii", errors="replace") as fh:
         fh.write("# vtk DataFile Version 3.0\n")
-        fh.write(title + "\n")
+        fh.write(title[:255].translate(_CONTROLS) + "\n")
         fh.write("ASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_nodes} double\n")

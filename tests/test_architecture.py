@@ -98,6 +98,49 @@ def test_layer_scan_sees_type_checking_and_function_imports(tmp_path):
     assert _upward_imports(path) == ["physics", "gauge"]
 
 
+def _object_annotations(path: Path) -> list[int]:
+    """Lines of the module at path with an annotation that names object:
+    bare, in a union or a subscript, or inside a string annotation."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            note = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            note = node.returns
+        else:
+            continue
+        if note is None:
+            continue
+        expr = (ast.parse(note.value, mode="eval") if isinstance(note, ast.Constant)
+                and isinstance(note.value, str) else note)
+        if any(isinstance(n, ast.Name) and n.id == "object" for n in ast.walk(expr)):
+            found.append(note.lineno)
+    return found
+
+
+def test_no_annotation_is_object():
+    # an object annotation lets a lower layer hold a higher layer's value
+    # without importing its type: the way round the layer order above
+    found = {path.name: lines for path in sorted(SRC.glob("*.py"))
+             if (lines := _object_annotations(path))}
+    assert found == {}
+
+
+def test_object_annotation_scan_sees_every_spelling(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from typing import Optional\n"
+                    "class C:\n"
+                    "    source: object = None\n"
+                    "    n: int = 0\n"
+                    "def f(a: object, *rest: object, b: 'object | None' = None,\n"
+                    "      **kw: Optional[object]) -> object:\n"
+                    "    x: list[object] = []\n"
+                    "    return object()\n"
+                    "async def g(y: int) -> dict[str, object | None]:\n"
+                    "    pass\n")
+    assert sorted(_object_annotations(path)) == [3, 5, 5, 5, 6, 6, 7, 9]
+
+
 def _setattr_bypasses(path: Path) -> list[int]:
     """Lines of the module at path that call object.__setattr__, the way
     round a frozen dataclass."""

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
 from aphi import assembly
-from aphi.assembly import (MaterialError, MaterialField, MatrixBundle,
-                           assemble_bundle, assemble_charge_vector,
+from aphi.assembly import (ManufacturedCase, MaterialError, MaterialField,
+                           MatrixBundle, assemble_bundle, assemble_charge_vector,
                            assemble_current_vector)
 from aphi.mesh import (AIR, CONDUCTOR, Box, boundary_entities, build_box_mesh,
                        tag_regions)
-from aphi.physics import ManufacturedCase
 from aphi.spaces import (DirichletSpec, build_edge_space, build_scalar_space,
                          gradient_incidence, physical_edge_basis,
                          physical_scalar_basis)

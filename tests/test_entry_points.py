@@ -18,8 +18,8 @@ SWEEP_HEADER = "f_hz,method,cond_estimate,cond_method,delta_D,rel_residual,n_dof
 CONVERGE_HEADER = "s_h,method,hcurl_error,rate"
 
 
-def _run(*args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+def _run(*args, threads="1"):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads)
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
 
@@ -88,6 +88,8 @@ def test_output_digests_script_quick_prints_one_line_per_output():
         ("converge-mms", "mms_sigma6e7.csv"), ("export-academic", "fields.vtk")]
     assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef")
                for *_, digest in lines)
+    # the script pins one BLAS thread itself: the sweep's digits depend on it
+    assert _run("scripts/output_digests.py", "--quick", threads="2").stdout == proc.stdout
 
 
 def _bench_pairs():

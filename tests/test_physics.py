@@ -92,7 +92,8 @@ def test_source_consistency_identity(case, rng):
 
 
 def test_laplacian_of_phi_is_three_phi(case, rng):
-    # -div(grad phi) = 3 phi: the factor 3 of eqs_rhs's 3*w*phi
+    # -div(grad phi) = 3 phi: the factor 3 of the charge moments 3*sigma*q
+    # and 3*eps*q
     for p in _random_points(rng, 5):
         lap = fd_divergence(lambda x: case.grad_phi(x[None, :])[0], p)
         assert abs(-lap - 3.0 * case.phi(p[None, :])[0]) < 1e-6
@@ -140,14 +141,14 @@ def test_source_vectors_match_order_10_oracle(config, size):
     # order: order 10 changes no moment beyond it
     built = load_scenario(CONFIG_DIR / config).with_subdivisions((size,) * 3).build()
     omega, case, source = FrequencyPoint(10.0).omega, built.mms, built.bundle.source
-    # step one's rows carry 3*w*phi: w = kappa in a conductor, eps in air
-    w = case.kappa(omega) if built.material.tags.conductor_cells.any() else case.eps
-    for got, ref in ((source.eqs_rhs(built.scalar, omega),
-                      source_moments(built.mesh, lambda p: 3.0 * w * case.phi(p),
-                                     "scalar", order=10)),
-                     (source.current_vector(built.edge, omega),
-                      source_moments(built.mesh, lambda p: case.J_s(p, omega), "edge",
-                                     order=10))):
+    # the charge moments are the sigma- and eps-weighted parts of 3*kappa*phi
+    pairs = [(got, source_moments(built.mesh, lambda p, w=w: 3.0 * w * case.phi(p),
+                                  "scalar", order=10))
+             for got, w in zip(source.charge_moments(built.scalar), (case.sigma, case.eps))]
+    pairs.append((source.current_vector(built.edge, omega),
+                  source_moments(built.mesh, lambda p: case.J_s(p, omega), "edge",
+                                 order=10)))
+    for got, ref in pairs:
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from aphi import cli
 from aphi.mesh import UncoveredRegionError
 from aphi.scenario import (ConfigError, academic_scenario, load_scenario,
                            mms_scenario, parse_scenario)
@@ -43,6 +44,16 @@ def test_golden_configs_parse_and_build():
         scenario = load_scenario(CONFIG_DIR / name)
         built = scenario.build()
         assert built.mesh.n_cells > 0
+
+
+def test_config_with_byte_order_mark_reads_as_plain(tmp_path):
+    # editors on Windows save UTF-8 with a leading byte-order mark, which
+    # would otherwise be read as the first key
+    plain = CONFIG_DIR / "academic.cfg"
+    bom = tmp_path / "academic.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert dataclasses.replace(load_scenario(bom), name=str(plain)) == load_scenario(plain)
+    assert cli.main(["check", "--config", str(bom), "--subdivs", "3,3,3"]) == 0
 
 
 def test_shipped_academic_matches_factory():

@@ -143,16 +143,19 @@ def test_eqs_step_is_one_solve_at_zero_frequency(academic_built):
 
 
 def test_eqs_sources_evaluated_only_on_their_rows():
-    # the manufactured case's materials are uniform, so eqs_rhs gives every
-    # free row's source, the uniform conductor's at 0 Hz too
+    # the row rule weights the charge moments as it weights K: q_sigma +
+    # i*omega*q_eps on every row of the conducting case, q_eps on every row
+    # of the nonconducting one (uniform materials), at 0 Hz too
     for sigma in (0.0, 6e7):
         built = mms_scenario(sigma, (3, 3, 3)).build()
-        scal, source = built.scalar, built.bundle.source
+        scal = built.scalar
+        q_sigma, q_eps = (q[scal.free] for q in built.bundle.source.charge_moments(scal))
+        assert np.abs(q_eps).max() > 0 and (np.abs(q_sigma).max() > 0) == (sigma > 0)
         for omega in (0.0, 2 * np.pi * 10.0):
             _, rhs = build_eqs_system(built.bundle, omega)
-            assert np.array_equal(rhs, source.eqs_rhs(scal, omega)[scal.free])
+            assert np.array_equal(rhs, q_sigma + 1j * omega * q_eps if sigma else q_eps)
         _, rhs = build_eqs_static_limit(built.bundle)
-        assert np.array_equal(rhs, source.eqs_rhs(scal, 0.0)[scal.free])
+        assert np.array_equal(rhs, q_sigma if sigma else q_eps)
 
 
 def test_static_limit_matches_small_frequency(academic_built):

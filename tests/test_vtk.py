@@ -229,6 +229,19 @@ def test_non_ascii_title_written_with_replacements(tmp_path):
     _assert_complete(path, mesh.n_nodes, ["B_re"])
 
 
+@pytest.mark.parametrize("char", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                  "\x00", "\t", "\x1f", "\x7f"])
+def test_control_characters_in_title_keep_one_header_line(tmp_path, char):
+    # str.splitlines() splits lines at \r, \v, \f and \x1c-\x1e as well as
+    # at \n, and universal-newline reading at \r
+    mesh = build_box_mesh(((0, 1), (0, 1), (0, 1)), (2, 1, 1))
+    path = tmp_path / "t.vtk"
+    write_vtk(path, mesh, title=f"cfg{char}name")
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[1:3] == ["cfg name", "ASCII"]
+    assert np.array_equal(read_vtk_points(path), mesh.nodes)
+
+
 def test_solve_vtk_from_a_non_ascii_config_path(tmp_path):
     cfg = tmp_path / "akademisch_\u00fc.cfg"
     shutil.copy(CONFIG_DIR / "academic.cfg", cfg)
