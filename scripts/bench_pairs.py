@@ -11,7 +11,10 @@ each commit, unpacked side by side).  Pair i runs
 
 once from the root of each tree, with that tree's own bench/ and src/;
 the parent runs first in even pairs and the change first in odd ones, so
-a drift of the machine's speed falls on both sides alike.  --traced M
+a drift of the machine's speed falls on both sides alike.  One warm-up
+pair, seeded and ordered like pair 0, runs before the counted pairs of
+each workload: the first run in a fresh tree reads slow, so the warm-up
+is recorded under "warmup" and left out of every summary.  --traced M
 adds M pairs of traced runs (`--trace 1`, seeds S to S+M-1), alternating
 the same way, for the per-layer metrics.  --workload may be given more
 than once; every workload gets its own N (and M) pairs.  Nothing
@@ -20,9 +23,12 @@ bench/out/, as any run does.
 
 The JSON (on stdout, or in --out) holds, per workload and end-to-end
 metric, each side's runs, median, quartiles and IQR, the number of pairs
-in which the change reads lower, and the change's median minus the
-parent's; and per side the failed share (failed over attempted
-operations, summed over the runs) and whether every run was correct.
+in which the change reads lower, the change's median minus the parent's,
+and per side the medians of the runs it made first and second in its
+pair ("by_position"); and per side the failed share (failed over
+attempted operations, summed over the runs) and whether every run was
+correct.  Each run record gives its position (1 or 2) in its pair and
+its metric values.
 With --traced, "traced" holds the same summary of the per-layer metrics
 and "moved": the layer metrics whose medians differ, ordered by the
 difference over the parent's IQR (largest first; null, sorted first,
@@ -60,6 +66,15 @@ def _spread(runs: list[float]) -> dict:
     return {"runs": runs, "median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def _position(pair: int, side: str) -> int:
+    """1 if side runs first in the pair, else 2."""
+    return 1 if (pair % 2 == 0) == (side == SIDES[0]) else 2
+
+
+def _median(runs: list[float]) -> float | None:
+    return statistics.median(runs) if runs else None
+
+
 def summarize(results: dict[str, list[dict]]) -> dict:
     """Per-metric and failure summary of the paired results of each side."""
     metrics = {}
@@ -68,6 +83,11 @@ def summarize(results: dict[str, list[dict]]) -> dict:
         summary = {"unit": first["unit"], **{s: _spread(sides[s]) for s in SIDES}}
         summary["change_lower_in"] = sum(c < p for p, c in zip(*sides.values()))
         summary["median_diff"] = summary["change"]["median"] - summary["parent"]["median"]
+        summary["by_position"] = {
+            s: {place: _median([v for i, v in enumerate(sides[s])
+                                if _position(i, s) == pos])
+                for pos, place in ((1, "first"), (2, "second"))}
+            for s in SIDES}
         metrics[name] = summary
     failed = {}
     for s in SIDES:
@@ -91,7 +111,8 @@ def moved(metrics: dict) -> list[dict]:
     return sorted(out, key=lambda m: -(m["diff_over_iqr"] or float("inf")))
 
 
-def _alternate(trees, workload, pairs, seed, seconds, quick, trace, log):
+def _alternate(trees, workload, pairs, seed, seconds, quick, trace, log,
+               label="pair"):
     results = {s: [] for s in SIDES}
     runs = []
     for i in range(pairs):
@@ -100,10 +121,12 @@ def _alternate(trees, workload, pairs, seed, seconds, quick, trace, log):
             record, result = run_once(trees[side], workload, seed + i, seconds, quick,
                                       trace)
             results[side].append(result)
-            runs.append({"pair": i, "side": side, "seed": seed + i, "trace": trace,
+            runs.append({"pair": i, "side": side, "position": _position(i, side),
+                         "seed": seed + i, "trace": trace,
                          **{k: record.get(k) for k in ("source", "rounds", "failed_ops")},
-                         "machine": {k: record.get(k) for k in MACHINE_KEYS}})
-            print(f"{workload} {'traced ' if trace else ''}pair {i} {side}: "
+                         "machine": {k: record.get(k) for k in MACHINE_KEYS},
+                         "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
+            print(f"{workload} {'traced ' if trace else ''}{label} {i} {side}: "
                   + ", ".join(f"{k} {v['value']:.6g}" for k, v in result["metrics"].items()),
                   file=log, flush=True)
     return results, runs
@@ -111,8 +134,11 @@ def _alternate(trees, workload, pairs, seed, seconds, quick, trace, log):
 
 def run_pairs(trees: dict[str, Path], workload: str, pairs: int, seed: int,
               seconds: float, quick: bool, log=sys.stderr, traced: int = 0) -> dict:
+    # the warm-up pair: seeded and ordered like pair 0, and never summarized
+    _, warm_runs = _alternate(trees, workload, 1, seed, seconds, quick, 0, log,
+                              label="warm-up pair")
     results, runs = _alternate(trees, workload, pairs, seed, seconds, quick, 0, log)
-    out = {**summarize(results), "runs": runs}
+    out = {**summarize(results), "runs": runs, "warmup": warm_runs}
     if traced:
         results, runs = _alternate(trees, workload, traced, seed, seconds, quick, 1, log)
         layers = summarize(results)
@@ -146,7 +172,8 @@ def main(argv=None) -> int:
                f"--seconds {args.seconds:g} --trace 0" + (" --quick" if args.quick else ""))
     out = {
         "command": command,
-        "order": "parent first in even pairs, change first in odd pairs",
+        "order": "one uncounted warm-up pair, then parent first in even pairs, "
+                 "change first in odd pairs",
         "workloads": {w: run_pairs(trees, w, args.pairs, args.seed, args.seconds,
                                    args.quick, traced=args.traced)
                       for w in args.workload},

@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 
-from .gauge import curl_kernel_dimension
 from .mesh import match_cells
 from .physics import (METHODS, curl_coordinates, curl_system, excitation,
                       hcurl_error, refuse_unspanned_gauge, run_two_step)
@@ -49,20 +48,30 @@ def _num(x: float) -> str:
     return f"{x + 0.0:.12g}"  # + 0.0 writes a negative zero as 0
 
 
+def _parsed(kind, text: str, arg: str):
+    """kind(text), or a ValueError that names the command-line argument."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{arg}: {text!r} is not {what}") from None
+
+
 def parse_frequencies(spec: str) -> list[float]:
     """Comma list of Hz values, or 'logspace:<start_exp>,<stop_exp>,<num>';
     a repeated frequency would only repeat rows, so it is refused."""
     if spec.startswith("logspace:"):
         parts = spec[len("logspace:"):].split(",")
         if len(parts) != 3:
-            raise ValueError("logspace spec needs start_exp,stop_exp,num")
-        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
+            raise ValueError("--freqs logspace spec needs start_exp,stop_exp,num")
+        start, stop = (_parsed(float, t, "--freqs") for t in parts[:2])
+        num = _parsed(int, parts[2], "--freqs")
         with np.errstate(all="ignore"):  # an overflow is rejected below
             freqs = [float(f) for f in np.logspace(start, stop, num)]
     else:
-        freqs = [float(t) for t in spec.split(",") if t.strip()]
+        freqs = [_parsed(float, t, "--freqs") for t in spec.split(",") if t.strip()]
     if not freqs:
-        raise ValueError("empty frequency list")
+        raise ValueError("empty --freqs list")
     freqs = [FrequencyPoint(f).f for f in freqs]
     if len(set(freqs)) != len(freqs):  # -0 and 0 compare equal
         raise ValueError(f"repeated sweep frequency in {spec!r}")
@@ -207,7 +216,7 @@ def run_check(built) -> list[tuple[str, bool]]:
                           curl_coordinates(built, "original")[part.cotree])
         except SingularMatrixError:
             cotree_ok = False
-    kernel = curl_kernel_dimension(built.mesh, built.edge)
+    kernel = built.gauge.kernel_dimension
     paired = np.array_equal(np.sort(part.tree_vertex),
                             np.arange(built.gauge.gauge_nodes.size))
     kernel_ok = cotree_ok and grad_ok and paired and part.tree.size == kernel
@@ -284,11 +293,18 @@ def _write_csv(path: str, command: str, header: str, rows: list[str]) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
+def _sizes(args) -> list[int]:
+    return [_parsed(int, t, "--subdivs") for t in args.subdivs.split(",")]
+
+
 def _load(args) -> Scenario:
+    """The config's scenario, on the --subdivs mesh if one is given."""
     scenario = load_scenario(args.config)
-    if getattr(args, "subdivs", None):
-        scenario = scenario.with_subdivisions(
-            [int(t) for t in args.subdivs.split(",")])
+    if args.subdivs is not None:
+        sizes = _sizes(args)
+        if len(sizes) != 3 or min(sizes) < 1:
+            raise ValueError(f"--subdivs needs three sizes >= 1, got {args.subdivs!r}")
+        scenario = scenario.with_subdivisions(sizes)
     return scenario
 
 
@@ -343,10 +359,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "converge":
-        scenario = _load(args)
+        scenario = load_scenario(args.config)
         methods = _methods(args, scenario)
-        subdivs = [int(t) for t in args.subdivs.split(",")]
-        rows = run_convergence(scenario, subdivs, args.freq, methods)
+        rows = run_convergence(scenario, _sizes(args), args.freq, methods)
         _write_csv(args.out, "converge", CONVERGE_HEADER, rows)
         return EXIT_OK
 

@@ -12,11 +12,12 @@ Each tree edge is paired with the vertex it reaches, whose divergence row
 takes the place of its curl row.
 
 The static curl kernel on the free edges holds the gradients of potentials
-constant on each piece of the constrained edges (curl_kernel_dimension).
-The tree count equals its dimension only when every scalar Dirichlet node
-lies on a constrained edge and those edges form one piece; otherwise the
-gauged systems stay singular.  node_components also serves the
-floating-conductor check, so the package's graph searches all live here.
+constant on each piece of the constrained edges, and build_gauge_graph
+counts its dimension once, so no solve searches the mesh graph.  The tree
+count equals it only when every scalar Dirichlet node lies on a
+constrained edge and those edges form one piece; otherwise the gauged
+systems stay singular.  node_components also serves the floating-conductor
+check, so the package's graph searches all live here.
 """
 from __future__ import annotations
 
@@ -32,9 +33,9 @@ from .spaces import EdgeSpace, ScalarSpace
 
 class UnsupportedTopologyError(ValueError):
     """The gauge cannot span the static curl kernel: its graph is
-    disconnected, or its tree count differs from curl_kernel_dimension (a
-    scalar Dirichlet node off the constrained edges, or constrained edges
-    in more than one piece)."""
+    disconnected, or its tree count differs from the kernel dimension that
+    build_gauge_graph counted (a scalar Dirichlet node off the constrained
+    edges, or constrained edges in more than one piece)."""
 
 
 def node_components(mesh: Mesh, edges: np.ndarray) -> tuple[int, np.ndarray]:
@@ -45,17 +46,13 @@ def node_components(mesh: Mesh, edges: np.ndarray) -> tuple[int, np.ndarray]:
     return connected_components(adj, directed=False)
 
 
-def curl_kernel_dimension(mesh: Mesh, edge_space: EdgeSpace) -> int:
-    """One potential per constrained-edge component, less the constant."""
-    return int(node_components(mesh, edge_space.constrained)[0]) - 1
-
-
 @dataclass(frozen=True)
 class GaugeGraph:
     """Vertices are the gauge nodes, then the root; edges are the free edges."""
 
     gauge_nodes: np.ndarray        # mesh node ids owning a vertex, ascending
     edge_vertices: np.ndarray      # (n_free, 2) vertex endpoints
+    kernel_dimension: int          # static curl kernel: constrained-edge pieces - 1
 
 
 def build_gauge_graph(mesh: Mesh, edge_space: EdgeSpace,
@@ -76,7 +73,9 @@ def build_gauge_graph(mesh: Mesh, edge_space: EdgeSpace,
     vertex_of_node[gauge_nodes] = np.arange(root)
 
     return GaugeGraph(gauge_nodes=gauge_nodes,
-                      edge_vertices=vertex_of_node[mesh.edges[edge_space.free]])
+                      edge_vertices=vertex_of_node[mesh.edges[edge_space.free]],
+                      kernel_dimension=int(node_components(
+                          mesh, edge_space.constrained)[0]) - 1)
 
 
 @dataclass(frozen=True)

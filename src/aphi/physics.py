@@ -22,15 +22,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import ManufacturedCase, MatrixBundle, MaterialField
-from .gauge import (GaugeGraph, TreeCotreePartition, UnsupportedTopologyError,
-                    curl_kernel_dimension)
+from .gauge import GaugeGraph, TreeCotreePartition, UnsupportedTopologyError
 from .mesh import Mesh
 from .solve import (ConditionEstimate, Factorization, InaccurateSolveError,
                     SingularMatrixError, SolveReport, condition_estimate,
                     refused_condition, sparse_lu_solve)
-from .spaces import (EdgeSpace, ScalarSpace, gradient_incidence,
-                     physical_edge_basis, physical_scalar_basis,
-                     tensor_quadrature)
+from .spaces import (EdgeSpace, ScalarSpace, physical_edge_basis,
+                     physical_scalar_basis, tensor_quadrature)
 from .system import (FrequencyPoint, build_curl_matrix, build_eqs_system,
                      build_lagrange_system, build_rhs, build_scaled_divergence,
                      build_stabilized_system, kappa_divergence, scaling_factors)
@@ -96,12 +94,12 @@ def excitation(built: BuiltScenario, f: float) -> Excitation:
 def refuse_unspanned_gauge(built: BuiltScenario, methods) -> None:
     """Raise UnsupportedTopologyError when a gauged method is among methods
     and the tree count differs from the static curl kernel's dimension,
-    since that method's system is then singular; the commands call it
-    before any step-one solve."""
+    counted when the gauge was built, since that method's system is then
+    singular; the commands call it before any step-one solve."""
     gauged = [m for m in methods if m != "original"]
     if not gauged:
         return
-    kernel = curl_kernel_dimension(built.mesh, built.edge)
+    kernel = built.gauge.kernel_dimension
     if built.partition.tree.size != kernel:
         raise UnsupportedTopologyError(
             f"{gauged[0]}: {built.partition.tree.size} tree edges cannot span "
@@ -145,7 +143,8 @@ def gradient_probe(built: BuiltScenario) -> np.ndarray | None:
         return None
     phi = np.zeros(built.mesh.n_nodes)
     phi[air] = np.random.default_rng(0).standard_normal(air.size)
-    return (gradient_incidence(built.mesh) @ phi)[built.edge.free]
+    low, high = built.mesh.edges[built.edge.free].T
+    return phi[high] - phi[low]
 
 
 def curl_coordinates(built: BuiltScenario, method: str) -> np.ndarray:

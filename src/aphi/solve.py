@@ -407,10 +407,6 @@ class ConditionEstimate:
         if self.value < 1.0 - 1e-9:
             raise AssertionError("condition estimate below 1")  # pragma: no cover
 
-    @property
-    def singular(self) -> bool:
-        return self.value == np.inf
-
 
 def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
                        coords: np.ndarray | None = None) -> ConditionEstimate:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from aphi import cli, physics, scenario, solve
 from aphi.cli import (_num, _sweep_row, main, parse_frequencies, run_check,
                       run_convergence)
-from aphi.gauge import UnsupportedTopologyError, curl_kernel_dimension
+from aphi.gauge import UnsupportedTopologyError
 from aphi.mesh import FACE_LABELS
 from aphi.physics import (METHODS, curl_coordinates, curl_system, excitation,
                           hcurl_error, run_two_step)
@@ -128,8 +128,7 @@ def test_singular_sweep_row_above_dense_limit_factors_once(monkeypatch, splu_dty
     assert len(splu_dtypes) == 1
     # the estimate written is the one the system alone gives
     est = condition_estimate(curl_system(built, 0.0, "original")[0])
-    assert (est.value, est.method, est.iterations, est.singular) == \
-        (np.inf, "power-iteration", 0, True)
+    assert (est.value, est.method, est.iterations) == (np.inf, "power-iteration", 0)
 
 
 def test_solve_rejects_density_before_solving(tmp_path, monkeypatch):
@@ -599,7 +598,7 @@ def test_unspanned_gauge_refused_before_step_one(unspanned_config, monkeypatch,
     mms.write_text(Path(MMS0).read_text().replace("phi all 0", "phi xmin 0\nphi xmax 0")
                    .replace("a_zero all", "a_zero zmin"))
     built = load_scenario(mms).build()
-    assert built.partition.tree.size != curl_kernel_dimension(built.mesh, built.edge)
+    assert built.partition.tree.size != built.gauge.kernel_dimension
     eqs_solves = _count_calls(monkeypatch, physics, "solve_eqs_step")
     factored = _count_calls(monkeypatch, solve.Factorization, "__init__")
     out = tmp_path / "out.csv"
@@ -624,7 +623,7 @@ def test_check_factors_once_and_counts_the_kernel(academic_built, unspanned_conf
     for built, ok in ((academic_built, True),
                       (load_scenario(unspanned_config).build(), False)):
         factored.clear()
-        kernel = curl_kernel_dimension(built.mesh, built.edge)
+        kernel = built.gauge.kernel_dimension
         lines = dict(run_check(built))
         assert len(factored) == 1
         assert lines[f"tree count {built.partition.tree.size} = curl kernel "
@@ -668,7 +667,7 @@ def test_kernel_count_matches_dense_rank(subdivisions, phi_faces, a_zero_faces):
                     phi_bcs=tuple((face, float(i)) for i, face in enumerate(phi_faces)),
                     a_zero=tuple(a_zero_faces)).build()
     fw = built.edge.free
-    kernel = curl_kernel_dimension(built.mesh, built.edge)
+    kernel = built.gauge.kernel_dimension
     assert kernel == fw.size - dense_rank(built.bundle.C_nu[fw][:, fw])
     spanned = built.partition.tree.size == kernel
     for method in ("tree-cotree", "lagrange"):
@@ -897,15 +896,37 @@ def test_non_finite_or_zero_material_exit(old, new, message, tmp_path, capsys):
      "convergence sizes must be >= 1"),
     (["solve", "--config", ACADEMIC, "--freq", "1", "--method", "original",
       "--density", "0"], "--density must be >= 1"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "1", "--subdivs", "3,3"],
+     "--subdivs needs three sizes >= 1, got '3,3'"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "1", "--subdivs", ""],
+     "--subdivs: '' is not an integer"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "1", "--subdivs", "a,b,c"],
+     "--subdivs: 'a' is not an integer"),
+    (["solve", "--config", ACADEMIC, "--freq", "1", "--method", "original",
+      "--subdivs", "a,b,c"], "--subdivs: 'a' is not an integer"),
+    (["check", "--config", ACADEMIC, "--subdivs", "a,b,c"],
+     "--subdivs: 'a' is not an integer"),
+    (["converge", "--config", MMS0, "--subdivs", "2,x", "--freq", "10"],
+     "--subdivs: 'x' is not an integer"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "abc"], "--freqs: 'abc' is not a number"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "logspace:0,1,x"],
+     "--freqs: 'x' is not an integer"),
 ], ids=["freqs-repeated", "methods-empty", "methods-unknown", "quantities-unknown",
-        "require-unswept", "subdivs-repeated", "subdivs-zero", "density-zero"])
-def test_argument_errors_name_no_config_line(argv, message, tmp_path, capsys):
-    # an error in a command-line argument is not on a line of the config
-    if argv[0] != "solve":
+        "require-unswept", "subdivs-repeated", "subdivs-zero", "density-zero",
+        "subdivs-two", "subdivs-empty", "subdivs-text", "solve-subdivs-text",
+        "check-subdivs-text", "converge-subdivs-text", "freqs-text", "logspace-text"])
+def test_argument_errors_name_no_config_line(argv, message, tmp_path, monkeypatch,
+                                             capsys):
+    # an error in a command-line argument is not on a line of the config,
+    # and it is refused before anything is built
+    built = []
+    monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
+    if argv[0] in ("sweep", "converge"):
         argv = argv + ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "line 0" not in err
+    assert built == []
 
 
 @pytest.mark.parametrize("key, message", [

@@ -103,7 +103,9 @@ def _bench_pairs():
 def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
     bench_pairs = _bench_pairs()
     calls = []
-    peaks = {"parent": [170.0, 168.0, 169.0], "change": [160.0, 161.0, 170.0]}
+    # each side's first run is its warm-up, which no summary may read
+    peaks = {"parent": [500.0, 170.0, 168.0, 169.0],
+             "change": [500.0, 160.0, 161.0, 170.0]}
     # traced runs: form_s moves by 8 parent IQRs, factor_s by 2, the count
     # by 1 with no spread, and bundle_s not at all
     layers = {"parent": [(1.0, 5.0, 10, 2.0), (1.2, 5.2, 10, 2.0)],
@@ -124,17 +126,28 @@ def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
     out = bench_pairs.run_pairs({"parent": "parent", "change": "change"}, "w",
                                 pairs=3, seed=7, seconds=1.0, quick=True,
                                 log=io.StringIO(), traced=2)
-    # the first side alternates, and both sides of a pair share its seed;
-    # the traced pairs follow the untraced ones and alternate alike
-    assert calls == [("parent", 7, 0), ("change", 7, 0), ("change", 8, 0),
+    # a warm-up pair like pair 0 comes first; then the first side
+    # alternates, and both sides of a pair share its seed; the traced pairs
+    # follow the untraced ones and alternate alike
+    assert calls == [("parent", 7, 0), ("change", 7, 0),
+                     ("parent", 7, 0), ("change", 7, 0), ("change", 8, 0),
                      ("parent", 8, 0), ("parent", 9, 0), ("change", 9, 0),
                      ("parent", 7, 1), ("change", 7, 1), ("change", 8, 1),
                      ("parent", 8, 1)]
+    assert [(r["side"], r["position"], r["seed"], r["metrics"]) for r in out["warmup"]] \
+        == [("parent", 1, 7, {"peak_rss_mb": 500.0}),
+            ("change", 2, 7, {"peak_rss_mb": 500.0})]
+    assert [(r["side"], r["position"]) for r in out["runs"]] == [
+        ("parent", 1), ("change", 2), ("change", 1), ("parent", 2),
+        ("parent", 1), ("change", 2)]
     peak = out["metrics"]["peak_rss_mb"]
-    assert peak["parent"]["runs"] == peaks["parent"]
+    assert out["pairs"] == 3 and peak["parent"]["runs"] == peaks["parent"][1:]
     assert (peak["parent"]["median"], peak["change"]["median"]) == (169.0, 161.0)
     assert peak["parent"]["iqr"] == 1.0 and peak["median_diff"] == -8.0
     assert peak["change_lower_in"] == 2
+    # the parent ran first in pairs 0 and 2, the change in pair 1
+    assert peak["by_position"] == {"parent": {"first": 169.5, "second": 168.0},
+                                   "change": {"first": 161.0, "second": 165.0}}
     assert out["failed"]["parent"] == {"failed": 3, "attempted": 54,
                                        "share": 3 / 54, "all_correct": True}
     assert out["failed"]["change"]["share"] == 0.0
@@ -148,7 +161,7 @@ def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
     assert [r["trace"] for r in traced["runs"]] == [1] * 4
 
 
-@pytest.mark.slow  # two benchmark runs, about 9 s
+@pytest.mark.slow  # a warm-up pair and one counted pair: four runs, about 18 s
 def test_bench_pairs_script_one_tree_against_itself(tmp_path):
     tree = tmp_path / "tree"
     for part in ("src", "configs", "bench"):
@@ -164,5 +177,9 @@ def test_bench_pairs_script_one_tree_against_itself(tmp_path):
     assert set(result["metrics"]) == {"wall_s", "setup_s", "peak_rss_mb"}
     assert result["failed"]["parent"] == result["failed"]["change"] == {
         "failed": 0, "attempted": 1, "share": 0.0, "all_correct": True}
-    assert [(r["side"], r["seed"]) for r in result["runs"]] == [("parent", 1),
-                                                                ("change", 1)]
+    assert [(r["side"], r["seed"], r["position"]) for r in result["runs"]] == [
+        ("parent", 1, 1), ("change", 1, 2)]
+    # the warm-up pair ran first and is left out of the summary
+    assert [(r["side"], r["seed"]) for r in result["warmup"]] == [("parent", 1),
+                                                                  ("change", 1)]
+    assert len(result["metrics"]["wall_s"]["parent"]["runs"]) == 1

@@ -175,7 +175,8 @@ def test_disconnected_graph_raises():
     # the connectivity guard itself, on a hand-built rooted split graph
     from aphi.gauge import GaugeGraph
     graph = GaugeGraph(gauge_nodes=np.array([0]),
-                       edge_vertices=np.zeros((0, 2), dtype=np.int64))
+                       edge_vertices=np.zeros((0, 2), dtype=np.int64),
+                       kernel_dimension=1)
     with pytest.raises(UnsupportedTopologyError):
         spanning_tree(graph)
 

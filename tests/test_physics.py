@@ -9,18 +9,19 @@ import numpy as np
 import pytest
 
 import aphi
-from aphi import physics, solve
+from aphi import gauge, physics, solve
 from aphi.cli import run_convergence, run_sweep
 from aphi.mesh import FACE_LABELS, Box
 from aphi.physics import (METHODS, DerivedFields, ManufacturedCase,
                           curl_coordinates, curl_system, excitation,
                           gauge_residual, gradient_probe, hcurl_error,
-                          run_two_step)
+                          refuse_unspanned_gauge, run_two_step)
 from aphi.scenario import (RegionSpec, Scenario, academic_scenario, load_scenario,
                            mms_scenario)
 from aphi.solve import (KAPPA1_EPS_TOL, SINGLE_KAPPA1_EPS_TOL, ConditionEstimate,
                         Factorization, SingularMatrixError, _equilibrate,
                         _probe_bound, condition_estimate)
+from aphi.spaces import gradient_incidence
 from aphi.system import FrequencyPoint, StaticSingularityError
 from oracles import (cell_centre_fields, edge_interpolate, fd_curl_curl,
                      fd_divergence, fd_gradient, source_moments,
@@ -564,6 +565,38 @@ def test_gradient_probe_at_0hz_raises_without_warning(splu_dtypes):
         # ... or exactly zero, where the bound is infinite
         assert _gradient_probe_bound(built, 0.0 * A) == np.inf
     assert splu_dtypes == []
+
+
+@pytest.mark.parametrize("n", [5, 11])
+def test_gradient_probe_is_the_incidence_gradient_bit_for_bit(n):
+    # the probe's endpoint difference is P @ phi on the free edges, bit for
+    # bit, for the seeded potential on the air gauge nodes its docstring names
+    built = academic_scenario((n, n, n)).build()
+    air = np.setdiff1d(built.gauge.gauge_nodes,
+                       np.flatnonzero(built.material.tags.conductor_nodes))
+    assert air.size
+    phi = np.zeros(built.mesh.n_nodes)
+    phi[air] = np.random.default_rng(0).standard_normal(air.size)
+    expected = (gradient_incidence(built.mesh) @ phi)[built.edge.free]
+    assert np.array_equal(gradient_probe(built).view(np.int64),
+                          expected.view(np.int64))
+
+
+def test_curl_step_searches_no_graph(monkeypatch):
+    # the static curl kernel is counted once, when the gauge is built
+    searches = []
+    components = gauge.node_components
+    monkeypatch.setattr(gauge, "node_components",
+                        lambda *a: searches.append(a) or components(*a))
+    built = academic_scenario((3, 3, 3)).build()
+    assert len(searches) == 1
+    searches.clear()
+    refuse_unspanned_gauge(built, METHODS)
+    exc = excitation(built, 1.0)
+    for method in METHODS:
+        curl_system(built, exc.frequency.omega, method, exc.j_free)
+        run_two_step(built, exc, method)
+    assert searches == []
 
 
 @pytest.fixture(scope="module")

@@ -444,7 +444,7 @@ def test_no_lu_factor_is_read_back(rng, monkeypatch):
         assert np.allclose(dense.conj().T @ fac.solve_adjoint(b), b)
         assert fac.checked_solve(b).rel_residual <= RESIDUAL_TOL
         for est in (condition_estimate(A, fac=fac), condition_estimate(A)):
-            assert est.method == "power-iteration" and not est.singular
+            assert est.method == "power-iteration" and est.value != np.inf
     built = mms_scenario(0.0, (4, 4, 4)).build()
     for method in ("tree-cotree", "lagrange"):
         sol = run_two_step(built, 10.0, method, condition=True)
@@ -641,7 +641,7 @@ def test_condition_power_iteration_reports_the_cap(monkeypatch):
 def test_condition_singular_flagged():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     est = condition_estimate(A)
-    assert est.singular and np.isinf(est.value)
+    assert est.value == np.inf
 
 
 def test_condition_singular_above_dense_limit_costs_no_iterations(rng, monkeypatch):
@@ -650,7 +650,7 @@ def test_condition_singular_above_dense_limit_costs_no_iterations(rng, monkeypat
     A = _random_sparse(200, rng).tolil()
     A[5, :] = 0.0
     est = condition_estimate(A.tocsr())
-    assert est.singular and np.isinf(est.value)
+    assert est.value == np.inf
     assert est.method == "power-iteration" and est.iterations == 0
 
 
