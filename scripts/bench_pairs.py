@@ -27,8 +27,12 @@ in which the change reads lower, the change's median minus the parent's,
 and per side the medians of the runs it made first and second in its
 pair ("by_position"); and per side the failed share (failed over
 attempted operations, summed over the runs) and whether every run was
-correct.  Each run record gives its position (1 or 2) in its pair and
-its metric values.
+correct.  Each metric's "paired" holds the per-pair differences (change
+minus parent, in pair order), their median, quartiles and IQR, and the
+exact two-sided sign-test p-value of the nonzero differences
+("sign_p"): a difference within one pair cancels a drift of the
+machine's speed that both of its runs share.  Each run record gives its
+position (1 or 2) in its pair and its metric values.
 With --traced, "traced" holds the same summary of the per-layer metrics
 and "moved": the layer metrics whose medians differ, ordered by the
 difference over the parent's IQR (largest first; null, sorted first,
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -66,6 +71,14 @@ def _spread(runs: list[float]) -> dict:
     return {"runs": runs, "median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def sign_test(diffs: list[float]) -> float:
+    """Exact two-sided sign-test p-value of the nonzero differences: twice
+    the binomial(n, 1/2) tail of the rarer sign, at most 1."""
+    signs = [d > 0 for d in diffs if d]
+    n, k = len(signs), min(sum(signs), len(signs) - sum(signs))
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n)
+
+
 def _position(pair: int, side: str) -> int:
     """1 if side runs first in the pair, else 2."""
     return 1 if (pair % 2 == 0) == (side == SIDES[0]) else 2
@@ -83,6 +96,10 @@ def summarize(results: dict[str, list[dict]]) -> dict:
         summary = {"unit": first["unit"], **{s: _spread(sides[s]) for s in SIDES}}
         summary["change_lower_in"] = sum(c < p for p, c in zip(*sides.values()))
         summary["median_diff"] = summary["change"]["median"] - summary["parent"]["median"]
+        diffs = [c - p for p, c in zip(*sides.values())]
+        paired = _spread(diffs)
+        summary["paired"] = {"diffs": paired.pop("runs"), **paired,
+                             "sign_p": sign_test(diffs)}
         summary["by_position"] = {
             s: {place: _median([v for i, v in enumerate(sides[s])
                                 if _position(i, s) == pos])

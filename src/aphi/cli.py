@@ -48,13 +48,22 @@ def _num(x: float) -> str:
     return f"{x + 0.0:.12g}"  # + 0.0 writes a negative zero as 0
 
 
-def _parsed(kind, text: str, arg: str):
-    """kind(text), or a ValueError that names the command-line argument."""
+def _parsed(arg: str, read, *args):
+    """read(*args), with 'arg: ' put in front of any ValueError it raises,
+    so that the error names the command-line argument arg once."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        raise ValueError(f"{arg}: {exc}") from None
+
+
+def _number(kind, text: str):
+    """kind(text), or a ValueError that says text is not such a number."""
     try:
         return kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{arg}: {text!r} is not {what}") from None
+        raise ValueError(f"{text!r} is not {what}") from None
 
 
 def parse_frequencies(spec: str) -> list[float]:
@@ -63,15 +72,15 @@ def parse_frequencies(spec: str) -> list[float]:
     if spec.startswith("logspace:"):
         parts = spec[len("logspace:"):].split(",")
         if len(parts) != 3:
-            raise ValueError("--freqs logspace spec needs start_exp,stop_exp,num")
-        start, stop = (_parsed(float, t, "--freqs") for t in parts[:2])
-        num = _parsed(int, parts[2], "--freqs")
+            raise ValueError("logspace spec needs start_exp,stop_exp,num")
+        start, stop = (_number(float, t) for t in parts[:2])
+        num = _number(int, parts[2])
         with np.errstate(all="ignore"):  # an overflow is rejected below
             freqs = [float(f) for f in np.logspace(start, stop, num)]
     else:
-        freqs = [_parsed(float, t, "--freqs") for t in spec.split(",") if t.strip()]
+        freqs = [_number(float, t) for t in spec.split(",") if t.strip()]
     if not freqs:
-        raise ValueError("empty --freqs list")
+        raise ValueError("empty frequency list")
     freqs = [FrequencyPoint(f).f for f in freqs]
     if len(set(freqs)) != len(freqs):  # -0 and 0 compare equal
         raise ValueError(f"repeated sweep frequency in {spec!r}")
@@ -145,15 +154,21 @@ def run_sweep(scenario: Scenario, freqs: list[float], methods: list[str],
     return rows, singular_methods
 
 
+def _check_sizes(subdivs: list[int]) -> list[int]:
+    """The convergence sizes, refused where they repeat or fall below 1."""
+    if len(set(subdivs)) != len(subdivs):
+        raise ValueError(f"repeated convergence size in {subdivs}")
+    if any(s < 1 for s in subdivs):
+        raise ValueError(f"convergence sizes must be >= 1, got {subdivs}")
+    return subdivs
+
+
 def run_convergence(scenario: Scenario, subdivs: list[int], f: float,
                     methods: list[str]) -> list[str]:
     """H(curl) errors and observed rates over mesh refinement; the sizes
     must differ, since a rate compares two of them."""
     FrequencyPoint(f)  # rejects a negative or non-finite frequency
-    if len(set(subdivs)) != len(subdivs):
-        raise ValueError(f"repeated convergence size in {subdivs}")
-    if any(s < 1 for s in subdivs):
-        raise ValueError(f"convergence sizes must be >= 1, got {subdivs}")
+    _check_sizes(subdivs)
     if scenario.source != "manufactured":
         raise ConfigError(0, "convergence study needs a manufactured source")
     rows = []
@@ -294,7 +309,7 @@ def _write_csv(path: str, command: str, header: str, rows: list[str]) -> None:
 
 
 def _sizes(args) -> list[int]:
-    return [_parsed(int, t, "--subdivs") for t in args.subdivs.split(",")]
+    return [_parsed("--subdivs", _number, int, t) for t in args.subdivs.split(",")]
 
 
 def _load(args) -> Scenario:
@@ -313,7 +328,7 @@ def _methods(args, scenario: Scenario) -> list[str]:
         methods = [t.strip() for t in args.methods.split(",") if t.strip()]
         if not methods:
             raise ValueError(f"empty --methods list {args.methods!r}")
-        return list(check_methods(methods))
+        return list(_parsed("--methods", check_methods, methods))
     return list(scenario.methods)
 
 
@@ -335,7 +350,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command in ("solve", "converge"):
-        FrequencyPoint(args.freq)  # rejects a bad --freq before loading
+        _parsed("--freq", FrequencyPoint, args.freq)  # a bad --freq, before loading
     _refuse_unwritable(getattr(args, "out", getattr(args, "vtk", None)))
     if args.command == "sweep":
         scenario = _load(args)
@@ -343,12 +358,12 @@ def _dispatch(args) -> int:
         quantities = {q.strip() for q in args.quantities.split(",") if q.strip()}
         unknown = quantities - set(SWEEP_QUANTITIES)
         if unknown:
-            raise ValueError(f"unknown sweep quantities {sorted(unknown)}")
+            raise ValueError(f"--quantities: unknown sweep quantities {sorted(unknown)}")
         required = {t.strip() for t in args.require.split(",") if t.strip()}
         if required - set(methods):
             raise ValueError(f"--require {sorted(required - set(methods))} "
                              f"is not among the swept methods {methods}")
-        freqs = parse_frequencies(args.freqs)
+        freqs = _parsed("--freqs", parse_frequencies, args.freqs)
         rows, singular = run_sweep(scenario, freqs, methods, quantities,
                                    timing=args.timing)
         _write_csv(args.out, "sweep", SWEEP_HEADER, rows)
@@ -361,7 +376,8 @@ def _dispatch(args) -> int:
     if args.command == "converge":
         scenario = load_scenario(args.config)
         methods = _methods(args, scenario)
-        rows = run_convergence(scenario, _sizes(args), args.freq, methods)
+        sizes = _parsed("--subdivs", _check_sizes, _sizes(args))
+        rows = run_convergence(scenario, sizes, args.freq, methods)
         _write_csv(args.out, "converge", CONVERGE_HEADER, rows)
         return EXIT_OK
 

@@ -10,7 +10,9 @@ moments; only this module combines them, by one row rule (_row_rule) on
 both sides of the scalar system and on the constraint: X_sigma + diag(w)
 X_eps, w = i*omega on conductor-node rows (complex conductivity) and 1 on
 air-node rows (permittivity alone), exact as an air node's sigma-weighted
-row is empty.  Builders return canonical CSR.
+row is empty.  kappa_coupling is the one statement of G_kappa = G_sigma +
+i*omega*G_eps, for step two's right-hand side and delta_D.  Builders
+return canonical CSR.
 """
 from __future__ import annotations
 
@@ -139,18 +141,18 @@ def build_curl_matrix(bundle: MatrixBundle, omega: float) -> sp.csr_matrix:
     return W[fe][:, fe]  # complex CSR: the i*omega term makes it complex
 
 
+def kappa_coupling(bundle: MatrixBundle, omega: float) -> sp.csr_matrix:
+    """G_kappa = G_sigma + i*omega*G_eps on all edges x all nodes, the
+    complex-conductivity coupling of step one's potential to step two."""
+    return bundle.G_sigma + 1j * omega * bundle.G_eps
+
+
 def build_rhs(bundle: MatrixBundle, omega: float, u_full: np.ndarray) -> np.ndarray:
-    """j(u) = j_s - (G_sigma + i*omega*G_eps) u on free edges, u with its
-    Dirichlet values; j_s is 0 without a source."""
+    """j(u) = j_s - G_kappa u on free edges, u with its Dirichlet values;
+    j_s is 0 without a source."""
     source = bundle.source
     j_s = 0.0 if source is None else source.current_vector(bundle.edge, omega)
-    return (j_s - (bundle.G_sigma + 1j * omega * bundle.G_eps) @ u_full)[bundle.edge.free]
-
-
-def _gauge_divergences(bundle: MatrixBundle, gauge: GaugeGraph):
-    """D = -G^T of G_sigma and G_eps, sliced to free edges x gauge nodes."""
-    fe, gn = bundle.edge.free, gauge.gauge_nodes
-    return [(-G[fe][:, gn]).T.tocsr() for G in (bundle.G_sigma, bundle.G_eps)]
+    return (j_s - kappa_coupling(bundle, omega) @ u_full)[bundle.edge.free]
 
 
 def build_scaled_divergence(bundle: MatrixBundle, omega: float,
@@ -165,19 +167,12 @@ def build_scaled_divergence(bundle: MatrixBundle, omega: float,
     multiple of the implicit divergence constraint already satisfied by
     the unstabilized solution.
     """
-    cond = bundle.material.tags.conductor_nodes[gauge.gauge_nodes]
-    D = _row_rule(omega, cond, *_gauge_divergences(bundle, gauge))
+    fe, gn = bundle.edge.free, gauge.gauge_nodes
+    cond = bundle.material.tags.conductor_nodes[gn]
+    D = _row_rule(omega, cond, *((-G[fe][:, gn]).T.tocsr()
+                                 for G in (bundle.G_sigma, bundle.G_eps)))
     D.data *= np.repeat(np.where(cond, factors.beta, factors.gamma), np.diff(D.indptr))
     return D
-
-
-def kappa_divergence(bundle: MatrixBundle, omega: float,
-                     gauge: GaugeGraph) -> sp.csr_matrix:
-    """Unscaled, true-kappa weak divergence D_sigma + i*omega*D_eps on the
-    gauge rows (the conductor row rule on every row); this is the operator
-    behind the delta_D diagnostic, independent of beta/gamma."""
-    return _row_rule(omega, np.ones(gauge.gauge_nodes.size, dtype=bool),
-                     *_gauge_divergences(bundle, gauge))
 
 
 def build_lagrange_system(W: sp.spmatrix, D: sp.spmatrix,

@@ -19,8 +19,9 @@ from aphi.spaces import (DirichletSpec, build_edge_space, build_scalar_space,
                          physical_scalar_basis)
 from aphi.scenario import load_scenario
 from aphi.gauge import build_gauge_graph
+from aphi.physics import gauge_residual
 from aphi.system import (build_curl_matrix, build_eqs_system,
-                         build_scaled_divergence, kappa_divergence,
+                         build_scaled_divergence, kappa_coupling,
                          scaling_factors)
 from oracles import (dense_rank, edge_interpolate, full_scatter, is_canonical_csr,
                      min_eig_sym, polynomial_moments, source_moments,
@@ -205,7 +206,9 @@ def _assert_same_csr(A, B, label):
 
 def test_weak_divergence_is_minus_coupling_transpose():
     # D = -G^T exactly: the same arrays, not only the same values; the
-    # kappa-weighted one on the gauge rows and free-edge columns
+    # kappa-weighted one on the gauge rows and free-edge columns gives
+    # delta_D to the last bit
+    rng = np.random.default_rng(3)
     for config in ("academic", "mms_sigma6e7"):
         scenario = load_scenario(CONFIG_DIR / f"{config}.cfg")
         built = scenario.with_subdivisions((4, 4, 4)).build()
@@ -213,12 +216,15 @@ def test_weak_divergence_is_minus_coupling_transpose():
         for name in ("sigma", "eps"):
             _assert_same_csr(getattr(bundle, f"D_{name}"),
                              (-getattr(bundle, f"G_{name}")).T.tocsr(), (config, name))
+        n = built.edge.n_free
+        a_free = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for f in (0.0, 1e3, 1e9):
             omega = 2 * np.pi * f
             G_kappa = bundle.G_sigma + 1j * omega * bundle.G_eps
             ref = (-G_kappa).T.tocsr()[built.gauge.gauge_nodes][:, built.edge.free]
-            _assert_same_csr(kappa_divergence(bundle, omega, built.gauge), ref,
-                             (config, f"kappa at {f:g} Hz"))
+            assert gauge_residual(bundle, omega, built.edge.full_vector(a_free),
+                                  built.gauge) == np.linalg.norm(ref @ a_free), \
+                (config, f"kappa at {f:g} Hz")
 
 
 def test_bundle_stores_each_operator_once():
@@ -235,14 +241,28 @@ def test_bundle_stores_each_operator_once():
                 assert abs(A - sign * B).max() > 0, (a, b, sign)
 
 
-def test_kappa_divergence_linearity():
-    mesh, _, _, mat, scal, edge = _two_region_setup()
-    bundle = assemble_bundle(scal, edge, mat)
-    gauge = build_gauge_graph(mesh, edge, scal)
-    omega = 7.3
-    D = kappa_divergence(bundle, omega, gauge)
-    ref = (bundle.D_sigma + 1j * omega * bundle.D_eps)[gauge.gauge_nodes][:, edge.free]
-    assert abs(D - ref).max() == 0.0
+@pytest.mark.parametrize("config, n", [("two-region", 3), ("academic", 4),
+                                       ("academic", 5), ("academic", 11),
+                                       ("mms_sigma6e7", 4)])
+def test_gauge_residual_is_the_kappa_weighted_divergence_norm(config, n):
+    # delta_D, read off G_kappa^T a_full, equals the norm of the kappa
+    # divergence D_sigma + i*omega*D_eps on the gauge rows and free edges,
+    # float for float, at every sweep frequency
+    if config == "two-region":
+        mesh, _, _, mat, scal, edge = _two_region_setup()
+        bundle, gauge = assemble_bundle(scal, edge, mat), build_gauge_graph(mesh, edge, scal)
+    else:
+        built = load_scenario(CONFIG_DIR / f"{config}.cfg").with_subdivisions(
+            (n,) * 3).build()
+        bundle, gauge, edge = built.bundle, built.gauge, built.edge
+    rng = np.random.default_rng(11)
+    a_free = rng.standard_normal(edge.n_free) + 1j * rng.standard_normal(edge.n_free)
+    a_full = edge.full_vector(a_free)
+    for f in (0.0, 1e-3, 1.0, 1e3, 1e6, 1e9):
+        omega = 2 * np.pi * f
+        D = (bundle.D_sigma + 1j * omega * bundle.D_eps)[gauge.gauge_nodes][:, edge.free]
+        assert gauge_residual(bundle, omega, a_full, gauge) == \
+            np.linalg.norm(D @ a_free), f
 
 
 def _interior_weak_div_norm(field, subdivisions, domain):
@@ -525,8 +545,7 @@ def test_per_frequency_operators_match_the_full_scatter(config, subdivs):
                            ("eqs", lambda b: build_eqs_system(b, omega)[0]),
                            ("scaled divergence",
                             lambda b: build_scaled_divergence(b, omega, factors, gauge)),
-                           ("kappa divergence",
-                            lambda b: kappa_divergence(b, omega, gauge))):
+                           ("kappa coupling", lambda b: kappa_coupling(b, omega))):
             A, B = form(ours), form(full)
             label = f"{name} at omega {omega:g}"
             assert np.array_equal(A.indptr, B.indptr), label

@@ -881,19 +881,20 @@ def test_non_finite_or_zero_material_exit(old, new, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sweep", "--config", ACADEMIC, "--freqs", "1,1"], "repeated sweep frequency"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "1,1"],
+     "--freqs: repeated sweep frequency"),
     (["sweep", "--config", ACADEMIC, "--freqs", "1", "--methods", ","],
      "empty --methods list"),
     (["sweep", "--config", ACADEMIC, "--freqs", "1", "--methods", "amg"],
-     "unknown method 'amg'"),
+     "--methods: unknown method 'amg'"),
     (["sweep", "--config", ACADEMIC, "--freqs", "1", "--quantities", "speed"],
-     "unknown sweep quantities ['speed']"),
+     "--quantities: unknown sweep quantities ['speed']"),
     (["sweep", "--config", ACADEMIC, "--freqs", "1", "--methods", "original",
       "--require", "lagrange"], "--require ['lagrange'] is not among"),
     (["converge", "--config", MMS0, "--subdivs", "2,2", "--freq", "10"],
-     "repeated convergence size"),
+     "--subdivs: repeated convergence size"),
     (["converge", "--config", MMS0, "--subdivs", "0,2", "--freq", "10"],
-     "convergence sizes must be >= 1"),
+     "--subdivs: convergence sizes must be >= 1"),
     (["solve", "--config", ACADEMIC, "--freq", "1", "--method", "original",
       "--density", "0"], "--density must be >= 1"),
     (["sweep", "--config", ACADEMIC, "--freqs", "1", "--subdivs", "3,3"],
@@ -911,14 +912,38 @@ def test_non_finite_or_zero_material_exit(old, new, message, tmp_path, capsys):
     (["sweep", "--config", ACADEMIC, "--freqs", "abc"], "--freqs: 'abc' is not a number"),
     (["sweep", "--config", ACADEMIC, "--freqs", "logspace:0,1,x"],
      "--freqs: 'x' is not an integer"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "-3"],
+     "--freqs: frequency must be finite and >= 0, got -3.0"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "nan"],
+     "--freqs: frequency must be finite and >= 0, got nan"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "logspace:0,400,2"],
+     "--freqs: frequency must be finite and >= 0, got inf"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "logspace:0,1,-1"],
+     "--freqs: Number of samples, -1, must be non-negative"),
+    (["solve", "--config", ACADEMIC, "--freq", "-1", "--method", "original"],
+     "--freq: frequency must be finite and >= 0, got -1.0"),
+    (["solve", "--config", ACADEMIC, "--freq", "inf", "--method", "original"],
+     "--freq: frequency must be finite and >= 0, got inf"),
+    (["solve", "--config", ACADEMIC, "--freq", "1e200", "--method", "original"],
+     "--freq: frequency 1e+200 Hz is too high"),
+    (["converge", "--config", MMS0, "--subdivs", "2,4", "--freq", "-1"],
+     "--freq: frequency must be finite and >= 0, got -1.0"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "1", "--methods", "original,original"],
+     "--methods: repeated method in ['original', 'original']"),
+    (["sweep", "--config", ACADEMIC, "--freqs", ","], "--freqs: empty frequency list"),
+    (["sweep", "--config", ACADEMIC, "--freqs", "logspace:1"],
+     "--freqs: logspace spec needs start_exp,stop_exp,num"),
 ], ids=["freqs-repeated", "methods-empty", "methods-unknown", "quantities-unknown",
         "require-unswept", "subdivs-repeated", "subdivs-zero", "density-zero",
         "subdivs-two", "subdivs-empty", "subdivs-text", "solve-subdivs-text",
-        "check-subdivs-text", "converge-subdivs-text", "freqs-text", "logspace-text"])
+        "check-subdivs-text", "converge-subdivs-text", "freqs-text", "logspace-text",
+        "freqs-negative", "freqs-nan", "logspace-overflow", "logspace-count-negative",
+        "freq-negative", "freq-inf", "freq-too-high", "converge-freq-negative",
+        "methods-repeated", "freqs-empty", "logspace-short"])
 def test_argument_errors_name_no_config_line(argv, message, tmp_path, monkeypatch,
                                              capsys):
     # an error in a command-line argument is not on a line of the config,
-    # and it is refused before anything is built
+    # names that argument once, and is refused before anything is built
     built = []
     monkeypatch.setattr(Scenario, "build", lambda self: built.append(self))
     if argv[0] in ("sweep", "converge"):
@@ -926,6 +951,7 @@ def test_argument_errors_name_no_config_line(argv, message, tmp_path, monkeypatc
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "line 0" not in err
+    assert len(re.findall(r"(?<![\w-])--\w+", err)) == 1
     assert built == []
 
 

@@ -148,6 +148,10 @@ def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
     # the parent ran first in pairs 0 and 2, the change in pair 1
     assert peak["by_position"] == {"parent": {"first": 169.5, "second": 168.0},
                                    "change": {"first": 161.0, "second": 165.0}}
+    # pair differences -10, -7, +1: one sign against two, so the exact
+    # two-sided p-value is 2 * (C(3,0) + C(3,1)) / 2^3, capped at 1
+    assert peak["paired"] == {"diffs": [-10.0, -7.0, 1.0], "median": -7.0,
+                              "q1": -8.5, "q3": -3.0, "iqr": 5.5, "sign_p": 1.0}
     assert out["failed"]["parent"] == {"failed": 3, "attempted": 54,
                                        "share": 3 / 54, "all_correct": True}
     assert out["failed"]["change"]["share"] == 0.0
@@ -159,6 +163,16 @@ def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
     assert traced["moved"][0]["diff_over_iqr"] is None
     assert [round(m["diff_over_iqr"], 9) for m in traced["moved"][1:]] == [8.0, 2.0]
     assert [r["trace"] for r in traced["runs"]] == [1] * 4
+    # two differences of one sign give 2 * C(2,0) / 2^2; zero differences
+    # are no sign, and none left reads 1
+    paired = {m: traced["metrics"][m]["paired"] for m in names}
+    assert paired["solve.factorizations"] == {
+        "diffs": [1, 1], "median": 1.0, "q1": 1.0, "q3": 1.0, "iqr": 0.0, "sign_p": 0.5}
+    assert [round(d, 9) for d in paired["system.form_s"]["diffs"]] == [-0.8, -0.8]
+    assert paired["system.form_s"]["sign_p"] == 0.5
+    assert paired["assembly.bundle_s"]["diffs"] == [0.0, 0.0]
+    assert paired["assembly.bundle_s"]["sign_p"] == 1.0
+    assert bench_pairs.sign_test([1, 2, 3, 4, 5, 6, 7, 8, 9, -1]) == 22 / 1024
 
 
 @pytest.mark.slow  # a warm-up pair and one counted pair: four runs, about 18 s

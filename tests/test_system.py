@@ -19,7 +19,7 @@ from aphi.system import (FrequencyPoint, ScalingFactors, StaticSingularityError,
                          build_eqs_static_limit, build_eqs_system,
                          build_lagrange_system, build_rhs,
                          build_scaled_divergence, build_stabilized_system,
-                         kappa_divergence, scaling_factors)
+                         kappa_coupling, scaling_factors)
 from oracles import dense_rank, floating_conductor_node, is_canonical_csr
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -288,7 +288,8 @@ def test_scaled_divergence_nonconducting_matches_kappa_form(mms_built_sigma0):
     omega = 2 * np.pi * 42.0
     factors = ScalingFactors(beta=1.0, gamma=1.0)
     D = build_scaled_divergence(built.bundle, omega, factors, built.gauge)
-    Dk = kappa_divergence(built.bundle, omega, built.gauge)
+    Dk = (-kappa_coupling(built.bundle, omega)).T.tocsr()[
+        built.gauge.gauge_nodes][:, built.edge.free]
     assert abs(D - Dk / (1j * omega)).max() <= 1e-13 * abs(D).max()
 
 
@@ -306,7 +307,8 @@ def test_scaled_divergence_conductor_rows_scale_implicit_constraint(academic_bui
     omega = 2 * np.pi * 3.0
     factors = scaling_factors(omega, built.material)
     D = build_scaled_divergence(built.bundle, omega, factors, built.gauge)
-    Dk = kappa_divergence(built.bundle, omega, built.gauge)
+    Dk = (-kappa_coupling(built.bundle, omega)).T.tocsr()[
+        built.gauge.gauge_nodes][:, built.edge.free]
     cond_rows = built.material.tags.conductor_nodes[built.gauge.gauge_nodes]
     diff = abs(D[cond_rows] - factors.beta * Dk[cond_rows]).max()
     assert diff <= 1e-13 * abs(D).max()
@@ -468,7 +470,7 @@ def test_every_builder_returns_canonical_csr(config, subdivs):
         formed = {"eqs": build_eqs_system(bundle, omega)[0],
                   "curl": build_curl_matrix(bundle, omega),
                   "scaled divergence": build_scaled_divergence(bundle, omega, factors, gauge),
-                  "kappa divergence": kappa_divergence(bundle, omega, gauge),
+                  "kappa coupling": kappa_coupling(bundle, omega),
                   **{m: curl_system(built, omega, m)[0] for m in METHODS}}
         for name, A in formed.items():
             assert is_canonical_csr(A), (name, omega)
