@@ -9,17 +9,20 @@ each commit, unpacked side by side).  Pair i runs
 
     python3 bench/run.py --workload W --seed S+i --seconds T --trace 0
 
-once from the root of each tree, with that tree's own bench/ and src/;
-the parent runs first in even pairs and the change first in odd ones, so
-a drift of the machine's speed falls on both sides alike.  One warm-up
-pair, seeded and ordered like pair 0, runs before the counted pairs of
-each workload: the first run in a fresh tree reads slow, so the warm-up
-is recorded under "warmup" and left out of every summary.  --traced M
-adds M pairs of traced runs (`--trace 1`, seeds S to S+M-1), alternating
-the same way, for the per-layer metrics.  --workload may be given more
-than once; every workload gets its own N (and M) pairs.  Nothing
-under bench/ is changed; the runs write their outputs under each tree's
-bench/out/, as any run does.
+once from the root of each tree, with that tree's own bench/ and src/.
+The pairs are ordered in seeded ABBA blocks: pairs 2k and 2k+1 run the
+parent first and then the change first, or the other way round, by a
+coin seeded with S (`abba`).  So each side runs first once in every
+block, a drift of the machine's speed falls on both sides alike, and
+the order has no fixed period that a periodic drift could follow.  One
+warm-up pair, seeded and ordered like pair 0, runs before the counted
+pairs of each workload: the first run in a fresh tree reads slow, so the
+warm-up is recorded under "warmup" and left out of every summary.
+--traced M adds M pairs of traced runs (`--trace 1`, seeds S to S+M-1),
+ordered the same way, for the per-layer metrics.  --workload may be
+given more than once; every workload gets its own N (and M) pairs.
+Nothing under bench/ is changed; the runs write their outputs under each
+tree's bench/out/, as any run does.
 
 The JSON (on stdout, or in --out) holds, per workload and end-to-end
 metric, each side's runs, median, quartiles and IQR, the number of pairs
@@ -32,7 +35,8 @@ minus parent, in pair order), their median, quartiles and IQR, and the
 exact two-sided sign-test p-value of the nonzero differences
 ("sign_p"): a difference within one pair cancels a drift of the
 machine's speed that both of its runs share.  Each run record gives its
-position (1 or 2) in its pair and its metric values.
+position (1 or 2) in its pair, the side that ran just before it in this
+invocation ("after", null for the first run), and its metric values.
 With --traced, "traced" holds the same summary of the per-layer metrics
 and "moved": the layer metrics whose medians differ, ordered by the
 difference over the parent's IQR (largest first; null, sorted first,
@@ -43,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import statistics
 import subprocess
 import sys
@@ -79,17 +84,25 @@ def sign_test(diffs: list[float]) -> float:
     return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n)
 
 
-def _position(pair: int, side: str) -> int:
-    """1 if side runs first in the pair, else 2."""
-    return 1 if (pair % 2 == 0) == (side == SIDES[0]) else 2
+def abba(pairs: int, seed: int) -> list[tuple[str, str]]:
+    """The order of the sides in each of pairs pairs: in each block of two
+    pairs, (parent, change) then (change, parent), or the reverse, by a
+    coin seeded with seed."""
+    coin = random.Random(seed)
+    orders = []
+    for _ in range(0, pairs, 2):
+        first = SIDES if coin.random() < 0.5 else SIDES[::-1]
+        orders += [first, first[::-1]]
+    return orders[:pairs]
 
 
 def _median(runs: list[float]) -> float | None:
     return statistics.median(runs) if runs else None
 
 
-def summarize(results: dict[str, list[dict]]) -> dict:
-    """Per-metric and failure summary of the paired results of each side."""
+def summarize(results: dict[str, list[dict]], orders: list[tuple[str, str]]) -> dict:
+    """Per-metric and failure summary of the paired results of each side,
+    whose pairs ran in orders."""
     metrics = {}
     for name, first in results["parent"][0]["metrics"].items():
         sides = {s: [r["metrics"][name]["value"] for r in results[s]] for s in SIDES}
@@ -101,9 +114,9 @@ def summarize(results: dict[str, list[dict]]) -> dict:
         summary["paired"] = {"diffs": paired.pop("runs"), **paired,
                              "sign_p": sign_test(diffs)}
         summary["by_position"] = {
-            s: {place: _median([v for i, v in enumerate(sides[s])
-                                if _position(i, s) == pos])
-                for pos, place in ((1, "first"), (2, "second"))}
+            s: {place: _median([v for v, order in zip(sides[s], orders)
+                                if order[pos] == s])
+                for pos, place in ((0, "first"), (1, "second"))}
             for s in SIDES}
         metrics[name] = summary
     failed = {}
@@ -128,17 +141,19 @@ def moved(metrics: dict) -> list[dict]:
     return sorted(out, key=lambda m: -(m["diff_over_iqr"] or float("inf")))
 
 
-def _alternate(trees, workload, pairs, seed, seconds, quick, trace, log,
+def _alternate(trees, workload, orders, seed, seconds, quick, trace, log, history,
                label="pair"):
+    """Run the pairs in orders; history holds the side of every run so far
+    in this invocation, and grows by these."""
     results = {s: [] for s in SIDES}
     runs = []
-    for i in range(pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for side in order:
+    for i, order in enumerate(orders):
+        for position, side in enumerate(order, 1):
             record, result = run_once(trees[side], workload, seed + i, seconds, quick,
                                       trace)
             results[side].append(result)
-            runs.append({"pair": i, "side": side, "position": _position(i, side),
+            runs.append({"pair": i, "side": side, "position": position,
+                         "after": history[-1] if history else None,
                          "seed": seed + i, "trace": trace,
                          **{k: record.get(k) for k in ("source", "rounds", "failed_ops")},
                          "machine": {k: record.get(k) for k in MACHINE_KEYS},
@@ -146,19 +161,28 @@ def _alternate(trees, workload, pairs, seed, seconds, quick, trace, log,
             print(f"{workload} {'traced ' if trace else ''}{label} {i} {side}: "
                   + ", ".join(f"{k} {v['value']:.6g}" for k, v in result["metrics"].items()),
                   file=log, flush=True)
+            history.append(side)
     return results, runs
 
 
 def run_pairs(trees: dict[str, Path], workload: str, pairs: int, seed: int,
-              seconds: float, quick: bool, log=sys.stderr, traced: int = 0) -> dict:
+              seconds: float, quick: bool, log=sys.stderr, traced: int = 0,
+              history: list[str] | None = None) -> dict:
+    """The summary of one workload's pairs; history, the sides run before
+    in this invocation, gives each run record its "after"."""
+    history = [] if history is None else history
+    orders = abba(pairs, seed)
     # the warm-up pair: seeded and ordered like pair 0, and never summarized
-    _, warm_runs = _alternate(trees, workload, 1, seed, seconds, quick, 0, log,
-                              label="warm-up pair")
-    results, runs = _alternate(trees, workload, pairs, seed, seconds, quick, 0, log)
-    out = {**summarize(results), "runs": runs, "warmup": warm_runs}
+    _, warm_runs = _alternate(trees, workload, orders[:1], seed, seconds, quick, 0, log,
+                              history, label="warm-up pair")
+    results, runs = _alternate(trees, workload, orders, seed, seconds, quick, 0, log,
+                               history)
+    out = {**summarize(results, orders), "runs": runs, "warmup": warm_runs}
     if traced:
-        results, runs = _alternate(trees, workload, traced, seed, seconds, quick, 1, log)
-        layers = summarize(results)
+        orders = abba(traced, seed)
+        results, runs = _alternate(trees, workload, orders, seed, seconds, quick, 1, log,
+                                   history)
+        layers = summarize(results, orders)
         out["traced"] = {**layers, "moved": moved(layers["metrics"]), "runs": runs}
     return out
 
@@ -187,12 +211,14 @@ def main(argv=None) -> int:
             parser.error(f"{tree} has no bench/run.py")
     command = (f"python3 bench/run.py --workload <w> --seed <{args.seed}+pair> "
                f"--seconds {args.seconds:g} --trace 0" + (" --quick" if args.quick else ""))
+    history = []
     out = {
         "command": command,
-        "order": "one uncounted warm-up pair, then parent first in even pairs, "
-                 "change first in odd pairs",
+        "order": "per workload, one uncounted warm-up pair ordered like pair 0, "
+                 "then blocks of two pairs, parent first then change first or "
+                 f"the reverse by a coin seeded with {args.seed}",
         "workloads": {w: run_pairs(trees, w, args.pairs, args.seed, args.seconds,
-                                   args.quick, traced=args.traced)
+                                   args.quick, traced=args.traced, history=history)
                       for w in args.workload},
     }
     text = json.dumps(out, indent=1) + "\n"

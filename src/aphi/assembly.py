@@ -286,21 +286,33 @@ class MatrixBundle:
     D_eps = property(lambda self: (-self.G_eps).T.tocsr())
 
 
+def _share_pattern(A: sp.csr_matrix, B: sp.csr_matrix) -> sp.csr_matrix:
+    """B, holding A's indices and indptr buffers where the two patterns are
+    equal (as whole-array views, so that each matrix still has arrays of
+    its own), and its own arrays otherwise."""
+    if np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices):
+        B.indices, B.indptr = A.indices.view(), A.indptr.view()
+    return B
+
+
 def assemble_bundle(scalar: ScalarSpace, edge: EdgeSpace, material: MaterialField,
                     source: ManufacturedCase | None = None) -> MatrixBundle:
     """All seven weighted matrices from one set of element matrices: K, G and
-    M weighted by sigma and by eps, and the curl-curl matrix by nu."""
+    M weighted by sigma and by eps, and the curl-curl matrix by nu.  Where
+    the conductor fills the domain, each sigma-weighted matrix has the
+    eps-weighted one's pattern, and holds its index arrays once."""
     mesh = scalar.mesh
     elem = element_matrices(mesh.spacing)
     nodes, edges = mesh.cells, mesh.cell_edges
     n, e = mesh.n_nodes, mesh.n_edges
+    weighted = {}
+    for name, rows, cols, shape in (("K", nodes, nodes, (n, n)), ("G", edges, nodes, (e, n)),
+                                    ("M", edges, edges, (e, e))):
+        eps = _assemble_cells(material.eps, elem[name], rows, cols, shape)
+        weighted[f"{name}_eps"] = eps
+        weighted[f"{name}_sigma"] = _share_pattern(
+            eps, _assemble_cells(material.sigma, elem[name], rows, cols, shape))
     return MatrixBundle(
-        scalar=scalar, edge=edge, material=material,
-        K_sigma=_assemble_cells(material.sigma, elem["K"], nodes, nodes, (n, n)),
-        K_eps=_assemble_cells(material.eps, elem["K"], nodes, nodes, (n, n)),
-        G_sigma=_assemble_cells(material.sigma, elem["G"], edges, nodes, (e, n)),
-        G_eps=_assemble_cells(material.eps, elem["G"], edges, nodes, (e, n)),
-        M_sigma=_assemble_cells(material.sigma, elem["M"], edges, edges, (e, e)),
-        M_eps=_assemble_cells(material.eps, elem["M"], edges, edges, (e, e)),
+        scalar=scalar, edge=edge, material=material, **weighted,
         C_nu=_assemble_cells(material.nu, elem["C"], edges, edges, (e, e)),
         source=source)

@@ -395,7 +395,10 @@ def _dispatch(args) -> int:
         print(f"f = {args.freq:g} Hz, method = {args.method}")
         print(f"  delta_D      = {sol.delta_D:.6e}")
         print(f"  rel_residual = {sol.curl_report.rel_residual:.6e}")
-        print(f"  kappa1_eps   = {sol.curl_report.kappa1_eps:.6e}")
+        rep = sol.curl_report
+        print("  kappa1_eps   = " + (  # nan: an incomplete LU judges none
+            f"n/a (incomplete LU, {rep.gmres_iterations} GMRES iterations)"
+            if np.isnan(rep.kappa1_eps) else f"{rep.kappa1_eps:.6e}"))
         print(f"  |a|          = {np.linalg.norm(sol.a):.6e}")
         if built.mms is not None:
             print(f"  hcurl_error  = {hcurl_error(built, sol.a, built.mms):.6e}")

@@ -50,6 +50,24 @@ float32.  Each right-hand side is scaled by a power of two near its
 largest magnitude before the cast, exactly, so that small refinement
 residuals stay in float32's normal range.  A probe bound above
 SINGLE_KAPPA1_EPS_TOL / eps_single starts on the first double rung.
+
+Below the ladder sits one more rung, an incomplete LU preconditioning
+GMRES, for the systems where it holds a fraction of the LU's entries:
+with mixed=True and no probe, a system of at least ILU_MIN_UNKNOWNS
+unknowns with an imaginary part in a stored entry is first factored by
+SuperLU's threshold incomplete LU (ILUTP; Li & Shao 2011) of the
+equilibrated, ordered matrix, in complex128.  checked_solve then runs
+GMRES on the equilibrated system (gmres, right-preconditioned; Saad 2003,
+ch. 9-10) within GMRES_BUDGET iterations, applied through self.A and the
+scalings.  Where i*omega*sigma fills the domain this converges in a few
+iterations (the mms_sigma6e7 16^3 curl systems at 10 Hz: 6, on 0.18-0.21
+of the single LU's entries); a dielectric at low frequency needs far more
+(mms_sigma0 16^3: 187), and so does a complex64 ILU, whence the gates.  A
+refused ILU, an exhausted budget or a residual above RESIDUAL_TOL frees
+the ILU and climbs to _LADDER's first rung, so an incomplete LU never
+decides a singular verdict.  It judges no kappa_1 * eps either: its
+SolveReport reads nan there, and solve, solve_adjoint and
+condition_estimate refuse a Factorization that holds one.
 """
 from __future__ import annotations
 
@@ -69,6 +87,14 @@ MAX_REFINEMENTS = 3      # ... or after this many steps
 SINGLE_KAPPA1_EPS_TOL = 1e-2  # kappa_1 * eps_single above this: factor in double
 SINGLE_TINY = 2.0 ** -24  # float32 unit roundoff; smaller parts zeroed in the copy
 ND_LEAF = 64             # nested dissection stops at sets this small
+ILU_MIN_UNKNOWNS = 8000  # complex mixed systems this large try the incomplete LU
+ILU_DROP_TOL = 1e-3      # ... which drops entries below this (relative to the column)
+ILU_FILL_FACTOR = 5.0    # ... and holds about this many times nnz(A) at most
+# (SuperLU's fill bound): 80 bytes per entry of A in complex128, under the
+# complex64 LU's 87 (10.9 nnz(A)) at 8820 unknowns, mms_sigma6e7 15^3
+# tree-cotree, and an LU's share grows with the mesh.  The ILUs served
+# take 2.0-2.7 nnz(A).
+GMRES_BUDGET = 30        # GMRES iterations (one cycle) the incomplete LU may take
 DENSE_SVD_LIMIT = 2000
 _POWER_MAX_ITERS = 200
 _POWER_RTOL = 1e-6
@@ -122,9 +148,11 @@ class InaccurateSolveError(SingularMatrixError):
 class SolveReport:
     x: np.ndarray
     rel_residual: float
-    kappa1_eps: float      # kappa_1 * eps (double) of the LU that served
+    kappa1_eps: float      # kappa_1 * eps (double) of the LU that served;
+                           # nan on an incomplete LU, which judges none
     refinements: int = 0   # refinement steps: 0 or 1 on a double LU, up
                            # to MAX_REFINEMENTS on a single one
+    gmres_iterations: int = 0  # GMRES iterations on an incomplete LU
 
 
 def _equilibrate(A: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -234,11 +262,14 @@ class Factorization:
     raises ValueError.
 
     The LU climbs _LADDER, from its single rung with mixed=True and else
-    from its first double one.  `single` and pivot_thresh describe the
-    held LU; on a single one checked_solve refines to double accuracy,
-    while solve and solve_adjoint are good only to about kappa *
-    eps_single.  probe, a vector that A nearly annihilates, is judged by
-    the same constants before any LU (see the module docstring).
+    from its first double one; a large complex system with mixed=True and
+    no probe first holds an incomplete LU (`incomplete`), which only
+    checked_solve uses (see the module docstring).  `single` and
+    pivot_thresh describe the held LU; on a single one checked_solve
+    refines to double accuracy, while solve and solve_adjoint are good
+    only to about kappa * eps_single.  probe, a vector that A nearly
+    annihilates, is judged by the same constants before any LU (see the
+    module docstring).
 
     kappa1 is a lower-bound estimate of the held LU's kappa_1:
     onenormest with t=1 follows the largest entry of its iterate, and
@@ -260,12 +291,39 @@ class Factorization:
             mixed = mixed and bound * np.finfo(np.float32).eps <= SINGLE_KAPPA1_EPS_TOL
         self._perm = nested_dissection(A, coords)
         self._iperm = np.argsort(self._perm)
-        self._factor_from(0 if mixed else 1)
+        if not (mixed and probe is None and A.shape[0] >= ILU_MIN_UNKNOWNS
+                and A.data.imag.any() and self._factor_incomplete()):
+            self._factor_from(0 if mixed else 1)
 
     @property
     def single(self) -> bool:
         """The held LU is a float32 or complex64 one."""
         return np.finfo(self._dtype).bits == 32
+
+    @property
+    def incomplete(self) -> bool:
+        """The held factor is an incomplete LU, GMRES's preconditioner."""
+        return self._rung is None
+
+    def _ordered(self) -> sp.csc_matrix:
+        """The equilibrated matrix R^-1 A C^-1 in the LU's order."""
+        scaled = (sp.diags(1.0 / self.r) @ self.A @ sp.diags(1.0 / self.c)).tocsr()
+        return scaled[self._perm][:, self._perm].tocsc()
+
+    def _factor_incomplete(self) -> bool:
+        """Hold SuperLU's incomplete LU of the equilibrated, ordered matrix
+        in complex128; False, with nothing held, where SuperLU refuses it."""
+        ilu_input = self._ordered()
+        _release_free_heap()
+        self._rung, self._dtype = None, ilu_input.dtype
+        self.pivot_thresh, self.kappa1 = DIAG_PIVOT_THRESH, np.nan
+        try:
+            self._lu = spla.spilu(ilu_input, drop_tol=ILU_DROP_TOL,
+                                  fill_factor=ILU_FILL_FACTOR, permc_spec="NATURAL",
+                                  diag_pivot_thresh=DIAG_PIVOT_THRESH)
+        except RuntimeError:  # the input is freed on either return
+            return False
+        return True
 
     def _factor_from(self, rung: int) -> None:
         """Free the held LU and factor from _LADDER[rung] upward until an
@@ -284,8 +342,7 @@ class Factorization:
         when no imaginary part survives, and judge its kappa_1 * eps.  A
         refused LU is freed and raises SingularMatrixError."""
         single = precision == np.float32
-        scaled = (sp.diags(1.0 / self.r) @ self.A @ sp.diags(1.0 / self.c)).tocsr()
-        scaled = scaled[self._perm][:, self._perm].tocsc()
+        scaled = self._ordered()
         data = scaled.data
         if single:  # see SINGLE_TINY in the module docstring
             data = (np.where(abs(data.real) < SINGLE_TINY, 0.0, data.real)
@@ -327,7 +384,11 @@ class Factorization:
         """The LU's solve with the scaled, permuted matrix or its adjoint.
         A real factor takes a complex b as two real columns of one solve.
         A single factor takes b divided by a power of two near its largest
-        magnitude, an exact scaling undone on the result."""
+        magnitude, an exact scaling undone on the result.  An incomplete
+        LU raises ValueError: only checked_solve's GMRES uses it."""
+        if self.incomplete:
+            raise ValueError("an incomplete LU has no solve of its own; "
+                             "use checked_solve")
         real = self._dtype.kind == "f"
         trans = ("T" if real else "H") if adjoint else "N"
         if real and np.iscomplexobj(b):
@@ -349,10 +410,16 @@ class Factorization:
         return y[self._iperm] / self.r
 
     def checked_solve(self, b: np.ndarray) -> SolveReport:
-        """Solve A x = b with the residual recomputed from the original A,
-        refined with the held rung's steps and target, climbing _LADDER
-        while the relative residual stays above RESIDUAL_TOL."""
+        """Solve A x = b with the residual recomputed from the original A:
+        by GMRES on an incomplete LU, or refined with the held rung's steps
+        and target, climbing _LADDER while the relative residual stays
+        above RESIDUAL_TOL."""
         b = np.asarray(b, dtype=complex)
+        if self.incomplete:
+            rep = self._gmres_solve(b)
+            if rep is not None:
+                return rep
+            self._factor_from(0)  # frees the incomplete LU first
         while True:
             rep = self._refined_solve(b, *_LADDER[self._rung][2:])
             if rep.rel_residual <= RESIDUAL_TOL:  # False on nan
@@ -362,6 +429,25 @@ class Factorization:
                     f"relative residual {rep.rel_residual:.3e} > {RESIDUAL_TOL:g} "
                     "after one refinement step")
             self._factor_from(self._rung + 1)
+
+    def _gmres_solve(self, b: np.ndarray) -> SolveReport | None:
+        """GMRES on the equilibrated, ordered system to REFINE_TOL,
+        preconditioned by the incomplete LU; None when GMRES_BUDGET
+        iterations do not reach it or the relative residual, recomputed
+        from A, is above RESIDUAL_TOL."""
+        def apply(y):  # A_s y through A and the scalings: no copy of A_s
+            return (self.A @ (y[self._iperm] / self.c) / self.r)[self._perm]
+
+        y, iterations = gmres(apply, (b / self.r)[self._perm], self._lu.solve,
+                              GMRES_BUDGET, REFINE_TOL)
+        if y is None:
+            return None
+        x = y[self._iperm] / self.c
+        resid = np.linalg.norm(b - self.A @ x) / max(np.linalg.norm(b), np.finfo(float).tiny)
+        if not resid <= RESIDUAL_TOL:  # also catches nan
+            return None
+        return SolveReport(x=x, rel_residual=float(resid), kappa1_eps=np.nan,
+                           gmres_iterations=iterations)
 
     def _refined_solve(self, b: np.ndarray, max_steps: int, tol: float) -> SolveReport:
         """x = solve(b), then x += solve(b - A x) until the relative
@@ -386,6 +472,39 @@ def sparse_lu_solve(A: sp.spmatrix, b: np.ndarray,
     """Solve A x = b by equilibrated sparse LU in mixed precision (see
     Factorization); residual checked from scratch."""
     return Factorization(A, coords, mixed=True).checked_solve(b)
+
+
+def gmres(apply, b: np.ndarray, precondition, budget: int,
+          tol: float) -> tuple[np.ndarray | None, int]:
+    """GMRES from x = 0 for apply(x) = b, right-preconditioned by
+    precondition, any approximate inverse as a function of a vector, so
+    that the residual it minimizes is the system's own (Saad 2003, 9.3.2).
+    Returns (x, iterations) once the relative residual of the Arnoldi
+    least-squares problem is at most tol, or (None, iterations) when budget
+    iterations do not reach it or a non-finite value appears; no restart.
+    It holds one basis vector per iteration, and forms x =
+    precondition(V y) once at the end."""
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    basis = [b / beta]
+    H = np.zeros((budget + 1, budget), dtype=complex)
+    rhs = np.zeros(budget + 1, dtype=complex)
+    rhs[0] = beta
+    for k in range(budget):
+        w = apply(precondition(basis[k]))
+        for j, v in enumerate(basis):  # modified Gram-Schmidt
+            H[j, k] = np.vdot(v, w)
+            w = w - H[j, k] * v
+        H[k + 1, k] = np.linalg.norm(w)
+        if not np.isfinite(H[:k + 2, k]).all():
+            return None, k + 1
+        y = np.linalg.lstsq(H[:k + 2, :k + 1], rhs[:k + 2], rcond=None)[0]
+        resid = np.linalg.norm(rhs[:k + 2] - H[:k + 2, :k + 1] @ y) / beta
+        if resid <= tol or H[k + 1, k] == 0.0:  # converged, or x is exact
+            return precondition(np.stack(basis, axis=1) @ y), k + 1
+        basis.append(w / H[k + 1, k])
+    return None, budget
 
 
 @dataclass(frozen=True)
@@ -415,13 +534,15 @@ def condition_estimate(A: sp.spmatrix, fac: Factorization | None = None,
 
     fac, a Factorization of this same A, is reused for the inverse
     iteration instead of factoring A again; a single-precision one raises
-    ValueError, since its inverse is good only to about kappa * eps_single.
+    ValueError, since its inverse is good only to about kappa * eps_single,
+    and so does one holding an incomplete LU.
     Without one, A is factored first (ordered by coords), so a singular A
     costs no iterations (refused_condition).  A matrix that Factorization
     refuses as input (not square, 0 x 0 or non-finite) raises its
     ValueError here too."""
-    if fac is not None and fac.single:
-        raise ValueError("condition estimate needs a double-precision factor")
+    if fac is not None and (fac.single or fac.incomplete):
+        raise ValueError("condition estimate needs a double-precision factor, "
+                         "and a complete one")
     A = _checked_system(A)
     n = A.shape[0]
     if n <= DENSE_SVD_LIMIT:

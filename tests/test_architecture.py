@@ -215,6 +215,39 @@ def test_only_gauge_searches_graphs():
     assert _csgraph_importers() == ["gauge"]
 
 
+def _krylov_names(path: Path) -> list[str]:
+    """The names spilu and gmres as the module at path spells them: by
+    reference, as an attribute, in an import or as a definition."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, (ast.alias, ast.FunctionDef))
+                else None)
+        if name in ("spilu", "gmres"):
+            found.add(name)
+    return sorted(found)
+
+
+def test_only_solve_names_spilu_or_gmres():
+    # one module owns the incomplete LU and the GMRES that it preconditions,
+    # so every iterative solve meets the same gates and residual check
+    found = {path.stem: names for path in sorted(SRC.glob("*.py"))
+             if (names := _krylov_names(path))}
+    assert found == {"solve": ["gmres", "spilu"]}
+
+
+def test_krylov_scan_sees_every_spelling(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from scipy.sparse.linalg import spilu as ilu\n"
+                    "import scipy.sparse.linalg as la\n"
+                    "x = la.gmres(A, b)\n"
+                    "'''spilu and gmres, named in prose only'''\n")
+    assert _krylov_names(path) == ["gmres", "spilu"]
+    path.write_text("def gmres(apply, b):\n    return b\n")
+    assert _krylov_names(path) == ["gmres"]
+
+
 def _estimator_names(path: Path) -> list[str]:
     """The condition estimator's names that the module at path spells, by
     reference or as a string literal: DENSE_SVD_LIMIT, a _POWER_ constant,

@@ -423,6 +423,19 @@ def test_solve_prints_kappa1_eps(method, low, high, capsys):
     assert low <= float(lines[3].split("=")[1]) <= high
 
 
+def test_solve_on_an_incomplete_lu_prints_no_kappa1_eps(monkeypatch, capsys):
+    # the incomplete-LU rung judges no kappa_1 * eps, so solve says so and
+    # how many GMRES iterations served instead of printing a number
+    built = load_scenario(MMS6E7).with_subdivisions((3, 3, 3)).build()
+    n = curl_system(built, 2 * np.pi * 10.0, "tree-cotree")[0].shape[0]
+    monkeypatch.setattr(solve, "ILU_MIN_UNKNOWNS", n)
+    assert main(["solve", "--config", MMS6E7, "--subdivs", "3,3,3", "--freq", "10",
+                 "--method", "tree-cotree"]) == 0
+    line = capsys.readouterr().out.splitlines()[3]
+    assert re.fullmatch(r"  kappa1_eps   = n/a \(incomplete LU, [1-9]\d* GMRES "
+                        r"iterations\)", line), line
+
+
 def test_solve_singular_exit(tmp_path, capsys):
     code = main(["solve", "--config", ACADEMIC, "--freq", "0",
                  "--method", "original"])

@@ -126,9 +126,9 @@ def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
     out = bench_pairs.run_pairs({"parent": "parent", "change": "change"}, "w",
                                 pairs=3, seed=7, seconds=1.0, quick=True,
                                 log=io.StringIO(), traced=2)
-    # a warm-up pair like pair 0 comes first; then the first side
-    # alternates, and both sides of a pair share its seed; the traced pairs
-    # follow the untraced ones and alternate alike
+    # a warm-up pair like pair 0 comes first; then seed 7's ABBA blocks
+    # (abba: parent first, then change first), and both sides of a pair
+    # share its seed; the traced pairs follow the untraced ones, alike
     assert calls == [("parent", 7, 0), ("change", 7, 0),
                      ("parent", 7, 0), ("change", 7, 0), ("change", 8, 0),
                      ("parent", 8, 0), ("parent", 9, 0), ("change", 9, 0),
@@ -140,6 +140,11 @@ def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
     assert [(r["side"], r["position"]) for r in out["runs"]] == [
         ("parent", 1), ("change", 2), ("change", 1), ("parent", 2),
         ("parent", 1), ("change", 2)]
+    # each run names the side that ran just before it, across the warm-up,
+    # the counted and the traced pairs
+    sides = [r["side"] for r in out["warmup"] + out["runs"] + out["traced"]["runs"]]
+    assert [r["after"] for r in out["warmup"] + out["runs"] + out["traced"]["runs"]] \
+        == [None] + sides[:-1]
     peak = out["metrics"]["peak_rss_mb"]
     assert out["pairs"] == 3 and peak["parent"]["runs"] == peaks["parent"][1:]
     assert (peak["parent"]["median"], peak["change"]["median"]) == (169.0, 161.0)
@@ -175,6 +180,45 @@ def test_bench_pairs_alternates_sides_and_summarizes(monkeypatch):
     assert bench_pairs.sign_test([1, 2, 3, 4, 5, 6, 7, 8, 9, -1]) == 22 / 1024
 
 
+def test_bench_pairs_orders_seeded_abba_blocks(monkeypatch):
+    bench_pairs = _bench_pairs()
+    P, C = ("parent", "change"), ("change", "parent")
+    # seed 7 flips parent-first, parent-first, change-first for its blocks
+    assert bench_pairs.abba(6, 7) == [P, C, P, C, C, P]
+    assert bench_pairs.abba(5, 7) == [P, C, P, C, C]
+    assert bench_pairs.abba(4, 0) == [C, P, C, P]
+    for seed in range(20):  # every block puts each side first once
+        orders = bench_pairs.abba(10, seed)
+        assert orders == bench_pairs.abba(10, seed)
+        assert all({orders[k][0], orders[k + 1][0]} == set(P) for k in range(0, 10, 2))
+    assert len({tuple(bench_pairs.abba(10, seed)) for seed in range(20)}) > 1
+
+    calls = []
+
+    def fake_run_once(tree, workload, seed, seconds, quick, trace=0):
+        calls.append((workload, tree, seed))
+        return ({}, {"correct": True, "attempted": 1, "failed": 0,
+                     "metrics": {"wall_s": {"value": float(len(calls)), "unit": "s"}}})
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    history = []
+    out = {w: bench_pairs.run_pairs({"parent": "parent", "change": "change"}, w,
+                                    pairs=4, seed=0, seconds=1.0, quick=True,
+                                    log=io.StringIO(), history=history)
+           for w in ("a", "b")}
+    # the warm-up pair is ordered like pair 0, here change first; the
+    # second workload's first run comes after the first workload's last
+    assert [tree for w, tree, _ in calls if w == "a"] == [
+        "change", "parent", "change", "parent", "parent", "change",
+        "change", "parent", "parent", "change"]
+    assert out["b"]["warmup"][0]["after"] == out["a"]["runs"][-1]["side"] == "change"
+    assert history == [tree for _, tree, _ in calls]
+    # wall_s is the run's call number: the parent ran first as runs 5 and
+    # 9, second as 4 and 8; the change first as 3 and 7, second as 6 and 10
+    assert out["a"]["metrics"]["wall_s"]["by_position"] == {
+        "parent": {"first": 7.0, "second": 6.0}, "change": {"first": 5.0, "second": 8.0}}
+
+
 @pytest.mark.slow  # a warm-up pair and one counted pair: four runs, about 18 s
 def test_bench_pairs_script_one_tree_against_itself(tmp_path):
     tree = tmp_path / "tree"
@@ -191,8 +235,8 @@ def test_bench_pairs_script_one_tree_against_itself(tmp_path):
     assert set(result["metrics"]) == {"wall_s", "setup_s", "peak_rss_mb"}
     assert result["failed"]["parent"] == result["failed"]["change"] == {
         "failed": 0, "attempted": 1, "share": 0.0, "all_correct": True}
-    assert [(r["side"], r["seed"], r["position"]) for r in result["runs"]] == [
-        ("parent", 1, 1), ("change", 1, 2)]
+    assert [(r["side"], r["seed"], r["position"], r["after"]) for r in result["runs"]] \
+        == [("parent", 1, 1, "change"), ("change", 1, 2, "parent")]  # abba(1, 1)
     # the warm-up pair ran first and is left out of the summary
     assert [(r["side"], r["seed"]) for r in result["warmup"]] == [("parent", 1),
                                                                   ("change", 1)]

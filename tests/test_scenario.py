@@ -181,3 +181,21 @@ def test_built_scenario_arrays_own_their_buffers(make):
     larger = {path: (arr.nbytes, _buffer_bytes(arr)) for path, arr in arrays.items()
               if _buffer_bytes(arr) > arr.nbytes}
     assert larger == {}
+
+
+@pytest.mark.parametrize("make, shared", [
+    (lambda: mms_scenario(6e7, (4, 4, 4)), True),
+    (lambda: academic_scenario((5, 5, 5)), False)],
+    ids=["mms_sigma6e7-4", "academic-5"])
+def test_equal_bundle_patterns_share_their_index_arrays(make, shared):
+    # a conductor that fills the domain gives each sigma-weighted matrix the
+    # eps-weighted one's pattern, held once; a conductor that is a subset
+    # gives it a smaller one, held apart
+    bundle = make().build().bundle
+    for name in ("K", "G", "M"):
+        sigma, eps = getattr(bundle, f"{name}_sigma"), getattr(bundle, f"{name}_eps")
+        assert sigma.nnz and (sigma.nnz == eps.nnz) == shared, name
+        for part in ("indices", "indptr"):
+            assert np.shares_memory(getattr(sigma, part), getattr(eps, part)) == shared
+        assert not np.shares_memory(sigma.data, eps.data)
+        assert sigma.has_canonical_format

@@ -12,7 +12,8 @@ from aphi import solve
 from aphi.assembly import MaterialField, assemble_bundle
 from aphi.mesh import (AIR, FACE_LABELS, Box, boundary_entities,
                        build_box_mesh, tag_regions)
-from aphi.physics import METHODS, curl_coordinates, curl_system, run_two_step
+from aphi.physics import (METHODS, curl_coordinates, curl_system, excitation,
+                          run_two_step)
 from aphi.scenario import academic_scenario, mms_scenario
 from aphi.solve import (KAPPA1_EPS_TOL, ND_LEAF, RESIDUAL_TOL, Factorization,
                         InaccurateSolveError, SingularMatrixError,
@@ -660,3 +661,162 @@ def test_condition_scale_invariant(alpha):
     k1 = condition_estimate(A).value
     k2 = condition_estimate((alpha * A).tocsr()).value
     assert abs(k1 - k2) <= 1e-12 * k1
+
+
+# The incomplete-LU rung, on small systems with ILU_MIN_UNKNOWNS lowered to
+# their size: the conducting MMS case at 4^3 and academic 5^3, the
+# smallest academic mesh with conductor cells.
+_SERVED = [(lambda: mms_scenario(6e7, (4, 4, 4)), 10.0, "tree-cotree"),
+           (lambda: mms_scenario(6e7, (4, 4, 4)), 10.0, "original"),
+           (lambda: mms_scenario(6e7, (4, 4, 4)), 10.0, "lagrange"),
+           (lambda: academic_scenario((5, 5, 5)), 1e3, "tree-cotree"),
+           (lambda: academic_scenario((5, 5, 5)), 1e9, "lagrange")]
+_SERVED_IDS = ["mms_sigma6e7-4-tree-cotree", "mms_sigma6e7-4-original",
+               "mms_sigma6e7-4-lagrange", "academic-5-1e3Hz-tree-cotree",
+               "academic-5-1e9Hz-lagrange"]
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """("spilu" or "splu", dtype, size) of every SuperLU factor, in call order."""
+    calls = []
+    for name in ("spilu", "splu"):
+        def spy(A, *args, _name=name, _real=getattr(spla, name), **kwargs):
+            calls.append((_name, A.dtype, A.shape[0]))
+            return _real(A, *args, **kwargs)
+        monkeypatch.setattr(spla, name, spy)
+    return calls
+
+
+def _curl(make, f, method):
+    built = make().build()
+    A, b = curl_system(built, 2 * np.pi * f, method, excitation(built, f).j_free)
+    return built, A, b, curl_coordinates(built, method)
+
+
+@pytest.mark.parametrize("make, f, method", _SERVED, ids=_SERVED_IDS)
+def test_incomplete_lu_rung_matches_the_lu(make, f, method, lu_calls, monkeypatch):
+    _, A, b, coords = _curl(make, f, method)
+    lu = Factorization(A, coords, mixed=True).checked_solve(b)
+    monkeypatch.setattr(solve, "ILU_MIN_UNKNOWNS", A.shape[0])
+    lu_calls.clear()
+    fac = Factorization(A, coords, mixed=True)
+    assert fac.incomplete and not fac.single
+    rep = fac.checked_solve(b)
+    assert lu_calls == [("spilu", np.complex128, A.shape[0])]  # no LU at all
+    assert 1 <= rep.gmres_iterations <= solve.GMRES_BUDGET and rep.refinements == 0
+    assert rep.rel_residual <= RESIDUAL_TOL and np.isnan(rep.kappa1_eps)
+    assert np.linalg.norm(rep.x - lu.x) <= 1e-10 * np.linalg.norm(lu.x)
+    assert np.linalg.norm(A @ rep.x - b) == pytest.approx(
+        rep.rel_residual * np.linalg.norm(b), rel=1e-6)
+
+
+def _refused_spilu(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("miss", ["spilu-refused", "budget-1"])
+@pytest.mark.parametrize("make, f, method", _SERVED[:2] + _SERVED[3:4],
+                         ids=_SERVED_IDS[:2] + _SERVED_IDS[3:4])
+def test_incomplete_lu_miss_climbs_to_the_lu_ladder(make, f, method, miss,
+                                                   lu_calls, monkeypatch):
+    # a refused ILU, or a budget that GMRES exhausts, hands the system to
+    # the ladder's first rung, whose answer is the one without the rung
+    _, A, b, coords = _curl(make, f, method)
+    lu_calls.clear()
+    lu = Factorization(A, coords, mixed=True).checked_solve(b)
+    ladder = list(lu_calls)
+    monkeypatch.setattr(solve, "ILU_MIN_UNKNOWNS", A.shape[0])
+    if miss == "spilu-refused":
+        monkeypatch.setattr(spla, "spilu", _refused_spilu)
+    else:
+        monkeypatch.setattr(solve, "GMRES_BUDGET", 1)
+    lu_calls.clear()
+    fac = Factorization(A, coords, mixed=True)
+    assert fac.incomplete == (miss == "budget-1")
+    rep = fac.checked_solve(b)
+    assert not fac.incomplete and fac._lu is not None
+    assert lu_calls == ([] if miss == "spilu-refused" else
+                        [("spilu", np.complex128, A.shape[0])]) + ladder
+    assert np.array_equal(rep.x, lu.x) and rep.gmres_iterations == 0
+    assert rep.rel_residual == lu.rel_residual and rep.kappa1_eps == lu.kappa1_eps
+
+
+@pytest.mark.parametrize("miss", ["spilu-refused", "budget-1", "budget"])
+def test_incomplete_lu_never_decides_a_singular_verdict(miss, lu_calls, monkeypatch):
+    # the static curl matrix of the all-constrained cube, made complex: the
+    # ILU's GMRES cannot reach a right-hand side outside its range, and the
+    # ladder's LUs give the verdict they give without the rung
+    mesh = build_box_mesh(((0, 1),) * 3, (3, 3, 3))
+    bt = boundary_entities(mesh)
+    scal = build_scalar_space(mesh, bt, DirichletSpec())
+    edge = build_edge_space(mesh, bt, DirichletSpec(edge=FACE_LABELS))
+    whole = Box(lo=(0, 0, 0), hi=(1, 1, 1))
+    mat = MaterialField.uniform(mesh, tag_regions(mesh, [(whole, AIR)]),
+                                sigma=0.0, eps=1.0, nu=1.0)
+    C = (1 + 1j) * assemble_bundle(scal, edge, mat).C_nu[edge.free][:, edge.free]
+    b = np.random.default_rng(3).standard_normal(edge.n_free) + 0j
+    with pytest.raises(SingularMatrixError) as without:
+        sparse_lu_solve(C, b)
+    ladder = list(lu_calls)
+    assert [name for name, *_ in ladder] == ["splu"] * 3
+    monkeypatch.setattr(solve, "ILU_MIN_UNKNOWNS", edge.n_free)
+    if miss == "spilu-refused":
+        monkeypatch.setattr(spla, "spilu", _refused_spilu)
+    elif miss == "budget-1":
+        monkeypatch.setattr(solve, "GMRES_BUDGET", 1)
+    lu_calls.clear()
+    with pytest.raises(SingularMatrixError) as raised:
+        sparse_lu_solve(C, b)
+    assert lu_calls == ([] if miss == "spilu-refused" else
+                        [("spilu", np.complex128, edge.n_free)]) + ladder
+    assert str(raised.value) == str(without.value)
+
+
+@pytest.mark.parametrize("case", ["real", "probed", "condition"])
+def test_incomplete_lu_gates(case, lu_calls, monkeypatch):
+    # a real system, a probed original one and one with a condition
+    # estimate never reach the rung, whatever their size
+    make, f, method, condition = {
+        "real": (lambda: mms_scenario(0.0, (4, 4, 4)), 10.0, "tree-cotree", False),
+        "probed": (lambda: academic_scenario((5, 5, 5)), 1e9, "original", False),
+        "condition": (lambda: mms_scenario(6e7, (4, 4, 4)), 10.0, "tree-cotree", True),
+    }[case]
+    built, A, _, _ = _curl(make, f, method)
+    monkeypatch.setattr(solve, "ILU_MIN_UNKNOWNS", A.shape[0])
+    sol = run_two_step(built, f, method, condition=condition)
+    assert sol.curl_report.rel_residual <= RESIDUAL_TOL
+    assert np.isfinite(sol.curl_report.kappa1_eps)
+    assert ("spilu" in [name for name, *_ in lu_calls]) is False
+    assert ("splu", np.complex128 if case == "condition" else
+            np.float32 if case == "real" else np.complex64, A.shape[0]) in lu_calls
+
+
+def test_incomplete_lu_has_no_solve_and_no_condition_estimate(monkeypatch):
+    _, A, b, coords = _curl(*_SERVED[0])
+    monkeypatch.setattr(solve, "ILU_MIN_UNKNOWNS", A.shape[0])
+    fac = Factorization(A, coords, mixed=True)
+    assert fac.incomplete
+    for call in (lambda: fac.solve(b), lambda: fac.solve_adjoint(b)):
+        with pytest.raises(ValueError, match="incomplete LU"):
+            call()
+    monkeypatch.setattr(solve, "DENSE_SVD_LIMIT", 10)  # past the dense branch
+    with pytest.raises(ValueError, match="complete one"):
+        condition_estimate(A, fac=fac)
+    assert fac.checked_solve(b).rel_residual <= RESIDUAL_TOL  # still served
+
+
+@pytest.mark.parametrize("precondition, iterations", [
+    ("identity", None), ("jacobi", None), ("exact", 1)])
+def test_gmres_takes_any_preconditioner(precondition, iterations, rng):
+    A = _random_sparse(150, rng)
+    b = rng.standard_normal(150) + 1j * rng.standard_normal(150)
+    apply = {"identity": lambda v: v,
+             "jacobi": lambda v: v / A.diagonal(),
+             "exact": spla.splu(A.tocsc()).solve}[precondition]
+    x, its = solve.gmres(lambda v: A @ v, b, apply, 60, 1e-13)
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert its == iterations if iterations else 1 < its <= 60
+    assert solve.gmres(lambda v: A @ v, b, lambda v: v, 2, 1e-13) == (None, 2)
+    x, its = solve.gmres(lambda v: A @ v, 0 * b, apply, 60, 1e-13)
+    assert its == 0 and not x.any()
